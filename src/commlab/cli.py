@@ -28,6 +28,7 @@ from .diagnostics import (
 from .exact_core import Mat2, classify_padic, classify_real, is_prime
 from .lu_lab import knapp, lu_generators, pingpong, relator_search
 from .report import (
+    DigitLimitError,
     build_report,
     classification_obj,
     dumps_canonical,
@@ -522,6 +523,9 @@ def main(argv=None):
         return 2
     except ParameterError as e:
         click.echo(dumps_canonical(error_report("parameter", str(e), e.detail)), nl=False)
+        return 2
+    except DigitLimitError as e:
+        click.echo(dumps_canonical(error_report("parameter", str(e))), nl=False)
         return 2
 
 

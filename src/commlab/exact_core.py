@@ -1,11 +1,13 @@
 """Exact 2x2 linear algebra over Q, p-adic valuations, element classification.
 
 Everything in this module is exact: scalars are fractions.Fraction, valuations
-are plain ints (or INFINITY for v_p(0)). No floats anywhere.
+are plain ints (or INFINITY for v_p(0)), projective keys are primitive integer
+quadruples. No floats anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,6 +194,45 @@ def projective_normalize(m):
         if e != 0:
             return m.scale(1 / e)
     raise ValueError("zero matrix has no projective class")
+
+
+def _primitive(a, b, c, d):
+    g = math.gcd(a, b, c, d)
+    if g == 0:
+        raise ValueError("zero matrix has no projective class")
+    if (a or b or c or d) < 0:
+        g = -g
+    return (a // g, b // g, c // g, d // g)
+
+
+def projective_key(m):
+    """Integer collision key for the class of m in PGL(2, Q).
+
+    Clear denominators by their lcm, divide by the gcd of the four entries,
+    and make the first nonzero entry in row-major order positive. The result
+    is a primitive integer quadruple; two matrices have equal keys exactly
+    when their projective_normalize forms are equal.
+    """
+    den = math.lcm(*(f.denominator for f in m.entries()))
+    return _primitive(*(f.numerator * (den // f.denominator) for f in m.entries()))
+
+
+def key_mul(k, l):
+    """Key of the product of two matrices, from their keys."""
+    a, b, c, d = k
+    e, f, g, h = l
+    return _primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def key_inverse(k):
+    """Key of the inverse: the adjugate (d, -b, -c, a), which is already
+    primitive, with its sign re-fixed. No division."""
+    a, b, c, d = k
+    if a * d == b * c:
+        raise ZeroDivisionError("singular matrix has no inverse")
+    if (d or -b or -c or a) < 0:
+        return (-d, b, c, -a)
+    return (d, -b, -c, a)
 
 
 def commutator(g, h):

@@ -8,19 +8,23 @@ relator searches by meet-in-the-middle over projective images.
 
 from __future__ import annotations
 
+import gc
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import Mat2, projective_normalize
+from .exact_core import Mat2, key_inverse, key_mul, projective_key, projective_normalize
 from .words import (
     Alphabet,
     EMPTY_WORD,
     Word,
     canonical_letters,
     evaluate,
+    invert_letters,
     iter_level,
-    iter_level_with_matrices,
+    iter_level_carrying,
     necklace_canonical,
     reduce_letters,
     word_key,
@@ -108,32 +112,52 @@ class RelatorResult:
     images_per_length: dict    # distinct projective images among them, by exact length
 
 
-def _projective_key(m):
-    return projective_normalize(m).entries()
-
-
 def _entry_cost(key, word_len):
     # Coarse deterministic memory model for one table entry, in bytes: dict
     # slot overhead plus bignum digits plus the stored word. Used only to
-    # compare against mem_cap; identical on every run by construction.
+    # compare against mem_cap; identical on every run by construction. The
+    # digits are those of the Fraction normal form x/e of each entry x, where
+    # e is the first nonzero entry of the key (positive).
+    e = next(x for x in key if x)
     digits = 0
-    for f in key:
-        digits += (f.numerator.bit_length() + f.denominator.bit_length() + 15) // 8
+    for x in key:
+        g = math.gcd(x, e)
+        digits += ((x // g).bit_length() + (e // g).bit_length() + 15) // 8
     return 64 + 8 * word_len + digits
 
 
-def _level_entries(alphabet, length, first):
-    out = []
-    for word, m in iter_level_with_matrices(alphabet, length, first=first):
-        out.append((word, _projective_key(m), _projective_key(m.inverse())))
-    return out
+_IDENTITY_KEY = (1, 0, 0, 1)
+
+
+def _level_entries(num_gens, step, length, first):
+    return list(iter_level_carrying(num_gens, length, _IDENTITY_KEY, step, first))
+
+
+@contextmanager
+def _gc_paused():
+    # The search allocates hundreds of thousands of tuples and words but no
+    # reference cycles, so refcounting frees everything it drops. Cyclic
+    # collections would only rescan the growing table (about a tenth of a
+    # max-len 18 search, all of it memory-bound); pause them for the search.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
     """Shortest relator (word with scalar image) by meet-in-the-middle.
 
-    Builds all reduced words of length <= ceil(max_len/2) keyed by projective
-    normal form. A relator w = u x of length L makes image(u) = image(x^-1)
+    Builds all reduced words of length <= ceil(max_len/2) keyed by their
+    projective image, an exact_core.projective_key: the primitive integer
+    quadruple of the class in PGL(2, Q). The DFS carries keys, multiplying by
+    each letter's key, and the inverse image is the adjugate key, so no
+    Fraction matrix is built. Equal keys mean equal projective_normalize
+    forms, so collisions are exactly those of the rational normal form. A
+    relator w = u x of length L makes image(u) = image(x^-1)
     collide, and every rotation of a cyclic relator is scanned, so the first
     level with a collision carries a certified-minimal relator; among
     minimal-length relators the least necklace form is returned
@@ -144,16 +168,22 @@ def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
     breached cap yields status "inconclusive" unless a relator was already
     certified at a completed level. threads shards each level by first
     letter; shards merge in canonical order, so results never depend on
-    scheduling.
+    scheduling. Cyclic garbage collection is paused while the levels are
+    built and restored, as found, on every return.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     half = (max_len + 1) // 2
-    table = {_projective_key(Mat2.identity()): EMPTY_WORD}
-    cost = _entry_cost(next(iter(table)), 0)
+    table = {_IDENTITY_KEY: EMPTY_WORD}
+    cost = _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
-    firsts = canonical_letters(len(alphabet))
+    num_gens = len(alphabet)
+    firsts = canonical_letters(num_gens)
+    letter_keys = {l: projective_key(alphabet.matrix_of(l)) for l in firsts}
+
+    def step(key, letter):
+        return key_mul(key, letter_keys[letter])
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -167,52 +197,58 @@ def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
             images_per_length,
         )
 
-    for level in range(1, half + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                shards = list(pool.map(lambda f: _level_entries(alphabet, level, f), firsts))
-        else:
-            shards = [_level_entries(alphabet, level, f) for f in firsts]
+    with _gc_paused():
+        for level in range(1, half + 1):
+            if threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    shards = list(
+                        pool.map(lambda f: _level_entries(num_gens, step, level, f), firsts)
+                    )
+            else:
+                shards = [_level_entries(num_gens, step, level, f) for f in firsts]
 
-        entries = [e for shard in shards for e in shard]
-        words_per_length[level] = len(entries)
-        level_keys = set()
-        capped = False
-        for word, key, _ in entries:
-            level_keys.add(key)
-            if key not in table:
-                cost += _entry_cost(key, len(word))
-                if mem_cap is not None and cost > mem_cap:
-                    capped = True
-                    break
-                table[key] = word
-        images_per_length[level] = len(level_keys)
-        if capped:
-            return finish("inconclusive", completed=min(2 * (level - 1), max_len))
+            entries = [e for shard in shards for e in shard]
+            words_per_length[level] = len(entries)
+            level_keys = set()
+            capped = False
+            for word, key in entries:
+                level_keys.add(key)
+                if key not in table:
+                    cost += _entry_cost(key, len(word))
+                    if mem_cap is not None and cost > mem_cap:
+                        capped = True
+                        break
+                    table[key] = word
+            images_per_length[level] = len(level_keys)
+            if capped:
+                return finish("inconclusive", completed=min(2 * (level - 1), max_len))
 
-        candidates = []
-        for word, _, inv_key in entries:
-            u = table.get(inv_key)
-            if u is None:
-                continue
-            rel = reduce_letters(u.letters + word.letters)
-            if rel and len(rel) <= max_len:
-                candidates.append(Word(rel))
-        if progress is not None:
-            progress(level, len(entries), len(table))
-        if candidates:
-            best = min(candidates, key=lambda w: (len(w), word_key(necklace_canonical(w).letters)))
-            relator = necklace_canonical(best)
-            image = evaluate(relator, alphabet)
-            if not image.is_scalar():
-                raise AssertionError("collision produced a non-scalar image")
-            return finish(
-                "relator-found",
-                relator=relator,
-                scalar=image.a,
-                completed=min(2 * level, max_len),
-            )
-    return finish("none-found", completed=max_len)
+            candidates = []
+            for word, key in entries:
+                u = table.get(key_inverse(key))
+                # u = word^-1 is the trivial collision; on a free group every word hits it
+                if u is None or u.letters == invert_letters(word.letters):
+                    continue
+                rel = reduce_letters(u.letters + word.letters)
+                if rel and len(rel) <= max_len:
+                    candidates.append(Word(rel))
+            if progress is not None:
+                progress(level, len(entries), len(table))
+            if candidates:
+                best = min(
+                    candidates, key=lambda w: (len(w), word_key(necklace_canonical(w).letters))
+                )
+                relator = necklace_canonical(best)
+                image = evaluate(relator, alphabet)
+                if not image.is_scalar():
+                    raise AssertionError("collision produced a non-scalar image")
+                return finish(
+                    "relator-found",
+                    relator=relator,
+                    scalar=image.a,
+                    completed=min(2 * level, max_len),
+                )
+        return finish("none-found", completed=max_len)
 
 
 def naive_relator_search(alphabet, max_len):
@@ -230,7 +266,7 @@ def naive_relator_search(alphabet, max_len):
         for word in iter_level(len(alphabet), length):
             m = evaluate(word, alphabet)
             count += 1
-            keys.add(_projective_key(m))
+            keys.add(projective_normalize(m))
             if length > 0 and m.is_scalar():
                 found.append(word)
         words_per_length[length] = count

@@ -4,6 +4,7 @@ no floats, byte-stable across runs and thread counts."""
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .exact_core import INFINITY
@@ -11,14 +12,24 @@ from .exact_core import INFINITY
 TOOL_VERSION = "0.1.0"
 
 
+class DigitLimitError(ValueError):
+    """An exact value has more digits than Python's int-to-str conversion allows."""
+
+
 def frac_str(x):
     """Lowest-terms string form of an exact scalar; "/1" is omitted."""
     if x is INFINITY:
         return "inf"
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError(
+            "exact entries exceed the printable digit limit "
+            f"({sys.get_int_max_str_digits()} digits)"
+        ) from None
 
 
 def mat_rows(m):

@@ -143,8 +143,10 @@ def evaluate(w, alphabet):
     return out
 
 
-def iter_level(num_gens, length, first=None):
-    """Reduced words of exactly the given length, lexicographic order.
+def iter_level_carrying(num_gens, length, start, step, first=None):
+    """Reduced words of exactly the given length, lexicographic order, each
+    paired with a value carried along the DFS: start for the empty word, and
+    step(value, letter) for the value of the word extended by one letter.
 
     first, when given, restricts to words starting with that letter; levels
     shard cleanly by first letter because it dominates the lex order.
@@ -152,25 +154,35 @@ def iter_level(num_gens, length, first=None):
     letters = canonical_letters(num_gens)
     if length == 0:
         if first is None:
-            yield EMPTY_WORD
+            yield EMPTY_WORD, start
         return
 
-    def extend(prefix, remaining):
+    def extend(prefix, value, remaining):
         if remaining == 0:
-            yield Word(tuple(prefix))
+            yield Word(tuple(prefix)), value
             return
         last = prefix[-1] if prefix else None
         for l in letters:
             if last is not None and _cancels(last, l):
                 continue
             prefix.append(l)
-            yield from extend(prefix, remaining - 1)
+            yield from extend(prefix, step(value, l), remaining - 1)
             prefix.pop()
 
     if first is None:
-        yield from extend([], length)
+        yield from extend([], start, length)
     else:
-        yield from extend([first], length - 1)
+        yield from extend([first], step(start, first), length - 1)
+
+
+def _carry_nothing(value, letter):
+    return None
+
+
+def iter_level(num_gens, length, first=None):
+    """Reduced words of exactly the given length, lexicographic order."""
+    for word, _ in iter_level_carrying(num_gens, length, None, _carry_nothing, first):
+        yield word
 
 
 def iter_words(num_gens, max_len):
@@ -185,28 +197,9 @@ def iter_words(num_gens, max_len):
 
 def iter_level_with_matrices(alphabet, length, first=None):
     """Like iter_level but carrying the exact matrix image along the DFS."""
-    letters = canonical_letters(len(alphabet))
-    if length == 0:
-        if first is None:
-            yield EMPTY_WORD, Mat2.identity()
-        return
-
-    def extend(prefix, m, remaining):
-        if remaining == 0:
-            yield Word(tuple(prefix)), m
-            return
-        last = prefix[-1] if prefix else None
-        for l in letters:
-            if last is not None and _cancels(last, l):
-                continue
-            prefix.append(l)
-            yield from extend(prefix, m * alphabet.matrix_of(l), remaining - 1)
-            prefix.pop()
-
-    if first is None:
-        yield from extend([], Mat2.identity(), length)
-    else:
-        yield from extend([first], alphabet.matrix_of(first), length - 1)
+    return iter_level_carrying(
+        len(alphabet), length, Mat2.identity(), lambda m, l: m * alphabet.matrix_of(l), first
+    )
 
 
 def iter_words_with_matrices(alphabet, max_len):

@@ -193,6 +193,26 @@ def test_tree_length_report(capsys):
     assert res["classification"]["kind"] == "loxodromic"
 
 
+def test_tree_length_past_the_digit_limit_is_a_parameter_error(capsys):
+    # b^3000 has exact entries longer than Python's int-to-str limit
+    code, out, _ = run(
+        capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^3000"]
+    )
+    assert code == 2
+    doc = check_schema(out)
+    assert doc["error"]["code"] == "parameter"
+    assert "printable digit limit" in doc["error"]["message"]
+
+
+def test_tree_length_long_word_below_the_digit_limit(capsys):
+    code, out, _ = run(
+        capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^2000"]
+    )
+    assert code == 0
+    doc = check_schema(out)
+    assert doc["results"][0]["word"] == "b^2000"
+
+
 def test_tree_length_bad_word(capsys):
     code, out, _ = run(
         capsys, ["tree", "length", "--q", "1/2", "--p", "2", "--word", "a c"]

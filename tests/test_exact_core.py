@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.exact_core import (
     INFINITY,
@@ -19,10 +21,14 @@ from commlab.exact_core import (
     commutator,
     denominator_primes,
     is_prime,
+    key_inverse,
+    key_mul,
     prime_factors,
+    projective_key,
     projective_normalize,
     vp,
 )
+from commlab.lu_lab import _entry_cost
 from helpers import rand_frac, rand_sl2
 
 
@@ -219,6 +225,94 @@ def test_projective_normalize_separates():
     assert projective_normalize(a) != projective_normalize(b)
     with pytest.raises(ValueError):
         projective_normalize(Mat2(0, 0, 0, 0))
+
+
+# ------------------------------------------------- integer projective key
+
+# Small entries make equal projective classes likely; wide ones exercise
+# big numerators and denominators. Zero is drawn often on purpose.
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(max_denominator=10**9),
+)
+_MATS = st.builds(Mat2, _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES)
+_NONZERO_MATS = _MATS.filter(lambda m: any(m.entries()))
+_NONZERO_SCALARS = st.fractions(max_denominator=10**6).filter(bool)
+_KERNEL = settings(derandomize=True, max_examples=150)
+
+
+def _fraction_entry_cost(m, word_len):
+    # the byte model as defined on the Fraction normal form
+    digits = sum(
+        (f.numerator.bit_length() + f.denominator.bit_length() + 15) // 8
+        for f in projective_normalize(m).entries()
+    )
+    return 64 + 8 * word_len + digits
+
+
+@_KERNEL
+@given(_NONZERO_MATS, _NONZERO_MATS, _NONZERO_SCALARS, st.booleans())
+def test_projective_key_equality_is_normal_form_equality(m, n, s, scaled):
+    if scaled:
+        n = m.scale(s)
+    same_key = projective_key(m) == projective_key(n)
+    assert same_key == (projective_normalize(m) == projective_normalize(n))
+
+
+@_KERNEL
+@given(_NONZERO_MATS)
+def test_projective_key_is_primitive_with_positive_lead(m):
+    key = projective_key(m)
+    assert all(isinstance(x, int) for x in key)
+    assert math.gcd(*key) == 1
+    assert next(x for x in key if x) > 0
+
+
+@_KERNEL
+@given(_NONZERO_MATS, _NONZERO_SCALARS)
+def test_projective_key_scale_invariant(m, s):
+    assert projective_key(m.scale(s)) == projective_key(m)
+
+
+@_KERNEL
+@given(_NONZERO_MATS, _NONZERO_MATS)
+def test_key_mul_agrees_with_matrix_product(m, n):
+    product = m * n
+    if not any(product.entries()):
+        with pytest.raises(ValueError):
+            key_mul(projective_key(m), projective_key(n))
+        return
+    assert key_mul(projective_key(m), projective_key(n)) == projective_key(product)
+
+
+@_KERNEL
+@given(_NONZERO_MATS)
+def test_key_inverse_is_key_of_inverse(m):
+    if m.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            key_inverse(projective_key(m))
+        return
+    assert key_inverse(projective_key(m)) == projective_key(m.inverse())
+
+
+@_KERNEL
+@given(_NONZERO_MATS, st.integers(min_value=0, max_value=40))
+def test_entry_cost_matches_fraction_byte_model(m, word_len):
+    assert _entry_cost(projective_key(m), word_len) == _fraction_entry_cost(m, word_len)
+
+
+def test_projective_key_frozen():
+    assert projective_key(Mat2(0, Fraction(3, 2), 5, 7)) == (0, 3, 10, 14)
+    assert projective_key(Mat2(0, Fraction(-3, 2), 5, 7)) == (0, 3, -10, -14)
+    assert projective_key(Mat2.identity().scale(Fraction(-7, 3))) == (1, 0, 0, 1)
+    assert key_inverse((2, 9, 0, 2)) == (2, -9, 0, 2)
+    assert key_inverse((0, 1, -1, 0)) == (0, 1, -1, 0)
+
+
+def test_projective_key_rejects_zero_matrix():
+    with pytest.raises(ValueError):
+        projective_key(Mat2(0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------- real place

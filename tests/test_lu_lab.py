@@ -1,10 +1,12 @@
 """Delta_q lab: Knapp window, ping-pong, and the two relator strategies."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from commlab.diagnostics import long_reid_pair
 from commlab.exact_core import Mat2
 from commlab.lu_lab import (
     knapp,
@@ -13,7 +15,7 @@ from commlab.lu_lab import (
     pingpong,
     relator_search,
 )
-from commlab.words import Word, evaluate, parse_word
+from commlab.words import Alphabet, Word, evaluate, parse_word
 
 A = (0, 1)
 Ai = (0, -1)
@@ -178,6 +180,43 @@ def test_mitm_matches_naive():
             assert fast.words_per_length[n] == slow.words_per_length[n]
 
 
+# Generator sets outside the two-parabolic family: det != 1, torsion,
+# mixed denominators, three generators. Each entry: (matrices, max_len).
+ORACLE_SETS = {
+    # diag(2, 1) conjugates the shear to its square: BS(1, 2), odd relator
+    "det-2-baumslag-solitar": ((Mat2(2, 0, 0, 1), Mat2(1, 1, 0, 1)), 6),
+    # PSL(2, Z) = Z/2 * Z/3
+    "torsion-psl2z": ((Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1)), 6),
+    # [[0, 2], [1, 0]]^2 = 2 I
+    "torsion-scalar-2": ((Mat2(0, 2, 1, 0), Mat2(1, Fraction(1, 2), 0, 1)), 6),
+    # order 4 in PGL(2, Q): [[1, -1], [1, 1]]^4 = -4 I
+    "torsion-pgl-order-4": ((Mat2(1, -1, 1, 1), Mat2(1, Fraction(1, 3), 0, 1)), 6),
+    "mixed-denominators": (
+        (Mat2(Fraction(1, 2), Fraction(1, 3), 0, 1), Mat2(1, 0, Fraction(3, 5), Fraction(5, 7))),
+        6,
+    ),
+    "three-generators": (
+        (Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_mitm_matches_naive_beyond_delta_q(name):
+    matrices, max_len = ORACLE_SETS[name]
+    ab = Alphabet([f"g{i}" for i in range(len(matrices))], matrices)
+    fast = relator_search(ab, max_len)
+    slow = naive_relator_search(ab, max_len)
+    assert fast.status == slow.status
+    assert fast.relator == slow.relator
+    assert fast.scalar == slow.scalar
+    for n in fast.words_per_length:
+        assert n in slow.words_per_length
+        assert fast.words_per_length[n] == slow.words_per_length[n]
+        assert fast.images_per_length[n] == slow.images_per_length[n]
+
+
 def test_thread_shards_change_nothing():
     for q in (1, Fraction(1, 2)):
         ab = lu_generators(q)
@@ -204,10 +243,64 @@ def test_mem_cap_inconclusive():
     assert res.completed_length % 2 == 0
 
 
+# Smallest caps that let each level in, measured on the Fraction-keyed
+# search: (cap, status, completed_length) at cap c and c - 1. Below the
+# first cap nothing completes.
+MEM_CAP_THRESHOLDS = {
+    "q=1/2": (
+        lambda: lu_generators(Fraction(1, 2)),
+        12,
+        [(392, "inconclusive", 2), (1448, "inconclusive", 4), (4904, "inconclusive", 6),
+         (15720, "relator-found", 8)],
+    ),
+    "q=9/2": (
+        lambda: lu_generators(Fraction(9, 2)),
+        12,
+        [(392, "inconclusive", 2), (1448, "inconclusive", 4), (4916, "inconclusive", 6),
+         (16288, "inconclusive", 8), (53248, "inconclusive", 10), (172770, "none-found", 12)],
+    ),
+    "long-reid": (
+        long_reid_pair,
+        8,
+        [(394, "inconclusive", 2), (1478, "inconclusive", 4), (5067, "inconclusive", 6),
+         (16491, "relator-found", 8)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEM_CAP_THRESHOLDS))
+def test_mem_cap_thresholds_frozen(name):
+    make, max_len, thresholds = MEM_CAP_THRESHOLDS[name]
+    ab = make()
+    below = ("inconclusive", 0)
+    for cap, status, completed in thresholds:
+        res = relator_search(ab, max_len, mem_cap=cap - 1)
+        assert (res.status, res.completed_length) == below, cap - 1
+        res = relator_search(ab, max_len, mem_cap=cap)
+        assert (res.status, res.completed_length) == (status, completed), cap
+        below = (status, completed)
+
+
 def test_mem_cap_generous_still_finds():
     res = relator_search(lu_generators(2), 6, mem_cap=10**7)
     assert res.status == "relator-found"
     assert res.relator == Word((A, Bi, A, Bi))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_leaves_gc_state_as_found(enabled):
+    # The search pauses cyclic collection; every exit path must restore it.
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        relator_search(lu_generators(Fraction(1, 2)), 10, mem_cap=500)   # inconclusive
+        assert gc.isenabled() == enabled
+        relator_search(lu_generators(2), 6)                               # relator-found
+        assert gc.isenabled() == enabled
+        relator_search(lu_generators(4), 4)                               # none-found
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_progress_callback_sees_each_level():
