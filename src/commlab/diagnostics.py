@@ -16,10 +16,21 @@ from .exact_core import (
     classify_real,
     commutator,
     denominator_primes,
+    integer_form,
     vp,
 )
 from .lu_lab import knapp, pingpong
-from .words import Alphabet, Word, evaluate, format_word, iter_words_with_matrices, necklace_canonical
+from .words import (
+    Alphabet,
+    Word,
+    canonical_letters,
+    evaluate,
+    format_word,
+    is_necklace_form,
+    iter_level_carrying,
+    iter_words_with_matrices,
+    letter_code,
+)
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -156,23 +167,37 @@ def integral_trace_scan(alphabet, primes, max_len):
     representative per necklace class (the word equal to its own canonical
     form), and records those whose trace has nonnegative valuation at every
     listed prime. The identity (length 0) is integral trivially and skipped.
+
+    The walk carries letter codes and the integer form of the product: the
+    unreduced integer quadruple and the product of the letters' denominators,
+    with no gcd. Only a class representative gets its trace as a Fraction.
     """
     for p in primes:
         vp(1, p)  # validates primality
+    letters = {}
+    for l in canonical_letters(len(alphabet)):
+        (e, f, g, h), den = integer_form(alphabet.matrix_of(l))
+        letters[l] = (letter_code(l), e, f, g, h, den)
+
+    def step(value, letter):
+        codes, a, b, c, d, den = value
+        code, e, f, g, h, k = letters[letter]
+        return (codes + (code,), a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
+
+    start = ((), 1, 0, 0, 1, 1)
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
-    for word, m in iter_words_with_matrices(alphabet, max_len):
-        if len(word) == 0:
-            continue
-        if necklace_canonical(word) != word:
-            continue
-        classes_per_length[len(word)] += 1
-        t = m.trace()
-        vals = {p: vp(t, p) for p in primes}
-        if all(v >= 0 for v in vals.values()):
-            hits_per_length[len(word)] += 1
-            hits.append((word, t, vals))
+    for n in range(1, max_len + 1):
+        for word, (codes, a, _, _, d, den) in iter_level_carrying(len(alphabet), n, start, step):
+            if not is_necklace_form(codes):
+                continue
+            classes_per_length[n] += 1
+            t = Fraction(a + d, den)
+            vals = {p: vp(t, p) for p in primes}
+            if all(v >= 0 for v in vals.values()):
+                hits_per_length[n] += 1
+                hits.append((word, t, vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 

@@ -175,8 +175,13 @@ class Mat2:
             return NotImplemented
         base = self if k >= 0 else self.inverse()
         out = Mat2.identity()
-        for _ in range(abs(k)):
-            out = out * base
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):
@@ -205,16 +210,24 @@ def _primitive(a, b, c, d):
     return (a // g, b // g, c // g, d // g)
 
 
+def integer_form(m):
+    """((a, b, c, d), den) with m = (a, b, c, d) / den, den the lcm of the
+    entry denominators. The quadruple is not divided by its gcd, so products
+    of integer forms are integer forms of products, denominators multiplying.
+    """
+    den = math.lcm(*(f.denominator for f in m.entries()))
+    return tuple(f.numerator * (den // f.denominator) for f in m.entries()), den
+
+
 def projective_key(m):
     """Integer collision key for the class of m in PGL(2, Q).
 
-    Clear denominators by their lcm, divide by the gcd of the four entries,
+    Clear denominators (integer_form), divide by the gcd of the four entries,
     and make the first nonzero entry in row-major order positive. The result
     is a primitive integer quadruple; two matrices have equal keys exactly
     when their projective_normalize forms are equal.
     """
-    den = math.lcm(*(f.denominator for f in m.entries()))
-    return _primitive(*(f.numerator * (den // f.denominator) for f in m.entries()))
+    return _primitive(*integer_form(m)[0])
 
 
 def key_mul(k, l):

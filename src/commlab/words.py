@@ -85,24 +85,55 @@ def is_reduced(letters):
     return all(not _cancels(letters[i], letters[i + 1]) for i in range(len(letters) - 1))
 
 
+def letter_code(letter):
+    """The letter as the int 2*i + (s < 0). Codes order letters canonically,
+    a < a^-1 < b < ..., so code tuples compare like word_key tuples; a
+    letter's inverse is its code XOR 1."""
+    i, s = letter
+    return 2 * i + (s < 0)
+
+
+def _code_letter(code):
+    return (code >> 1, -1 if code & 1 else 1)
+
+
+def _inverse_codes(codes):
+    return tuple(c ^ 1 for c in reversed(codes))
+
+
+def is_necklace_form(codes):
+    """Whether a code tuple is its own necklace_canonical form: no greater
+    than any rotation of itself or of its inverse, and cyclically reduced.
+    Exits at the first failing test; most words fail on a letter smaller
+    than their first."""
+    if not codes:
+        return True
+    first = codes[0]
+    if min(codes) < first:  # the common rejection, before building the inverse
+        return False
+    for cand in (codes, _inverse_codes(codes)):
+        for r, c in enumerate(cand):
+            if c < first or (c == first and cand[r:] + cand[:r] < codes):
+                return False
+    # i = 0 compares the first code with the last, its cyclic neighbour
+    return all(codes[i] ^ 1 != codes[i - 1] for i in range(len(codes)))
+
+
 def necklace_canonical(w):
     """Canonical representative of the conjugacy class of w and w^-1.
 
     Cyclically reduce, then take the lexicographically least rotation of the
-    word and of its inverse under the canonical letter order.
+    word and of its inverse under the canonical letter order (least letter
+    code tuple).
     """
-    ls = list(reduce_letters(w.letters))
-    while len(ls) >= 2 and _cancels(ls[0], ls[-1]):
-        ls = ls[1:-1]
-    if not ls:
+    codes = [letter_code(l) for l in reduce_letters(w.letters)]
+    while len(codes) >= 2 and codes[0] ^ 1 == codes[-1]:
+        codes = codes[1:-1]
+    if not codes:
         return EMPTY_WORD
-    best = None
-    for cand in (tuple(ls), invert_letters(tuple(ls))):
-        for r in range(len(cand)):
-            rot = cand[r:] + cand[:r]
-            if best is None or word_key(rot) < word_key(best):
-                best = rot
-    return Word(best)
+    codes = tuple(codes)
+    best = min(cand[r:] + cand[:r] for cand in (codes, _inverse_codes(codes)) for r in range(len(cand)))
+    return Word(tuple(_code_letter(c) for c in best))
 
 
 class Alphabet:
@@ -218,16 +249,23 @@ def format_word(w, alphabet):
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?$")
 
+# Longest word parse_word expands. Exact entries grow with the word; on the
+# long-reid pair a word of this length already takes seconds to evaluate and
+# its entries pass Python's 4300-digit int-to-str limit.
+MAX_WORD_LETTERS = 4096
+
 
 def parse_word(text, alphabet):
     """Parse whitespace-separated tokens into a word.
 
     Token forms: name, name^k, name^-k. A single uppercase token whose
     lowercase form is a generator denotes the inverse (A means a^-1). The
-    result is not reduced; callers reduce when they need to.
+    result is not reduced; callers reduce when they need to. Raises
+    ValueError for words of more than MAX_WORD_LETTERS letters, counted from
+    the exponents before any letter is expanded.
     """
     index = {n: i for i, n in enumerate(alphabet.names)}
-    letters = []
+    tokens = []
     for tok in text.split():
         m = _TOKEN_RE.match(tok)
         if not m:
@@ -243,6 +281,8 @@ def parse_word(text, alphabet):
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise ValueError(f"zero exponent in token {tok!r}")
-        sign = sign * (1 if k > 0 else -1)
-        letters.extend([(index[name], sign)] * abs(k))
-    return Word(tuple(letters))
+        tokens.append(((index[name], sign * (1 if k > 0 else -1)), abs(k)))
+    total = sum(k for _, k in tokens)
+    if total > MAX_WORD_LETTERS:
+        raise ValueError(f"word has {total} letters, more than the limit {MAX_WORD_LETTERS}")
+    return Word(tuple(letter for letter, k in tokens for _ in range(k)))

@@ -32,9 +32,9 @@ from commlab.words import (
     evaluate,
     iter_words,
     iter_words_with_matrices,
-    necklace_canonical,
     parse_word,
 )
+from helpers import necklace_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -137,7 +137,7 @@ def test_criterion_4_long_reid_traces():
                 continue
             t = m.trace()
             if vp(t, 2) >= 0 and vp(t, 3) >= 0:
-                oracle.add(necklace_canonical(w))
+                oracle.add(necklace_oracle(w))
         assert {h[0] for h in scan.hits} == oracle
         # no nontrivial hits: everything found is trace-0 projective torsion
         for w, t, _ in scan.hits:

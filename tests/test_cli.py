@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,18 @@ def test_tree_length_long_word_below_the_digit_limit(capsys):
     assert code == 0
     doc = check_schema(out)
     assert doc["results"][0]["word"] == "b^2000"
+
+
+def test_tree_length_huge_exponent_is_rejected_before_expansion(capsys):
+    started = time.monotonic()
+    code, out, _ = run(
+        capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^300000000"]
+    )
+    assert time.monotonic() - started < 1
+    assert code == 2
+    doc = check_schema(out)
+    assert doc["error"]["code"] == "parameter"
+    assert "more than the limit" in doc["error"]["message"]
 
 
 def test_tree_length_bad_word(capsys):

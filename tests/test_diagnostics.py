@@ -1,8 +1,11 @@
 """Diagnostics: support, density, trace scans, per-place status, the probe."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from commlab.diagnostics import (
     GS_TAG,
@@ -22,8 +25,8 @@ from commlab.words import (
     Word,
     evaluate,
     iter_words_with_matrices,
-    necklace_canonical,
 )
+from helpers import necklace_oracle, trace_scan_oracle
 
 A = (0, 1)
 B = (1, 1)
@@ -149,10 +152,10 @@ def test_integral_trace_scan_matches_class_closure():
         if len(w) == 0:
             continue
         if vp(m.trace(), 2) >= 0:
-            expected.add(necklace_canonical(w))
+            expected.add(necklace_oracle(w))
     assert {h[0] for h in res.hits} == expected
     for w, t, vals in res.hits:
-        assert necklace_canonical(w) == w
+        assert necklace_oracle(w) == w
         assert t == evaluate(w, ab).trace()
         assert vals == {2: vp(t, 2)}
         assert vals[2] >= 0
@@ -175,6 +178,45 @@ def test_integral_trace_scan_long_reid_empty():
 def test_integral_trace_scan_rejects_bad_prime():
     with pytest.raises(ValueError):
         integral_trace_scan(lu_generators(1), (4,), 2)
+
+
+# Negative numerators and denominators at 2, 3 and 5; det is rarely 1.
+_SCAN_ENTRIES = st.builds(
+    Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 5, 6, 10, 15))
+)
+_SCAN_MATS = st.builds(Mat2, _SCAN_ENTRIES, _SCAN_ENTRIES, _SCAN_ENTRIES, _SCAN_ENTRIES).filter(
+    lambda m: m.det() != 0
+)
+
+
+# No shrinking: every shrink step reruns both scans, and shrinking a failure
+# would take minutes.
+@settings(derandomize=True, max_examples=40, deadline=None, phases=(Phase.generate,))
+@given(st.lists(_SCAN_MATS, min_size=2, max_size=3))
+def test_integral_trace_scan_matches_mat2_oracle(mats):
+    ab = Alphabet("abc"[: len(mats)], mats)
+    max_len = 5 if len(mats) == 2 else 4
+    assert integral_trace_scan(ab, (2, 3, 5), max_len) == trace_scan_oracle(ab, (2, 3, 5), max_len)
+
+
+def _random_sl2z(rng):
+    m = Mat2.identity()
+    for i in range(4):
+        x = rng.choice((-2, -1, 1, 2))
+        m = m * (Mat2(1, x, 0, 1) if i % 2 else Mat2(1, 0, x, 1))
+    return m
+
+
+def test_integral_trace_scan_conjugation_invariant():
+    # traces are class functions: an SL(2, Z) conjugate scans like long-reid
+    ab = long_reid_pair()
+    expected = trace_scan_oracle(ab, (2, 3), 7)
+    assert sum(expected.hits_per_length.values()) > 0
+    for seed in (5, 11, 23):
+        m = _random_sl2z(random.Random(seed))
+        conj = Alphabet(ab.names, [m * g * m.inverse() for g in ab.matrices])
+        assert conj.matrices != ab.matrices
+        assert integral_trace_scan(conj, (2, 3), 7) == expected
 
 
 # ---------------------------------------------------------------- per place

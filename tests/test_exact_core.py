@@ -20,6 +20,7 @@ from commlab.exact_core import (
     classify_real,
     commutator,
     denominator_primes,
+    integer_form,
     is_prime,
     key_inverse,
     key_mul,
@@ -172,6 +173,16 @@ def test_mat2_algebra():
         assert m**0 == Mat2.identity()
 
 
+def test_mat2_pow_matches_linear_product():
+    for m in (Mat2(2, 1, 1, 1), Mat2(Fraction(1, 2), 3, -1, Fraction(5, 3)), Mat2(0, 2, 3, 0)):
+        for k in range(-7, 8):
+            base = m if k >= 0 else m.inverse()
+            expect = Mat2.identity()
+            for _ in range(abs(k)):
+                expect = expect * base
+            assert m**k == expect, (m, k)
+
+
 def test_mat2_inverse_rejects_singular():
     with pytest.raises(ZeroDivisionError):
         Mat2(1, 2, 2, 4).inverse()
@@ -249,6 +260,19 @@ def _fraction_entry_cost(m, word_len):
         for f in projective_normalize(m).entries()
     )
     return 64 + 8 * word_len + digits
+
+
+@_KERNEL
+@given(_MATS, _MATS)
+def test_integer_form_clears_denominators_and_multiplies(m, n):
+    (a, b, c, d), den = integer_form(m)
+    assert den == math.lcm(*(f.denominator for f in m.entries()))
+    assert Mat2(Fraction(a, den), Fraction(b, den), Fraction(c, den), Fraction(d, den)) == m
+    # unreduced products of integer forms stay exact: the walk of
+    # diagnostics.integral_trace_scan relies on this
+    (e, f, g, h), den2 = integer_form(n)
+    prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    assert Mat2(*(Fraction(x, den * den2) for x in prod)) == m * n
 
 
 @_KERNEL

@@ -4,27 +4,32 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.exact_core import Mat2
 from commlab.words import (
     EMPTY_WORD,
+    MAX_WORD_LETTERS,
     Alphabet,
     Word,
     canonical_letters,
     evaluate,
     format_word,
     invert,
+    is_necklace_form,
     is_reduced,
     iter_level,
     iter_level_with_matrices,
     iter_words,
+    letter_code,
     multiply,
     necklace_canonical,
     parse_word,
     reduce,
     word_key,
 )
-from helpers import rand_reduced_word
+from helpers import necklace_oracle, rand_reduced_word
 
 A = (0, 1)
 Ai = (0, -1)
@@ -155,6 +160,39 @@ def test_necklace_invariance():
         assert necklace_canonical(n) == n
 
 
+# Words on 1-3 generators, unreduced as drawn; the tests also use their
+# reductions and necklace forms, since long random words are rarely either.
+_WORDS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1))), max_size=10)
+).map(Word)
+_NECKLACE = settings(derandomize=True, max_examples=300)
+
+
+def _codes(w):
+    return tuple(letter_code(l) for l in w.letters)
+
+
+def test_letter_codes_follow_the_canonical_order():
+    letters = canonical_letters(3)
+    assert [letter_code(l) for l in letters] == list(range(6))
+    for l in letters:
+        assert letter_code(l) ^ 1 == letter_code((l[0], -l[1]))
+
+
+@_NECKLACE
+@given(_WORDS)
+def test_necklace_canonical_matches_oracle(w):
+    for v in (w, reduce(w)):
+        assert necklace_canonical(v) == necklace_oracle(v)
+
+
+@_NECKLACE
+@given(_WORDS)
+def test_is_necklace_form_iff_oracle_fixes(w):
+    for v in (w, reduce(w), necklace_oracle(w)):
+        assert is_necklace_form(_codes(v)) == (necklace_oracle(v) == v)
+
+
 # ---------------------------------------------------------------- parse/format
 
 def test_format_frozen():
@@ -179,6 +217,7 @@ def test_parse_syntax():
     assert parse_word("a b b^-1", ab) == Word((A, B, Bi))  # parse does not reduce
     assert parse_word("", ab) == EMPTY_WORD
     assert parse_word("   ", ab) == EMPTY_WORD
+    assert parse_word(f"a^{MAX_WORD_LETTERS}", ab) == Word((A,) * MAX_WORD_LETTERS)
 
 
 def test_parse_errors():
@@ -191,6 +230,11 @@ def test_parse_errors():
         parse_word("a^", ab)
     with pytest.raises(ValueError):
         parse_word("a*b", ab)
+    # the letter limit counts every token, before any is expanded
+    with pytest.raises(ValueError, match="limit"):
+        parse_word(f"a^{MAX_WORD_LETTERS} b", ab)
+    with pytest.raises(ValueError, match="limit"):
+        parse_word("b^-300000000", ab)
 
 
 # ---------------------------------------------------------------- alphabet
