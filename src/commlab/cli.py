@@ -1,15 +1,14 @@
 """Command line interface. Reports go to stdout as canonical JSON; progress
 chatter goes to stderr. Exit codes: 0 success, 2 parameter problems (with a
 machine-readable error object), 3 inconclusive because a search budget ran
-out. COMMLAB_THREADS picks the worker count for sharded searches and never
-changes any output byte.
+out.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,38 +26,22 @@ from .diagnostics import (
 )
 from .exact_core import Mat2, classify_padic, classify_real, is_prime
 from .lu_lab import knapp, lu_generators, pingpong, relator_search
-from .report import (
-    DigitLimitError,
-    build_report,
-    classification_obj,
-    dumps_canonical,
-    error_report,
-    frac_str,
-    int_key_map,
-    mat_rows,
-    vertex_str,
-    witness_obj,
-)
+from .report import build_report, dumps_canonical, error_report, frac_str, to_json
 from .words import evaluate, format_word, parse_word, reduce, Alphabet
 
 BUILTINS = ("long-reid",)
+SL2_NOTES = {  # by the scalar a relator evaluates to
+    -1: "evaluates to -I: trivial in PGL2, and its square is the SL2 identity",
+    1: "evaluates to I: already trivial in SL2",
+}
 
 
-class ParameterError(Exception):
+class ParameterError(ValueError):
+    """A bad option or input file; detail, when given, locates the problem."""
+
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail
-
-
-def _threads():
-    raw = os.environ.get("COMMLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"COMMLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ParameterError(f"COMMLAB_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _parse_fraction(text, label):
@@ -122,53 +105,73 @@ def load_generator_file(path):
 
 def dump_generator_file(alphabet):
     """Inverse of load_generator_file, up to canonical fraction strings."""
-    return dumps_canonical(
-        {
-            "generators": [
-                {"name": n, "matrix": mat_rows(m)}
-                for n, m in zip(alphabet.names, alphabet.matrices)
-            ]
-        }
-    )
+    return dumps_canonical(to_json(
+        {"generators": [{"name": n, "matrix": m} for n, m in zip(alphabet.names, alphabet.matrices)]},
+        alphabet,
+    ))
 
 
-def gen_source_options(f):
-    f = click.option("--gens", "gens_path", type=str, default=None,
-                     help="Generator file (JSON).")(f)
-    f = click.option("--q", "q_text", type=str, default=None,
-                     help="Use the two-parabolic pair Delta_q.")(f)
-    f = click.option("--builtin", "builtin", type=click.Choice(BUILTINS), default=None,
-                     help="Use a named builtin generator set.")(f)
-    return f
+SOURCE_OPTIONS = (
+    click.option("--builtin", "builtin", type=click.Choice(BUILTINS), default=None,
+                 help="Use a named builtin generator set."),
+    click.option("--q", "q_text", type=str, default=None, help="Use the two-parabolic pair Delta_q."),
+    click.option("--gens", "gens_path", type=str, default=None, help="Generator file (JSON)."),
+)
 
 
 def resolve_alphabet(gens_path, q_text, builtin):
-    picked = [x for x in (gens_path, q_text, builtin) if x is not None]
-    if len(picked) != 1:
+    if sum(x is not None for x in (gens_path, q_text, builtin)) != 1:
         raise ParameterError("exactly one of --gens, --q, --builtin is required")
+    q = None
     if gens_path is not None:
         alphabet = load_generator_file(gens_path)
     elif q_text is not None:
         q = _parse_fraction(q_text, "--q")
-        try:
-            alphabet = lu_generators(q)
-        except ValueError as e:
-            raise ParameterError(str(e))
+        alphabet = lu_generators(q)
     else:
         alphabet = long_reid_pair()
-    params = {"gens": gens_path, "q": q_text and frac_str(_parse_fraction(q_text, "--q")),
-              "builtin": builtin}
-    return alphabet, params
+    return alphabet, {"gens": gens_path, "q": q, "builtin": builtin}
 
 
-def _ms(started):
-    return max(0, int(round((time.monotonic() - started) * 1000)))
+def _witness(word, alphabet, classify):
+    m = evaluate(word, alphabet)
+    return {"word": word, "matrix": m, "classification": classify(m)}
 
 
-def _emit(ctx, report, code=0):
-    click.echo(dumps_canonical(report), nl=False)
-    if code:
-        ctx.exit(code)
+def command(group, name, *options, source=True):
+    """Register the decorated function as `group name`, with its options.
+
+    With source=True the SOURCE_OPTIONS come first and resolve into the
+    function's `alphabet` argument, echoed into params. The function returns
+    (params, results, witnesses[, exit code]) in raw values for to_json. Any
+    ValueError (a bad option, a library range check, the digit limit) becomes
+    a parameter error with exit 2."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            started = time.monotonic()
+            alphabet, src = None, {}
+            try:
+                if source:
+                    alphabet, src = resolve_alphabet(
+                        kwargs.pop("gens_path"), kwargs.pop("q_text"), kwargs.pop("builtin"))
+                    kwargs["alphabet"] = alphabet
+                params, results, witnesses, *code = fn(**kwargs)
+                ms = max(0, int(round((time.monotonic() - started) * 1000)))
+                report = to_json(build_report(f"{group.name} {name}", dict(src, **params),
+                                              results, witnesses, ms), alphabet)
+            except ValueError as e:
+                report = error_report("parameter", str(e), getattr(e, "detail", None))
+                code = [2]
+            click.echo(dumps_canonical(report), nl=False)
+            return code[0] if code else 0
+
+        # click lists options in the reverse of the order they are applied
+        for option in reversed((SOURCE_OPTIONS if source else ()) + options):
+            run = option(run)
+        return group.command(name)(run)
+
+    return decorate
 
 
 @click.group()
@@ -182,51 +185,34 @@ def lu():
     """Two-parabolic groups Delta_q = <[[1,0],[1,1]], [[1,q],[0,1]]>."""
 
 
-@lu.command("knapp")
-@click.option("--q", "q_text", type=str, required=True)
-@click.pass_context
-def lu_knapp(ctx, q_text):
+@command(lu, "knapp", click.option("--q", "q_text", type=str, required=True), source=False)
+def lu_knapp(q_text):
     """Knapp discreteness verdict inside the window 0 < |q| < 4."""
-    started = time.monotonic()
     q = _parse_fraction(q_text, "--q")
-    try:
-        v = knapp(q)
-    except ValueError as e:
-        raise ParameterError(str(e))
-    results = [{"q": frac_str(q), "verdict": v.verdict, "n": v.n}]
-    _emit(ctx, build_report("lu knapp", {"q": frac_str(q)}, results, [], _ms(started)))
+    v = knapp(q)
+    return {"q": q}, [{"q": q, "verdict": v.verdict, "n": v.n}], []
 
 
-@lu.command("pingpong")
-@click.option("--q", "q_text", type=str, required=True)
-@click.pass_context
-def lu_pingpong(ctx, q_text):
+@command(lu, "pingpong", click.option("--q", "q_text", type=str, required=True), source=False)
+def lu_pingpong(q_text):
     """Ping-pong freeness certificate for |q| >= 4."""
-    started = time.monotonic()
     q = _parse_fraction(q_text, "--q")
-    try:
-        r = pingpong(q)
-    except ValueError as e:
-        raise ParameterError(str(e))
+    r = pingpong(q)
     results = [{
-        "q": frac_str(q),
+        "q": q,
         "applicable": r.applicable,
         "free": r.free,
-        "m_squared": frac_str(r.m_squared),
-        "steps": list(r.inequalities),
+        "m_squared": r.m_squared,
+        "steps": r.inequalities,
     }]
-    _emit(ctx, build_report("lu pingpong", {"q": frac_str(q)}, results, [], _ms(started)))
+    return {"q": q}, results, []
 
 
-@lu.command("relators")
-@gen_source_options
-@click.option("--max-len", type=int, required=True)
-@click.option("--mem-cap", type=int, default=None, help="Table budget in bytes.")
-@click.pass_context
-def lu_relators(ctx, gens_path, q_text, builtin, max_len, mem_cap):
+@command(lu, "relators",
+         click.option("--max-len", type=int, required=True),
+         click.option("--mem-cap", type=int, default=None, help="Table budget in bytes."))
+def lu_relators(alphabet, max_len, mem_cap):
     """Shortest relator (word with scalar image), meet-in-the-middle."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     if max_len < 2:
         raise ParameterError("--max-len must be >= 2")
     if mem_cap is not None and mem_cap < 1:
@@ -235,33 +221,23 @@ def lu_relators(ctx, gens_path, q_text, builtin, max_len, mem_cap):
     def progress(level, words, table):
         click.echo(f"level {level}: {words} words, table {table}", err=True)
 
-    res = relator_search(alphabet, max_len, mem_cap=mem_cap, threads=_threads(),
-                         progress=progress)
-    sl2_note = None
-    if res.scalar == -1:
-        sl2_note = "evaluates to -I: trivial in PGL2, and its square is the SL2 identity"
-    elif res.scalar == 1:
-        sl2_note = "evaluates to I: already trivial in SL2"
+    res = relator_search(alphabet, max_len, mem_cap=mem_cap, progress=progress)
     results = [{
         "status": res.status,
-        "relator": res.relator and format_word(res.relator, alphabet),
+        "relator": res.relator,
         "relator_length": res.relator and len(res.relator),
-        "scalar": frac_str(res.scalar) if res.scalar is not None else None,
-        "sl2_note": sl2_note,
+        "scalar": res.scalar,
+        "sl2_note": SL2_NOTES.get(res.scalar),
         "strategy": res.strategy,
         "max_len": res.max_len,
         "completed_length": res.completed_length,
-        "words_per_length": int_key_map(res.words_per_length),
-        "images_per_length": int_key_map(res.images_per_length),
+        "words_per_length": res.words_per_length,
+        "images_per_length": res.images_per_length,
     }]
-    witnesses = []
-    if res.relator is not None:
-        image = evaluate(res.relator, alphabet)
-        witnesses.append(witness_obj(format_word(res.relator, alphabet), image,
-                                     classify_real(image) if image.det() == 1 else None))
-    params = dict(src, max_len=max_len, mem_cap=mem_cap)
-    _emit(ctx, build_report("lu relators", params, results, witnesses, _ms(started)),
-          3 if res.status == "inconclusive" else 0)
+    witnesses = [] if res.relator is None else [
+        _witness(res.relator, alphabet, lambda m: classify_real(m) if m.det() == 1 else None)]
+    return ({"max_len": max_len, "mem_cap": mem_cap}, results, witnesses,
+            3 if res.status == "inconclusive" else 0)
 
 
 @cli.group()
@@ -269,15 +245,11 @@ def tree():
     """Bruhat-Tits tree computations for PGL(2, Q_p)."""
 
 
-@tree.command("orbit")
-@gen_source_options
-@click.option("--p", type=int, required=True)
-@click.option("--radius", type=int, required=True)
-@click.pass_context
-def tree_orbit(ctx, gens_path, q_text, builtin, p, radius):
+@command(tree, "orbit",
+         click.option("--p", type=int, required=True),
+         click.option("--radius", type=int, required=True))
+def tree_orbit(alphabet, p, radius):
     """Bounded-orbit test for the base vertex under the generated group."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     p = _parse_prime(p)
     if radius < 1:
         raise ParameterError("--radius must be >= 1")
@@ -288,47 +260,34 @@ def tree_orbit(ctx, gens_path, q_text, builtin, p, radius):
         "max_radius": radius,
         "radius_seen": res.radius_seen,
         "orbit_size": res.orbit and len(res.orbit),
-        "orbit": res.orbit and [vertex_str(v) for v in res.orbit],
-        "witness_word": res.witness and format_word(res.witness, alphabet),
+        "orbit": res.orbit,
+        "witness_word": res.witness,
     }]
-    witnesses = []
-    if res.witness is not None:
-        m = evaluate(res.witness, alphabet)
-        witnesses.append(witness_obj(format_word(res.witness, alphabet), m, classify_padic(m, p)))
-    params = dict(src, p=p, radius=radius)
-    _emit(ctx, build_report("tree orbit", params, results, witnesses, _ms(started)),
-          3 if res.status == "inconclusive" else 0)
+    witnesses = [] if res.witness is None else [
+        _witness(res.witness, alphabet, lambda m: classify_padic(m, p))]
+    return ({"p": p, "radius": radius}, results, witnesses,
+            3 if res.status == "inconclusive" else 0)
 
 
-@tree.command("length")
-@gen_source_options
-@click.option("--p", type=int, required=True)
-@click.option("--word", "word_text", type=str, required=True)
-@click.pass_context
-def tree_length(ctx, gens_path, q_text, builtin, p, word_text):
+@command(tree, "length",
+         click.option("--p", type=int, required=True),
+         click.option("--word", "word_text", type=str, required=True))
+def tree_length(alphabet, p, word_text):
     """Translation length of a word on the tree at p."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     p = _parse_prime(p)
-    try:
-        w = parse_word(word_text, alphabet)
-    except ValueError as e:
-        raise ParameterError(str(e))
-    m = evaluate(w, alphabet)
-    if m.det() == 0:
-        raise ParameterError("word evaluates to a singular matrix")
+    w = parse_word(word_text, alphabet)
+    m = evaluate(w, alphabet)  # nonsingular: the alphabet rejects singular generators
     cls = classify_padic(m, p)
     results = [{
         "p": p,
         "word": word_text,
-        "reduced": format_word(reduce(w), alphabet),
-        "trace": frac_str(m.trace()),
+        "reduced": reduce(w),
+        "trace": m.trace(),
         "translation_length": translation_length(m, p),
-        "classification": classification_obj(cls),
+        "classification": cls,
     }]
-    witnesses = [witness_obj(format_word(reduce(w), alphabet), m, cls)]
-    params = dict(src, p=p, word=word_text)
-    _emit(ctx, build_report("tree length", params, results, witnesses, _ms(started)))
+    witness = {"word": reduce(w), "matrix": m, "classification": cls}
+    return {"p": p, "word": word_text}, results, [witness]
 
 
 @cli.group()
@@ -336,49 +295,27 @@ def diag():
     """Irreducibility diagnostics for S-arithmetic subgroups of SL(2, Q)."""
 
 
-@diag.command("places")
-@gen_source_options
-@click.pass_context
-def diag_places(ctx, gens_path, q_text, builtin):
+@command(diag, "places")
+def diag_places(alphabet):
     """Place support: primes dividing any generator denominator."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     s = place_support(alphabet)
-    results = [{"primes": list(s.primes), "includes_real": s.includes_real}]
-    _emit(ctx, build_report("diag places", src, results, [], _ms(started)))
+    return {}, [{"primes": s.primes, "includes_real": s.includes_real}], []
 
 
-@diag.command("density")
-@gen_source_options
-@click.pass_context
-def diag_density(ctx, gens_path, q_text, builtin):
+@command(diag, "density")
+def diag_density(alphabet):
     """Zariski density of the generated subgroup of SL_2."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
-    try:
-        r = density_report(alphabet)
-    except ValueError as e:
-        raise ParameterError(str(e))
-    results = [{
-        "verdict": r.verdict,
-        "reason": r.reason,
-        "pair": r.pair and list(r.pair),
-        "traces": {k: frac_str(v) for k, v in r.traces.items()},
-    }]
-    _emit(ctx, build_report("diag density", src, results, [], _ms(started)))
+    r = density_report(alphabet)
+    return {}, [{"verdict": r.verdict, "reason": r.reason, "pair": r.pair, "traces": r.traces}], []
 
 
-@diag.command("traces")
-@gen_source_options
-@click.option("--primes", "primes_text", type=str, default=None,
-              help="Comma-separated; defaults to the place support.")
-@click.option("--max-len", type=int, required=True)
-@click.option("--csv", "csv_path", type=str, default=None)
-@click.pass_context
-def diag_traces(ctx, gens_path, q_text, builtin, primes_text, max_len, csv_path):
+@command(diag, "traces",
+         click.option("--primes", "primes_text", type=str, default=None,
+                      help="Comma-separated; defaults to the place support."),
+         click.option("--max-len", type=int, required=True),
+         click.option("--csv", "csv_path", type=str, default=None))
+def diag_traces(alphabet, primes_text, max_len, csv_path):
     """Integral-trace scan over necklace classes of words."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     if max_len < 1:
         raise ParameterError("--max-len must be >= 1")
     if primes_text is not None:
@@ -393,17 +330,18 @@ def diag_traces(ctx, gens_path, q_text, builtin, primes_text, max_len, csv_path)
         if not primes:
             raise ParameterError("generators are integral; pass --primes explicitly")
     scan = integral_trace_scan(alphabet, primes, max_len)
+    # valuations print as exact scalars ("inf" for a zero trace), not as ints
     hit_rows = [{
-        "word": format_word(w, alphabet),
+        "word": w,
         "length": len(w),
-        "trace": frac_str(t),
-        "valuations": {str(p): frac_str(v) for p, v in vals.items()},
+        "trace": t,
+        "valuations": {p: frac_str(v) for p, v in vals.items()},
     } for w, t, vals in scan.hits]
     results = [{
-        "primes": list(primes),
+        "primes": primes,
         "max_len": max_len,
-        "classes_per_length": int_key_map(scan.classes_per_length),
-        "hits_per_length": int_key_map(scan.hits_per_length),
+        "classes_per_length": scan.classes_per_length,
+        "hits_per_length": scan.hits_per_length,
         "hit_count": len(scan.hits),
         "hits": hit_rows,
     }]
@@ -414,118 +352,67 @@ def diag_traces(ctx, gens_path, q_text, builtin, primes_text, max_len, csv_path)
             for w, t, vals in scan.hits:
                 writer.writerow([format_word(w, alphabet), len(w), frac_str(t)]
                                 + [frac_str(vals[p]) for p in primes])
-    params = dict(src, primes=list(primes), max_len=max_len, csv=csv_path)
-    _emit(ctx, build_report("diag traces", params, results, [], _ms(started)))
+    return {"primes": primes, "max_len": max_len, "csv": csv_path}, results, []
 
 
-@diag.command("irreducible")
-@gen_source_options
-@click.option("--max-len", type=int, default=6)
-@click.option("--radius", type=int, default=3)
-@click.pass_context
-def diag_irreducible(ctx, gens_path, q_text, builtin, max_len, radius):
+@command(diag, "irreducible",
+         click.option("--max-len", type=int, default=6),
+         click.option("--radius", type=int, default=3))
+def diag_irreducible(alphabet, max_len, radius):
     """Per-place indiscreteness witnesses plus the product-level summary."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     if max_len < 1 or radius < 1:
         raise ParameterError("--max-len and --radius must be >= 1")
     rep = irreducibility_report(alphabet, max_len=max_len, radius=radius)
-    places = []
-    witnesses = []
-    for st in rep.places:
-        places.append({
-            "place": st.place,
-            "status": st.status,
-            "word": st.word and format_word(st.word, alphabet),
-            "classification": classification_obj(st.classification),
-            "note": st.note,
-        })
-        if st.word is not None:
-            m = evaluate(st.word, alphabet)
-            witnesses.append(witness_obj(format_word(st.word, alphabet), m, st.classification))
+    places = [{"place": st.place, "status": st.status, "word": st.word,
+               "classification": st.classification, "note": st.note} for st in rep.places]
+    witnesses = [_witness(st.word, alphabet, lambda m: st.classification)
+                 for st in rep.places if st.word is not None]
+    d = rep.density
     results = [{
-        "support": {"primes": list(rep.support.primes), "includes_real": True},
+        "support": {"primes": rep.support.primes, "includes_real": True},
         "places": places,
         "product_discrete": rep.product_discrete,
         "product_justification": rep.product_justification,
-        "density": {
-            "verdict": rep.density.verdict,
-            "reason": rep.density.reason,
-            "pair": rep.density.pair and list(rep.density.pair),
-            "traces": {k: frac_str(v) for k, v in rep.density.traces.items()},
-        },
-        "conditional_notes": list(rep.conditional_notes),
+        "density": {"verdict": d.verdict, "reason": d.reason, "pair": d.pair, "traces": d.traces},
+        "conditional_notes": rep.conditional_notes,
     }]
-    params = dict(src, max_len=max_len, radius=radius)
-    _emit(ctx, build_report("diag irreducible", params, results, witnesses, _ms(started)))
+    return {"max_len": max_len, "radius": radius}, results, witnesses
 
 
-@diag.command("probe")
-@gen_source_options
-@click.option("--p", type=int, required=True)
-@click.option("--iterations", type=int, default=5)
-@click.option("--max-word-len", type=int, default=6)
-@click.pass_context
-def diag_probe(ctx, gens_path, q_text, builtin, p, iterations, max_word_len):
+@command(diag, "probe",
+         click.option("--p", type=int, required=True),
+         click.option("--iterations", type=int, default=5),
+         click.option("--max-word-len", type=int, default=6))
+def diag_probe(alphabet, p, iterations, max_word_len):
     """Four-check probe of a candidate irreducible two-generator pair."""
-    started = time.monotonic()
-    alphabet, src = resolve_alphabet(gens_path, q_text, builtin)
     p = _parse_prime(p)
     if len(alphabet) != 2:
         raise ParameterError("probe needs exactly two generators")
     if iterations < 1:
         raise ParameterError("--iterations must be >= 1")
+    if max_word_len < 1:
+        raise ParameterError("--max-word-len must be >= 1")
     g, h = alphabet.matrices
-    try:
-        rep = two_gen_probe(g, h, p, iterations=iterations, names=alphabet.names,
-                            max_word_len=max_word_len)
-    except ValueError as e:
-        raise ParameterError(str(e))
-    checks = []
-    witnesses = []
-    for ck in rep.checks:
-        data = {}
-        for k, v in ck.data.items():
-            if isinstance(v, Fraction):
-                data[k] = frac_str(v)
-            elif isinstance(v, tuple):
-                data[k] = [frac_str(x) for x in v]
-            elif isinstance(v, dict):
-                data[k] = {kk: frac_str(vv) for kk, vv in v.items()}
-            elif hasattr(v, "letters"):
-                data[k] = format_word(v, alphabet)
-            else:
-                data[k] = v
-        checks.append({"name": ck.name, "passed": ck.passed, "data": data})
-        if ck.name == "loxodromic-word-at-p" and ck.passed:
-            w = ck.data["word"]
-            m = evaluate(w, alphabet)
-            witnesses.append(witness_obj(format_word(w, alphabet), m, classify_padic(m, p)))
+    rep = two_gen_probe(g, h, p, iterations=iterations, names=alphabet.names,
+                        max_word_len=max_word_len)
+    witnesses = [_witness(ck.data["word"], alphabet, lambda m: classify_padic(m, p))
+                 for ck in rep.checks if ck.name == "loxodromic-word-at-p" and ck.passed]
     results = [{
-        "checks": checks,
+        "checks": [{"name": ck.name, "passed": ck.passed, "data": ck.data} for ck in rep.checks],
         "decisive_pass": rep.decisive_pass,
         "message": rep.message,
     }]
-    params = dict(src, p=p, iterations=iterations, max_word_len=max_word_len)
-    _emit(ctx, build_report("diag probe", params, results, witnesses, _ms(started)))
+    params = {"p": p, "iterations": iterations, "max_word_len": max_word_len}
+    return params, results, witnesses
 
 
 def main(argv=None):
     try:
-        # non-standalone click returns the exit code of a ctx.exit instead of
-        # raising through; normal completion returns the command's None
+        # non-standalone click returns the command's exit code, and 0 for --help
         rv = cli.main(args=argv, standalone_mode=False)
         return rv if isinstance(rv, int) else 0
-    except click.exceptions.Exit as e:
-        return e.exit_code
     except click.UsageError as e:
         click.echo(dumps_canonical(error_report("parameter", e.format_message())), nl=False)
-        return 2
-    except ParameterError as e:
-        click.echo(dumps_canonical(error_report("parameter", str(e), e.detail)), nl=False)
-        return 2
-    except DigitLimitError as e:
-        click.echo(dumps_canonical(error_report("parameter", str(e))), nl=False)
         return 2
 
 

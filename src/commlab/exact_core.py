@@ -174,15 +174,15 @@ class Mat2:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        out = Mat2.identity()
+        out = None  # the identity, left implicit so m ** 1 multiplies nothing
         k = abs(k)
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return Mat2.identity() if out is None else out
 
     def __repr__(self):
         return f"Mat2[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

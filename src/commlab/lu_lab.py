@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gc
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,10 +128,6 @@ def _entry_cost(key, word_len):
 _IDENTITY_KEY = (1, 0, 0, 1)
 
 
-def _level_entries(num_gens, step, length, first):
-    return list(iter_level_carrying(num_gens, length, _IDENTITY_KEY, step, first))
-
-
 @contextmanager
 def _gc_paused():
     # The search allocates hundreds of thousands of tuples and words but no
@@ -148,7 +143,7 @@ def _gc_paused():
             gc.enable()
 
 
-def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
+def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     """Shortest relator (word with scalar image) by meet-in-the-middle.
 
     Builds all reduced words of length <= ceil(max_len/2) keyed by their
@@ -166,10 +161,8 @@ def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
 
     mem_cap bounds the table size under a coarse deterministic byte model; a
     breached cap yields status "inconclusive" unless a relator was already
-    certified at a completed level. threads shards each level by first
-    letter; shards merge in canonical order, so results never depend on
-    scheduling. Cyclic garbage collection is paused while the levels are
-    built and restored, as found, on every return.
+    certified at a completed level. Cyclic garbage collection is paused
+    while the levels are built and restored, as found, on every return.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
@@ -179,8 +172,7 @@ def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
     words_per_length = {0: 1}
     images_per_length = {0: 1}
     num_gens = len(alphabet)
-    firsts = canonical_letters(num_gens)
-    letter_keys = {l: projective_key(alphabet.matrix_of(l)) for l in firsts}
+    letter_keys = {l: projective_key(alphabet.matrix_of(l)) for l in canonical_letters(num_gens)}
 
     def step(key, letter):
         return key_mul(key, letter_keys[letter])
@@ -199,15 +191,7 @@ def relator_search(alphabet, max_len, mem_cap=None, threads=1, progress=None):
 
     with _gc_paused():
         for level in range(1, half + 1):
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    shards = list(
-                        pool.map(lambda f: _level_entries(num_gens, step, level, f), firsts)
-                    )
-            else:
-                shards = [_level_entries(num_gens, step, level, f) for f in firsts]
-
-            entries = [e for shard in shards for e in shard]
+            entries = list(iter_level_carrying(num_gens, level, _IDENTITY_KEY, step))
             words_per_length[level] = len(entries)
             level_keys = set()
             capped = False

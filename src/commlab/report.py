@@ -1,13 +1,16 @@
 """Canonical report serialization: sorted keys, exact fractions as strings,
-no floats, byte-stable across runs and thread counts."""
+no floats, byte-stable across runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
-from .exact_core import INFINITY
+from .bt_tree import TreeVertex
+from .exact_core import INFINITY, ElementClass, Mat2
+from .words import Word, format_word
 
 TOOL_VERSION = "0.1.0"
 
@@ -32,36 +35,32 @@ def frac_str(x):
         ) from None
 
 
-def mat_rows(m):
-    return [[frac_str(m.a), frac_str(m.b)], [frac_str(m.c), frac_str(m.d)]]
+def to_json(obj, alphabet):
+    """The JSON form of a report value, with words written in the alphabet.
 
-
-def classification_obj(cls):
-    if cls is None:
-        return None
-    return {
-        "kind": cls.kind,
-        "order": cls.order,
-        "translation_length": cls.translation_length,
-        "note": cls.note,
-    }
-
-
-def witness_obj(word_text, matrix, cls):
-    return {
-        "word": word_text,
-        "matrix": mat_rows(matrix),
-        "classification": classification_obj(cls),
-    }
-
-
-def vertex_str(v):
-    return f"{v.p}^{v.n}:{frac_str(v.u)}"
-
-
-def int_key_map(d, value=lambda x: x):
-    """Render a dict with int keys as string keys in ascending order."""
-    return {str(k): value(d[k]) for k in sorted(d)}
+    None, bools, ints and strings stay as they are. Fractions and INFINITY
+    become frac_str strings, a Word its format_word text, a Mat2 its rows, an
+    ElementClass an object of its fields, and a TreeVertex "p^n:u". Tuples
+    and lists become lists, dicts objects with string keys, item by item.
+    Anything else, floats included, raises TypeError.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if obj is INFINITY or isinstance(obj, Fraction):
+        return frac_str(obj)
+    if isinstance(obj, Word):
+        return format_word(obj, alphabet)
+    if isinstance(obj, Mat2):
+        return to_json(obj.rows(), alphabet)
+    if isinstance(obj, ElementClass):
+        return to_json(dataclasses.asdict(obj), alphabet)
+    if isinstance(obj, TreeVertex):
+        return f"{obj.p}^{obj.n}:{frac_str(obj.u)}"
+    if isinstance(obj, (tuple, list)):
+        return [to_json(x, alphabet) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): to_json(v, alphabet) for k, v in obj.items()}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def build_report(command, params, results, witnesses, timing_ms):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .exact_core import Mat2
 
@@ -167,26 +168,20 @@ class Alphabet:
 
 
 def evaluate(w, alphabet):
-    """Left-to-right matrix image of a word; a homomorphism on reduced words."""
+    """Left-to-right matrix image of a word; a homomorphism on reduced words.
+    Each run of one repeated letter is raised to its length by squaring."""
     out = Mat2.identity()
-    for l in w.letters:
-        out = out * alphabet.matrix_of(l)
+    for l, run in groupby(w.letters):
+        out = out * alphabet.matrix_of(l) ** sum(1 for _ in run)
     return out
 
 
-def iter_level_carrying(num_gens, length, start, step, first=None):
+def iter_level_carrying(num_gens, length, start, step):
     """Reduced words of exactly the given length, lexicographic order, each
     paired with a value carried along the DFS: start for the empty word, and
     step(value, letter) for the value of the word extended by one letter.
-
-    first, when given, restricts to words starting with that letter; levels
-    shard cleanly by first letter because it dominates the lex order.
     """
     letters = canonical_letters(num_gens)
-    if length == 0:
-        if first is None:
-            yield EMPTY_WORD, start
-        return
 
     def extend(prefix, value, remaining):
         if remaining == 0:
@@ -200,19 +195,16 @@ def iter_level_carrying(num_gens, length, start, step, first=None):
             yield from extend(prefix, step(value, l), remaining - 1)
             prefix.pop()
 
-    if first is None:
-        yield from extend([], start, length)
-    else:
-        yield from extend([first], step(start, first), length - 1)
+    yield from extend([], start, length)
 
 
 def _carry_nothing(value, letter):
     return None
 
 
-def iter_level(num_gens, length, first=None):
+def iter_level(num_gens, length):
     """Reduced words of exactly the given length, lexicographic order."""
-    for word, _ in iter_level_carrying(num_gens, length, None, _carry_nothing, first):
+    for word, _ in iter_level_carrying(num_gens, length, None, _carry_nothing):
         yield word
 
 
@@ -226,10 +218,10 @@ def iter_words(num_gens, max_len):
         yield from iter_level(num_gens, n)
 
 
-def iter_level_with_matrices(alphabet, length, first=None):
+def iter_level_with_matrices(alphabet, length):
     """Like iter_level but carrying the exact matrix image along the DFS."""
     return iter_level_carrying(
-        len(alphabet), length, Mat2.identity(), lambda m, l: m * alphabet.matrix_of(l), first
+        len(alphabet), length, Mat2.identity(), lambda m, l: m * alphabet.matrix_of(l)
     )
 
 

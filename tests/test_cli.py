@@ -4,15 +4,19 @@ import csv
 import json
 import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from commlab.bt_tree import TreeVertex
 from commlab.cli import dump_generator_file, load_generator_file, main
 from commlab.diagnostics import long_reid_pair
-from commlab.report import dumps_canonical
+from commlab.exact_core import INFINITY, ElementClass, Mat2
+from commlab.report import dumps_canonical, to_json
+from commlab.words import Word, format_word
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -132,6 +136,43 @@ def test_orbit_bounded_lists_vertices(capsys, tmp_path):
     assert res["orbit_size"] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lu", "knapp", "--q", "5"], "knapp window is 0 < |q| < 4"),
+    (["lu", "knapp", "--q", "x"], "--q must be a rational like 3 or -5/2, got 'x'"),
+    (["lu", "pingpong", "--q", "0"], "q = 0 collapses b to the identity"),
+    (["lu", "relators", "--q", "1", "--max-len", "1"], "--max-len must be >= 2"),
+    (["lu", "relators", "--q", "1", "--max-len", "4", "--mem-cap", "0"], "--mem-cap must be >= 1"),
+    (["lu", "relators", "--q", "0", "--max-len", "4"], "q = 0 collapses b to the identity"),
+    (["tree", "orbit", "--q", "1/2", "--p", "4", "--radius", "2"], "p must be a prime, got 4"),
+    (["tree", "orbit", "--q", "1/2", "--p", "2", "--radius", "0"], "--radius must be >= 1"),
+    (["tree", "length", "--q", "1/2", "--p", "2", "--word", "c"], "unknown generator 'c'"),
+    (["tree", "length", "--q", "1/2", "--p", "2", "--word", "b^0"], "zero exponent in token 'b^0'"),
+    (["diag", "traces", "--builtin", "long-reid", "--max-len", "0"], "--max-len must be >= 1"),
+    (["diag", "traces", "--builtin", "long-reid", "--max-len", "3", "--primes", "2,x"],
+     "--primes must be comma-separated integers, got '2,x'"),
+    (["diag", "traces", "--builtin", "long-reid", "--max-len", "3", "--primes", "4"],
+     "--primes must be a prime, got 4"),
+    (["diag", "traces", "--q", "1", "--max-len", "3"],
+     "generators are integral; pass --primes explicitly"),
+    (["diag", "irreducible", "--q", "1/2", "--radius", "0"], "--max-len and --radius must be >= 1"),
+    (["diag", "probe", "--gens", "{three}", "--p", "2"], "probe needs exactly two generators"),
+    (["diag", "probe", "--q", "1/2", "--p", "2", "--iterations", "0"], "--iterations must be >= 1"),
+    (["diag", "probe", "--builtin", "long-reid", "--p", "2"],
+     "entries outside Z[1/2]: denominator prime 3"),
+    (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "0"], "--max-word-len must be >= 1"),
+    (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "-1"], "--max-word-len must be >= 1"),
+])
+def test_parameter_error_messages(capsys, tmp_path, argv, message):
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({"generators": [
+        {"name": n, "matrix": [["1", str(i)], ["0", "1"]]} for i, n in enumerate("abc", 1)
+    ]}), encoding="utf-8")
+    code, out, _ = run(capsys, [str(three) if a == "{three}" else a for a in argv])
+    assert code == 2
+    doc = check_schema(out)
+    assert doc["error"] == {"code": "parameter", "message": message}
+
+
 # ---------------------------------------------------------------- gens files
 
 def test_malformed_json_reports_position(capsys, tmp_path):
@@ -199,6 +240,20 @@ def test_tree_length_past_the_digit_limit_is_a_parameter_error(capsys):
     code, out, _ = run(
         capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^3000"]
     )
+    assert code == 2
+    doc = check_schema(out)
+    assert doc["error"]["code"] == "parameter"
+    assert "printable digit limit" in doc["error"]["message"]
+
+
+def test_tree_length_fails_the_digit_limit_fast(capsys):
+    # b^4000 is under the letter limit; evaluating it letter by letter took
+    # seconds before the digit limit rejected its entries
+    started = time.monotonic()
+    code, out, _ = run(
+        capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^4000"]
+    )
+    assert time.monotonic() - started < 2
     assert code == 2
     doc = check_schema(out)
     assert doc["error"]["code"] == "parameter"
@@ -294,23 +349,24 @@ def test_irreducible_exits_zero_even_when_inconclusive(capsys):
     assert places[0]["status"] == "inconclusive"
 
 
-# ---------------------------------------------------------------- threads
+# ---------------------------------------------------------------- progress
 
-def test_thread_count_never_changes_output(capsys, monkeypatch):
-    argv = ["lu", "relators", "--q", "1", "--max-len", "8"]
-    monkeypatch.setenv("COMMLAB_THREADS", "1")
-    code1, out1, _ = run(capsys, argv)
-    monkeypatch.setenv("COMMLAB_THREADS", "4")
-    code4, out4, _ = run(capsys, argv)
-    assert code1 == code4 == 0
-    assert normalize(out1) == normalize(out4)
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("COMMLAB_THREADS", "zero")
-    code, out, _ = run(capsys, ["lu", "relators", "--q", "1", "--max-len", "4"])
-    assert code == 2
-    check_schema(out)
+@pytest.mark.parametrize("argv, summary", [
+    (["lu", "knapp"], "Knapp discreteness verdict inside the window 0 < |q| < 4."),
+    (["lu", "pingpong"], "Ping-pong freeness certificate for |q| >= 4."),
+    (["lu", "relators"], "Shortest relator (word with scalar image), meet-in-the-middle."),
+    (["tree", "orbit"], "Bounded-orbit test for the base vertex under the generated group."),
+    (["tree", "length"], "Translation length of a word on the tree at p."),
+    (["diag", "places"], "Place support: primes dividing any generator denominator."),
+    (["diag", "density"], "Zariski density of the generated subgroup of SL_2."),
+    (["diag", "traces"], "Integral-trace scan over necklace classes of words."),
+    (["diag", "irreducible"], "Per-place indiscreteness witnesses plus the product-level summary."),
+    (["diag", "probe"], "Four-check probe of a candidate irreducible two-generator pair."),
+])
+def test_help_shows_the_command_summary(capsys, argv, summary):
+    code, out, _ = run(capsys, argv + ["--help"])
+    assert code == 0
+    assert summary in out
 
 
 def test_progress_goes_to_stderr_only(capsys):
@@ -318,6 +374,34 @@ def test_progress_goes_to_stderr_only(capsys):
     assert code == 0
     assert "level 1" in err
     json.loads(out)  # stdout stays pure JSON
+
+
+# ---------------------------------------------------------------- to_json
+
+def test_to_json_renders_each_report_type():
+    ab = long_reid_pair()
+    m = Mat2(1, Fraction(-1, 2), 0, 3)
+    assert to_json(None, ab) is None
+    assert to_json(True, ab) is True
+    assert to_json(-3, ab) == -3
+    assert to_json("x", ab) == "x"
+    assert to_json(Fraction(-6, 4), ab) == "-3/2"
+    assert to_json(Fraction(4), ab) == "4"
+    assert to_json(INFINITY, ab) == "inf"
+    assert to_json(Word(((0, 1), (1, -1))), ab) == format_word(Word(((0, 1), (1, -1))), ab)
+    assert to_json(m, ab) == [["1", "-1/2"], ["0", "3"]]
+    assert to_json(ElementClass("loxodromic", translation_length=2), ab) == {
+        "kind": "loxodromic", "order": None, "translation_length": 2, "note": None}
+    assert to_json(TreeVertex(3, -2, Fraction(5, 9)), ab) == "3^-2:5/9"
+    assert to_json((Fraction(1, 2), (INFINITY,)), ab) == ["1/2", ["inf"]]
+    assert to_json([m], ab) == [[["1", "-1/2"], ["0", "3"]]]
+    assert to_json({2: Fraction(1, 3), "k": (1,)}, ab) == {"2": "1/3", "k": [1]}
+
+
+@pytest.mark.parametrize("value", [0.5, {1, 2}, object()])
+def test_to_json_rejects_unknown_types(value):
+    with pytest.raises(TypeError):
+        to_json(value, long_reid_pair())
 
 
 # ---------------------------------------------------------------- goldens

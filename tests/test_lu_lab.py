@@ -217,12 +217,6 @@ def test_mitm_matches_naive_beyond_delta_q(name):
         assert fast.images_per_length[n] == slow.images_per_length[n]
 
 
-def test_thread_shards_change_nothing():
-    for q in (1, Fraction(1, 2)):
-        ab = lu_generators(q)
-        assert relator_search(ab, 6, threads=1) == relator_search(ab, 6, threads=4)
-
-
 def test_mirror_parameter_symmetry():
     # diag(1, -1) conjugates Delta_q onto Delta_(-q): same relator length,
     # same scalar, same projective image counts

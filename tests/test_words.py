@@ -108,14 +108,6 @@ def test_enumeration_order_and_uniqueness():
         seen.add(w.letters)
 
 
-def test_iter_level_sharding_matches_full_level():
-    full = list(iter_level(2, 3))
-    shards = []
-    for first in canonical_letters(2):
-        shards.extend(iter_level(2, 3, first=first))
-    assert shards == full
-
-
 def test_iter_level_with_matrices_consistent():
     ab = two_gen_alphabet()
     for w, m in iter_level_with_matrices(ab, 3):
@@ -133,6 +125,21 @@ def test_evaluate_is_a_homomorphism():
         assert evaluate(multiply(u, v), ab) == evaluate(u, ab) * evaluate(v, ab)
         assert evaluate(invert(u), ab) == evaluate(u, ab).inverse()
     assert evaluate(EMPTY_WORD, ab) == Mat2.identity()
+
+
+def test_evaluate_folds_runs_like_the_letter_by_letter_product():
+    # runs of one letter are raised by squaring; unreduced words mix runs of
+    # a letter and of its inverse, like a a a A A b
+    ab = Alphabet(("a", "b"), (Mat2(2, 1, Fraction(1, 3), 5), Mat2(1, Fraction(-3, 2), 0, 1)))
+    rng = random.Random(29)
+    for _ in range(100):
+        letters = []
+        for _ in range(rng.randint(0, 5)):
+            letters += [rng.choice(canonical_letters(2))] * rng.randint(1, 6)
+        product = Mat2.identity()
+        for l in letters:
+            product = product * ab.matrix_of(l)
+        assert evaluate(Word(tuple(letters)), ab) == product
 
 
 # ---------------------------------------------------------------- necklaces
