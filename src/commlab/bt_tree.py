@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import INFINITY, Mat2, vp, _require_prime
-from .words import Word, iter_words_with_matrices
+from .exact_core import INFINITY, Mat2, vp, _require_prime, _vp_int
+from .words import Word, iter_forms
 
 
 @dataclass(frozen=True)
@@ -164,28 +164,40 @@ class OrbitResult:
     max_radius: int
 
 
+def first_loxodromic(alphabet, p, max_len):
+    """The first word of length 1..max_len in canonical order that is
+    loxodromic at p, or None. On an integer form (a, b, c, d)/den, tr^2/det
+    is (a + d)^2/(ad - bc), so the translation length is v_p(ad - bc) -
+    2 v_p(a + d) when that is positive."""
+    _require_prime(p)
+    for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+        if a + d and _vp_int(a * d - b * c, p) > 2 * _vp_int(a + d, p):
+            return word
+    return None
+
+
 def orbit_bounded(alphabet, p, max_radius, base=None):
     """Decide whether the orbit of the base vertex stays within max_radius.
 
-    Closes {base} under generators and inverses breadth-first. Termination
-    inside the radius proves a bounded orbit. On escape, words of length
-    <= 2*max_radius are scanned in canonical order for a loxodromic witness,
-    whose positive translation length certifies every orbit unbounded;
-    without one the escape stays inconclusive at this budget.
+    Serre's lemma (Trees, I.6.5, on the barycentric subdivision, which
+    absorbs edge inversions): the group has a fixed point iff every generator
+    and every product of two has one. So the first loxodromic word of length
+    <= 2 certifies every orbit unbounded; without one the group is bounded,
+    and {base} is closed under generators and inverses breadth-first: the
+    orbit if the closure ends inside the radius, inconclusive if it leaves.
     """
     _require_prime(p)
     if base is None:
         base = base_vertex(p)
-    gens = []
-    for i in range(len(alphabet)):
-        gens.append(alphabet.matrices[i])
-        gens.append(alphabet.inverses[i])
+    witness = first_loxodromic(alphabet, p, 2)
+    if witness is not None:
+        return OrbitResult("unbounded", None, max_radius, witness, max_radius)
+    gens = [g for pair in zip(alphabet.matrices, alphabet.inverses) for g in pair]
     seen = {base}
     order = [base]
     frontier = deque([base])
     radius_seen = 0
-    escaped = False
-    while frontier and not escaped:
+    while frontier:
         v = frontier.popleft()
         for g in gens:
             w = act(g, v)
@@ -193,20 +205,12 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
                 continue
             d = distance(base, w)
             if d > max_radius:
-                escaped = True
-                break
+                return OrbitResult("inconclusive", None, max_radius, None, max_radius)
             radius_seen = max(radius_seen, d)
             seen.add(w)
             order.append(w)
             frontier.append(w)
-    if not escaped:
-        return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
-    for word, m in iter_words_with_matrices(alphabet, 2 * max_radius):
-        if len(word) == 0:
-            continue
-        if translation_length(m, p) > 0:
-            return OrbitResult("unbounded", None, max_radius, word, max_radius)
-    return OrbitResult("inconclusive", None, max_radius, None, max_radius)
+    return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
 
 
 @dataclass(frozen=True)

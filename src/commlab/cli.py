@@ -323,8 +323,10 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
             primes = tuple(int(tok) for tok in primes_text.split(","))
         except ValueError:
             raise ParameterError(f"--primes must be comma-separated integers, got {primes_text!r}")
-        for p in primes:
+        for i, p in enumerate(primes):
             _parse_prime(p, "--primes")
+            if p in primes[:i]:
+                raise ParameterError(f"--primes repeats {p}")
     else:
         primes = place_support(alphabet).primes
         if not primes:
@@ -346,7 +348,11 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
         "hits": hit_rows,
     }]
     if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(csv_path, "w", encoding="utf-8", newline="")
+        except OSError as e:
+            raise ParameterError(f"cannot write CSV file: {e}")
+        with fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
             for w, t, vals in scan.hits:

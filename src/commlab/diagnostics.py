@@ -8,29 +8,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bt_tree import orbit_bounded, translation_length
+from .bt_tree import first_loxodromic, orbit_bounded, translation_length
 from .exact_core import (
     ElementClass,
     Mat2,
+    _vp_int,
     classify_padic,
     classify_real,
     commutator,
     denominator_primes,
-    integer_form,
     vp,
 )
 from .lu_lab import knapp, pingpong
-from .words import (
-    Alphabet,
-    Word,
-    canonical_letters,
-    evaluate,
-    format_word,
-    is_necklace_form,
-    iter_level_carrying,
-    iter_words_with_matrices,
-    letter_code,
-)
+from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -39,8 +29,12 @@ PROBE_MESSAGE = (
     "would follow, " + GS_TAG
 )
 
-# tr^2/det values of nontrivial torsion; 4 is the parabolic/identity line
-_TORSION_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+
+def _infinite_order(a, b, c, d):
+    """Whether (a, b, c, d)/den has infinite order in PGL(2): not scalar, and
+    tr^2/det = (a + d)^2/(ad - bc) is not a torsion value 0, 1, 2 or 3."""
+    det = a * d - b * c
+    return not (b == c == 0 and a == d) and (a + d) ** 2 not in (0, det, 2 * det, 3 * det)
 
 
 def long_reid_pair():
@@ -168,36 +162,23 @@ def integral_trace_scan(alphabet, primes, max_len):
     form), and records those whose trace has nonnegative valuation at every
     listed prime. The identity (length 0) is integral trivially and skipped.
 
-    The walk carries letter codes and the integer form of the product: the
-    unreduced integer quadruple and the product of the letters' denominators,
-    with no gcd. Only a class representative gets its trace as a Fraction.
+    The walk (iter_forms) carries letter codes and integer forms; only a
+    class representative gets its trace as a Fraction.
     """
     for p in primes:
         vp(1, p)  # validates primality
-    letters = {}
-    for l in canonical_letters(len(alphabet)):
-        (e, f, g, h), den = integer_form(alphabet.matrix_of(l))
-        letters[l] = (letter_code(l), e, f, g, h, den)
-
-    def step(value, letter):
-        codes, a, b, c, d, den = value
-        code, e, f, g, h, k = letters[letter]
-        return (codes + (code,), a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
-
-    start = ((), 1, 0, 0, 1, 1)
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
-    for n in range(1, max_len + 1):
-        for word, (codes, a, _, _, d, den) in iter_level_carrying(len(alphabet), n, start, step):
-            if not is_necklace_form(codes):
-                continue
-            classes_per_length[n] += 1
-            t = Fraction(a + d, den)
-            vals = {p: vp(t, p) for p in primes}
-            if all(v >= 0 for v in vals.values()):
-                hits_per_length[n] += 1
-                hits.append((word, t, vals))
+    for word, (codes, a, _, _, d, den) in iter_forms(alphabet, max_len):
+        if not is_necklace_form(codes):
+            continue
+        classes_per_length[len(codes)] += 1
+        t = Fraction(a + d, den)
+        vals = {p: vp(t, p) for p in primes}
+        if all(v >= 0 for v in vals.values()):
+            hits_per_length[len(codes)] += 1
+            hits.append((word, t, vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 
@@ -211,15 +192,11 @@ class PlaceStatus:
 
 
 def _real_place_status(alphabet, max_len):
-    for word, m in iter_words_with_matrices(alphabet, max_len):
-        if len(word) == 0:
-            continue
-        det = m.det()
-        if det <= 0:
-            continue
-        r = m.trace() ** 2 / det
-        if r < 4 and r not in _TORSION_R:
-            if det == 1:
+    for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+        det = a * d - b * c
+        if det > 0 and (a + d) ** 2 < 4 * det and _infinite_order(a, b, c, d):
+            m = evaluate(word, alphabet)
+            if m.det() == 1:
                 cls = classify_real(m)
             else:
                 cls = ElementClass("elliptic-infinite-order", note="class from tr^2/det")
@@ -232,28 +209,27 @@ def _real_place_status(alphabet, max_len):
 
 
 def _finite_place_status(alphabet, p, max_len, radius):
-    # direct witness: a p-integral unit-determinant word of infinite order
-    # lives in the stabilizer of the base vertex, a compact group
-    for word, m in iter_words_with_matrices(alphabet, max_len):
-        if len(word) == 0 or m.is_scalar():
-            continue
-        if any(vp(e, p) < 0 for e in m.entries()):
-            continue
-        if vp(m.det(), p) != 0:
-            continue
-        if m.trace() ** 2 / m.det() in _TORSION_R:
-            continue
-        return PlaceStatus(
-            str(p), "indiscrete-witness", word, classify_padic(m, p),
-            "infinite order inside the base vertex stabilizer",
-        )
+    """Indiscreteness at p from words of length <= max_len, on integer forms.
+
+    A word of infinite order whose image (a, b, c, d)/den is p-integral with
+    unit det (every entry has v_p >= v_p(den), and v_p(ad - bc) = 2 v_p(den))
+    lies in the compact stabilizer of the base vertex. Failing that, when
+    orbit_bounded finds the orbit bounded, any word of infinite order is one.
+    """
+    for word, (_, a, b, c, d, den) in iter_forms(alphabet, max_len):
+        k = _vp_int(den, p)
+        if (_infinite_order(a, b, c, d) and not any(x % p**k for x in (a, b, c, d))
+                and _vp_int(a * d - b * c, p) == 2 * k):
+            return PlaceStatus(
+                str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
+                "infinite order inside the base vertex stabilizer",
+            )
     orbit = orbit_bounded(alphabet, p, radius)
     if orbit.status == "bounded":
-        for word, m in iter_words_with_matrices(alphabet, max_len):
-            if len(word) == 0:
-                continue
-            cls = classify_padic(m, p)
-            if cls.kind in ("parabolic", "elliptic-infinite-order"):
+        # a bounded group has no loxodromic: infinite order is parabolic or elliptic
+        for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+            if _infinite_order(a, b, c, d):
+                cls = classify_padic(evaluate(word, alphabet), p)
                 return PlaceStatus(
                     str(p), "indiscrete-witness", word, cls,
                     f"infinite order with the whole orbit inside radius {orbit.radius_seen}",
@@ -421,17 +397,14 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
 
     alphabet = Alphabet(tuple(names), (g, h))
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
-    for word, m in iter_words_with_matrices(alphabet, max_word_len):
-        if len(word) == 0:
-            continue
-        ell = translation_length(m, p)
-        if ell > 0:
-            check4 = ProbeCheck(
-                "loxodromic-word-at-p", True,
-                {"p": p, "word": word, "trace": m.trace(),
-                 "valuation": vp(m.trace(), p), "translation_length": ell},
-            )
-            break
+    word = first_loxodromic(alphabet, p, max_word_len)
+    if word is not None:
+        m = evaluate(word, alphabet)
+        check4 = ProbeCheck(
+            "loxodromic-word-at-p", True,
+            {"p": p, "word": word, "trace": m.trace(),
+             "valuation": vp(m.trace(), p), "translation_length": translation_length(m, p)},
+        )
 
     decisive = check1.passed and check2.passed and check4.passed
     return ProbeReport(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class _Infinity:
@@ -42,20 +43,26 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with these bases is exact below this bound (Sorenson-Webster)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+@lru_cache(maxsize=256)  # vp validates its prime on every call
 def is_prime(n):
-    """Trial-division primality test; intended for desk-scale numbers."""
-    if n < 2:
+    """Exact primality: trial division by _SMALL_PRIMES, then Miller-Rabin
+    with each of them as a base. Raises ValueError from PRIME_TEST_BOUND on."""
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if any(n % q == 0 for q in _SMALL_PRIMES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    # n is a strong probable prime to base a: a^d = 1, or a^(d 2^j) = -1 with j < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1 for j in range(s))
+               for a in _SMALL_PRIMES)
 
 
 def prime_factors(n):

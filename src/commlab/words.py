@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 
-from .exact_core import Mat2
+from .exact_core import Mat2, integer_form
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,25 @@ def iter_level_carrying(num_gens, length, start, step):
             prefix.pop()
 
     yield from extend([], start, length)
+
+
+def iter_forms(alphabet, max_len):
+    """Reduced words of length 1..max_len in canonical order, each paired with
+    (codes, a, b, c, d, den): its letter codes and its image (a, b, c, d)/den,
+    the product of the letters' integer forms (no gcd taken) over the product
+    of their denominators. The walk builds no Fraction."""
+    letters = {}
+    for l in canonical_letters(len(alphabet)):
+        (e, f, g, h), den = integer_form(alphabet.matrix_of(l))
+        letters[l] = (letter_code(l), e, f, g, h, den)
+
+    def step(value, letter):
+        codes, a, b, c, d, den = value
+        code, e, f, g, h, k = letters[letter]
+        return (codes + (code,), a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
+
+    for n in range(1, max_len + 1):
+        yield from iter_level_carrying(len(alphabet), n, ((), 1, 0, 0, 1, 1), step)
 
 
 def _carry_nothing(value, letter):

@@ -3,8 +3,18 @@ reference implementations the fast paths are checked against."""
 
 from fractions import Fraction
 
-from commlab.diagnostics import TraceScanResult
-from commlab.exact_core import Mat2, vp
+from collections import deque
+
+from commlab.bt_tree import OrbitResult, act, base_vertex, distance, translation_length
+from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
+from commlab.exact_core import (
+    ElementClass,
+    Mat2,
+    _require_prime,
+    classify_padic,
+    classify_real,
+    vp,
+)
 from commlab.words import (
     Word,
     canonical_letters,
@@ -78,3 +88,127 @@ def trace_scan_oracle(alphabet, primes, max_len):
             hit_counts[len(w)] += 1
             hits.append((w, t, vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes, hit_counts)
+
+
+# Reference word scans: the Mat2 walks the library ran before its scans moved
+# to integer forms, kept verbatim (the finite place calls orbit_oracle).
+
+_TORSION_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+
+
+def real_place_oracle(alphabet, max_len):
+    for word, m in iter_words_with_matrices(alphabet, max_len):
+        if len(word) == 0:
+            continue
+        det = m.det()
+        if det <= 0:
+            continue
+        r = m.trace() ** 2 / det
+        if r < 4 and r not in _TORSION_R:
+            if det == 1:
+                cls = classify_real(m)
+            else:
+                cls = ElementClass("elliptic-infinite-order", note="class from tr^2/det")
+            return PlaceStatus("real", "indiscrete-witness", word, cls,
+                               "elliptic of infinite order: orbits accumulate")
+    return PlaceStatus(
+        "real", "inconclusive", None, None,
+        f"no elliptic element of infinite order among words of length <= {max_len}",
+    )
+
+
+def finite_place_oracle(alphabet, p, max_len, radius):
+    # direct witness: a p-integral unit-determinant word of infinite order
+    # lives in the stabilizer of the base vertex, a compact group
+    for word, m in iter_words_with_matrices(alphabet, max_len):
+        if len(word) == 0 or m.is_scalar():
+            continue
+        if any(vp(e, p) < 0 for e in m.entries()):
+            continue
+        if vp(m.det(), p) != 0:
+            continue
+        if m.trace() ** 2 / m.det() in _TORSION_R:
+            continue
+        return PlaceStatus(
+            str(p), "indiscrete-witness", word, classify_padic(m, p),
+            "infinite order inside the base vertex stabilizer",
+        )
+    orbit = orbit_oracle(alphabet, p, radius)
+    if orbit.status == "bounded":
+        for word, m in iter_words_with_matrices(alphabet, max_len):
+            if len(word) == 0:
+                continue
+            cls = classify_padic(m, p)
+            if cls.kind in ("parabolic", "elliptic-infinite-order"):
+                return PlaceStatus(
+                    str(p), "indiscrete-witness", word, cls,
+                    f"infinite order with the whole orbit inside radius {orbit.radius_seen}",
+                )
+        return PlaceStatus(
+            str(p), "bounded-orbit", None, None,
+            f"orbit closed within radius {orbit.radius_seen}; no infinite-order word of length <= {max_len}",
+        )
+    if orbit.status == "unbounded":
+        return PlaceStatus(
+            str(p), "inconclusive", orbit.witness, None,
+            f"orbit escapes radius {radius} with loxodromic witness; no integrality witness of length <= {max_len}",
+        )
+    return PlaceStatus(
+        str(p), "inconclusive", None, None,
+        f"orbit escapes radius {radius} without a loxodromic witness at this depth",
+    )
+
+
+def probe_check4_oracle(alphabet, p, max_word_len):
+    check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
+    for word, m in iter_words_with_matrices(alphabet, max_word_len):
+        if len(word) == 0:
+            continue
+        ell = translation_length(m, p)
+        if ell > 0:
+            check4 = ProbeCheck(
+                "loxodromic-word-at-p", True,
+                {"p": p, "word": word, "trace": m.trace(),
+                 "valuation": vp(m.trace(), p), "translation_length": ell},
+            )
+            break
+    return check4
+
+
+def orbit_oracle(alphabet, p, max_radius, base=None):
+    """Breadth-first orbit; on escape, the full scan of words of length
+    <= 2*max_radius for a loxodromic witness."""
+    _require_prime(p)
+    if base is None:
+        base = base_vertex(p)
+    gens = []
+    for i in range(len(alphabet)):
+        gens.append(alphabet.matrices[i])
+        gens.append(alphabet.inverses[i])
+    seen = {base}
+    order = [base]
+    frontier = deque([base])
+    radius_seen = 0
+    escaped = False
+    while frontier and not escaped:
+        v = frontier.popleft()
+        for g in gens:
+            w = act(g, v)
+            if w in seen:
+                continue
+            d = distance(base, w)
+            if d > max_radius:
+                escaped = True
+                break
+            radius_seen = max(radius_seen, d)
+            seen.add(w)
+            order.append(w)
+            frontier.append(w)
+    if not escaped:
+        return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
+    for word, m in iter_words_with_matrices(alphabet, 2 * max_radius):
+        if len(word) == 0:
+            continue
+        if translation_length(m, p) > 0:
+            return OrbitResult("unbounded", None, max_radius, word, max_radius)
+    return OrbitResult("inconclusive", None, max_radius, None, max_radius)

@@ -117,6 +117,54 @@ def test_orbit_inconclusive_exits_3(capsys, tmp_path):
     assert doc["results"][0]["status"] == "inconclusive"
 
 
+def _far_fixed_point(tmp_path):
+    # <[[1, 1/8], [0, 1]], [[1, 0], [8, 1]]> fixes a vertex at distance 3 from v0
+    gens = tmp_path / "far.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["1", "1/8"], ["0", "1"]]},
+        {"name": "b", "matrix": [["1", "0"], ["8", "1"]]},
+    ]}), encoding="utf-8")
+    return str(gens)
+
+
+def test_orbit_of_a_bounded_group_past_the_radius_is_inconclusive_at_once(capsys, tmp_path):
+    # no loxodromic of length <= 2 means a bounded group (Serre), so escaping
+    # radius 5 scans no longer words
+    started = time.monotonic()
+    code, out, _ = run(capsys, ["tree", "orbit", "--gens", _far_fixed_point(tmp_path),
+                                "--p", "2", "--radius", "5"])
+    assert time.monotonic() - started < 2.0
+    assert code == 3
+    doc = check_schema(out)
+    assert doc["results"] == [{
+        "max_radius": 5, "orbit": None, "orbit_size": None, "p": 2,
+        "radius_seen": 5, "status": "inconclusive", "witness_word": None,
+    }]
+    assert doc["witnesses"] == []
+
+
+def test_orbit_of_a_bounded_group_closes_at_radius_6(capsys, tmp_path):
+    code, out, _ = run(capsys, ["tree", "orbit", "--gens", _far_fixed_point(tmp_path),
+                                "--p", "2", "--radius", "6"])
+    assert code == 0
+    res = check_schema(out)["results"][0]
+    assert res["status"] == "bounded"
+    assert (res["orbit_size"], res["radius_seen"]) == (12, 6)
+
+
+def test_unbounded_orbit_ignores_the_radius(capsys):
+    reports = []
+    for radius in ("1", "40"):
+        started = time.monotonic()
+        code, out, _ = run(capsys, ["tree", "orbit", "--q", "1/2", "--p", "2", "--radius", radius])
+        assert time.monotonic() - started < 1.0
+        assert code == 0
+        reports.append(check_schema(out))
+    assert [r["results"][0]["status"] for r in reports] == ["unbounded", "unbounded"]
+    assert reports[0]["results"][0]["witness_word"] == reports[1]["results"][0]["witness_word"] == "a b"
+    assert reports[0]["witnesses"] == reports[1]["witnesses"]
+
+
 def test_orbit_bounded_lists_vertices(capsys, tmp_path):
     gens = tmp_path / "b_only.json"
     gens.write_text(
@@ -161,16 +209,26 @@ def test_orbit_bounded_lists_vertices(capsys, tmp_path):
      "entries outside Z[1/2]: denominator prime 3"),
     (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "0"], "--max-word-len must be >= 1"),
     (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "-1"], "--max-word-len must be >= 1"),
+    (["diag", "traces", "--q", "1/2", "--primes", "2,2", "--max-len", "2"], "--primes repeats 2"),
+    (["diag", "traces", "--builtin", "long-reid", "--primes", "3,2,5,2", "--max-len", "2"],
+     "--primes repeats 2"),
+    (["diag", "traces", "--q", "1/2", "--max-len", "2", "--csv", "{tmp}/missing/x.csv"],
+     "cannot write CSV file: [Errno 2] No such file or directory: '{tmp}/missing/x.csv'"),
+    (["diag", "traces", "--q", "1/2", "--max-len", "2", "--csv", "{tmp}"],
+     "cannot write CSV file: [Errno 21] Is a directory: '{tmp}'"),
+    (["tree", "length", "--q", "1/2", "--p", "3317044064679887385961981", "--word", "a"],
+     "primality is decided only below 3317044064679887385961981, got 3317044064679887385961981"),
 ])
 def test_parameter_error_messages(capsys, tmp_path, argv, message):
     three = tmp_path / "three.json"
     three.write_text(json.dumps({"generators": [
         {"name": n, "matrix": [["1", str(i)], ["0", "1"]]} for i, n in enumerate("abc", 1)
     ]}), encoding="utf-8")
-    code, out, _ = run(capsys, [str(three) if a == "{three}" else a for a in argv])
+    argv = [str(three) if a == "{three}" else a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, _ = run(capsys, argv)
     assert code == 2
     doc = check_schema(out)
-    assert doc["error"] == {"code": "parameter", "message": message}
+    assert doc["error"] == {"code": "parameter", "message": message.replace("{tmp}", str(tmp_path))}
 
 
 # ---------------------------------------------------------------- gens files
@@ -287,6 +345,18 @@ def test_tree_length_bad_word(capsys):
     )
     assert code == 2
     check_schema(out)
+
+
+def test_huge_prime_is_decided_at_once(capsys):
+    p = str(10**18 + 3)
+    for argv in (["tree", "length", "--q", "1/2", "--p", p, "--word", "a"],
+                 ["diag", "traces", "--q", "1/2", "--primes", p, "--max-len", "3"]):
+        started = time.monotonic()
+        code, out, _ = run(capsys, argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 0
+        assert check_schema(out)["params"]["p" if argv[0] == "tree" else "primes"] in (
+            10**18 + 3, [10**18 + 3])
 
 
 def test_tree_orbit_rejects_composite_p(capsys):

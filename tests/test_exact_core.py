@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from commlab.exact_core import (
     INFINITY,
+    PRIME_TEST_BOUND,
     Mat2,
     classify_padic,
     classify_real,
@@ -96,6 +97,27 @@ def test_is_prime_frozen():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_numbers_past_its_bound():
+    assert is_prime(PRIME_TEST_BOUND - 168)  # the largest prime below the bound
+    for n in (PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
 
 
 def test_prime_factors_agrees_with_is_prime():
