@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import INFINITY, Mat2, vp, _require_prime, _vp_int
+from .exact_core import Mat2, classify_padic, vp, _require_prime, _vp_int
 from .words import Word, iter_forms
 
 
@@ -130,15 +130,7 @@ def translation_length(g, p):
     Bounded elements with odd v_p(det) invert an edge and fix no vertex; for
     them the vertex minimum is 1 while the translation length is 0.
     """
-    _require_prime(p)
-    det = g.det()
-    if det == 0:
-        raise ValueError("singular matrix")
-    t = g.trace()
-    if t == 0:
-        return 0
-    v = vp(t * t / det, p)
-    return max(0, -v)
+    return classify_padic(g, p).translation_length or 0
 
 
 def busemann(g, p):

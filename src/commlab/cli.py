@@ -6,6 +6,7 @@ out.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -189,23 +190,14 @@ def lu():
 def lu_knapp(q_text):
     """Knapp discreteness verdict inside the window 0 < |q| < 4."""
     q = _parse_fraction(q_text, "--q")
-    v = knapp(q)
-    return {"q": q}, [{"q": q, "verdict": v.verdict, "n": v.n}], []
+    return {"q": q}, [knapp(q)], []
 
 
 @command(lu, "pingpong", click.option("--q", "q_text", type=str, required=True), source=False)
 def lu_pingpong(q_text):
     """Ping-pong freeness certificate for |q| >= 4."""
     q = _parse_fraction(q_text, "--q")
-    r = pingpong(q)
-    results = [{
-        "q": q,
-        "applicable": r.applicable,
-        "free": r.free,
-        "m_squared": r.m_squared,
-        "steps": r.inequalities,
-    }]
-    return {"q": q}, results, []
+    return {"q": q}, [pingpong(q)], []
 
 
 @command(lu, "relators",
@@ -222,18 +214,8 @@ def lu_relators(alphabet, max_len, mem_cap):
         click.echo(f"level {level}: {words} words, table {table}", err=True)
 
     res = relator_search(alphabet, max_len, mem_cap=mem_cap, progress=progress)
-    results = [{
-        "status": res.status,
-        "relator": res.relator,
-        "relator_length": res.relator and len(res.relator),
-        "scalar": res.scalar,
-        "sl2_note": SL2_NOTES.get(res.scalar),
-        "strategy": res.strategy,
-        "max_len": res.max_len,
-        "completed_length": res.completed_length,
-        "words_per_length": res.words_per_length,
-        "images_per_length": res.images_per_length,
-    }]
+    results = [dict(vars(res), relator_length=res.relator and len(res.relator),
+                    sl2_note=SL2_NOTES.get(res.scalar))]
     witnesses = [] if res.relator is None else [
         _witness(res.relator, alphabet, lambda m: classify_real(m) if m.det() == 1 else None)]
     return ({"max_len": max_len, "mem_cap": mem_cap}, results, witnesses,
@@ -298,15 +280,13 @@ def diag():
 @command(diag, "places")
 def diag_places(alphabet):
     """Place support: primes dividing any generator denominator."""
-    s = place_support(alphabet)
-    return {}, [{"primes": s.primes, "includes_real": s.includes_real}], []
+    return {}, [place_support(alphabet)], []
 
 
 @command(diag, "density")
 def diag_density(alphabet):
     """Zariski density of the generated subgroup of SL_2."""
-    r = density_report(alphabet)
-    return {}, [{"verdict": r.verdict, "reason": r.reason, "pair": r.pair, "traces": r.traces}], []
+    return {}, [density_report(alphabet)], []
 
 
 @command(diag, "traces",
@@ -331,7 +311,20 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
         primes = place_support(alphabet).primes
         if not primes:
             raise ParameterError("generators are integral; pass --primes explicitly")
-    scan = integral_trace_scan(alphabet, primes, max_len)
+    fh = contextlib.nullcontext()
+    if csv_path is not None:  # opened before the scan, so a bad path fails fast
+        try:
+            fh = open(csv_path, "w", encoding="utf-8", newline="")
+        except OSError as e:
+            raise ParameterError(f"cannot write CSV file: {e}")
+    with fh:
+        scan = integral_trace_scan(alphabet, primes, max_len)
+        if csv_path is not None:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
+            for w, t, vals in scan.hits:
+                writer.writerow([format_word(w, alphabet), len(w), frac_str(t)]
+                                + [frac_str(vals[p]) for p in primes])
     # valuations print as exact scalars ("inf" for a zero trace), not as ints
     hit_rows = [{
         "word": w,
@@ -347,17 +340,6 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
         "hit_count": len(scan.hits),
         "hits": hit_rows,
     }]
-    if csv_path is not None:
-        try:
-            fh = open(csv_path, "w", encoding="utf-8", newline="")
-        except OSError as e:
-            raise ParameterError(f"cannot write CSV file: {e}")
-        with fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
-            for w, t, vals in scan.hits:
-                writer.writerow([format_word(w, alphabet), len(w), frac_str(t)]
-                                + [frac_str(vals[p]) for p in primes])
     return {"primes": primes, "max_len": max_len, "csv": csv_path}, results, []
 
 
@@ -369,20 +351,9 @@ def diag_irreducible(alphabet, max_len, radius):
     if max_len < 1 or radius < 1:
         raise ParameterError("--max-len and --radius must be >= 1")
     rep = irreducibility_report(alphabet, max_len=max_len, radius=radius)
-    places = [{"place": st.place, "status": st.status, "word": st.word,
-               "classification": st.classification, "note": st.note} for st in rep.places]
     witnesses = [_witness(st.word, alphabet, lambda m: st.classification)
                  for st in rep.places if st.word is not None]
-    d = rep.density
-    results = [{
-        "support": {"primes": rep.support.primes, "includes_real": True},
-        "places": places,
-        "product_discrete": rep.product_discrete,
-        "product_justification": rep.product_justification,
-        "density": {"verdict": d.verdict, "reason": d.reason, "pair": d.pair, "traces": d.traces},
-        "conditional_notes": rep.conditional_notes,
-    }]
-    return {"max_len": max_len, "radius": radius}, results, witnesses
+    return {"max_len": max_len, "radius": radius}, [rep], witnesses
 
 
 @command(diag, "probe",
@@ -403,13 +374,8 @@ def diag_probe(alphabet, p, iterations, max_word_len):
                         max_word_len=max_word_len)
     witnesses = [_witness(ck.data["word"], alphabet, lambda m: classify_padic(m, p))
                  for ck in rep.checks if ck.name == "loxodromic-word-at-p" and ck.passed]
-    results = [{
-        "checks": [{"name": ck.name, "passed": ck.passed, "data": ck.data} for ck in rep.checks],
-        "decisive_pass": rep.decisive_pass,
-        "message": rep.message,
-    }]
     params = {"p": p, "iterations": iterations, "max_word_len": max_word_len}
-    return params, results, witnesses
+    return params, [rep], witnesses
 
 
 def main(argv=None):

@@ -5,7 +5,7 @@ indiscreteness witnesses, and a two-generator probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bt_tree import first_loxodromic, orbit_bounded, translation_length
@@ -19,7 +19,7 @@ from .exact_core import (
     denominator_primes,
     vp,
 )
-from .lu_lab import knapp, pingpong
+from .lu_lab import knapp
 from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
@@ -286,16 +286,11 @@ def irreducibility_report(alphabet, max_len=6, radius=3):
     if q is not None:
         if abs(q) >= 4:
             note = f"free and discrete at the real place by ping-pong (|q| = {abs(q)} >= 4)"
-            real = PlaceStatus(real.place, real.status, real.word, real.classification,
-                               (real.note + "; " + note) if real.note else note)
+        elif (kv := knapp(q)).verdict == "discrete":
+            note = f"discrete at the real place (Knapp parameter n = {kv.n})"
         else:
-            kv = knapp(q)
-            if kv.verdict == "discrete":
-                note = f"discrete at the real place (Knapp parameter n = {kv.n})"
-            else:
-                note = "inside the Knapp indiscreteness window"
-            real = PlaceStatus(real.place, real.status, real.word, real.classification,
-                               (real.note + "; " + note) if real.note else note)
+            note = "inside the Knapp indiscreteness window"
+        real = replace(real, note=real.note + "; " + note)
     places = [real]
     for p in support.primes:
         places.append(_finite_place_status(alphabet, p, max_len, radius))
@@ -339,8 +334,7 @@ class ProbeReport:
 
 
 def _delta_from_identity(m):
-    one = Fraction(1)
-    return max(abs(m.a - one), abs(m.b), abs(m.c), abs(m.d - one))
+    return max(abs(m.a - 1), abs(m.b), abs(m.c), abs(m.d - 1))
 
 
 def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
@@ -377,12 +371,9 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
         if c.is_identity():
             nonidentity = False
             break
-    decreasing = all(deltas[i] > deltas[i + 1] for i in range(len(deltas) - 1))
-    first_violation = None
-    for i in range(len(deltas) - 1):
-        if deltas[i] <= deltas[i + 1]:
-            first_violation = i + 2  # 1-based index of the offending c_k
-            break
+    first_violation = next(  # 1-based index of the first c_k that fails to contract
+        (i + 2 for i in range(len(deltas) - 1) if deltas[i] <= deltas[i + 1]), None)
+    decreasing = first_violation is None
     check3 = ProbeCheck(
         "iterated-commutator-contraction",
         nonidentity and decreasing and len(deltas) == iterations,

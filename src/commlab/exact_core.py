@@ -65,22 +65,51 @@ def is_prime(n):
                for a in _SMALL_PRIMES)
 
 
+def _rho_divisor(n):
+    """A proper divisor of the composite n: Pollard's rho on x^2 + c with
+    Brent's cycle search, one gcd per 128 steps, c = 1, 2, ... in turn."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, acc = y, 1
+            for _ in range(r):  # Brent: skip r steps, then compare the next r with x
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def prime_factors(n):
-    """Distinct prime factors of a nonzero integer, ascending."""
+    """Distinct prime factors of a nonzero integer, ascending: trial division below 1000,
+    then is_prime (ValueError from PRIME_TEST_BOUND on) or _rho_divisor on each cofactor."""
     n = abs(int(n))
     if n == 0:
         raise ValueError("0 has no factorization")
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
+    out, f = set(), 2
+    while f * f <= n and f < 1000:
+        while n % f == 0:
+            out.add(f)
+            n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if n > 1 and not is_prime(n):
+        d = _rho_divisor(n)
+        out.update(prime_factors(d), prime_factors(n // d))
+    elif n > 1:
+        out.add(n)
+    return sorted(out)
 
 
 def _require_prime(p):
@@ -133,11 +162,6 @@ class Mat2:
     @classmethod
     def identity(cls):
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows):
-        (a, b), (c, d) = rows
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))

@@ -72,7 +72,7 @@ class PingpongResult:
     applicable: bool
     free: bool
     m_squared: Fraction  # |q|, the square of the balanced parameter
-    inequalities: tuple
+    steps: tuple
     q: Fraction
 
 

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .bt_tree import TreeVertex
-from .exact_core import INFINITY, ElementClass, Mat2
+from .exact_core import INFINITY, Mat2
 from .words import Word, format_word
 
 TOOL_VERSION = "0.1.0"
@@ -39,10 +39,10 @@ def to_json(obj, alphabet):
     """The JSON form of a report value, with words written in the alphabet.
 
     None, bools, ints and strings stay as they are. Fractions and INFINITY
-    become frac_str strings, a Word its format_word text, a Mat2 its rows, an
-    ElementClass an object of its fields, and a TreeVertex "p^n:u". Tuples
-    and lists become lists, dicts objects with string keys, item by item.
-    Anything else, floats included, raises TypeError.
+    become frac_str strings, a Word its format_word text, a Mat2 its rows, a
+    TreeVertex "p^n:u", and any other dataclass (ElementClass, every result
+    row) an object of its fields. Tuples and lists become lists, dicts objects
+    with string keys, item by item. Anything else, floats too, is a TypeError.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -52,14 +52,14 @@ def to_json(obj, alphabet):
         return format_word(obj, alphabet)
     if isinstance(obj, Mat2):
         return to_json(obj.rows(), alphabet)
-    if isinstance(obj, ElementClass):
-        return to_json(dataclasses.asdict(obj), alphabet)
     if isinstance(obj, TreeVertex):
         return f"{obj.p}^{obj.n}:{frac_str(obj.u)}"
     if isinstance(obj, (tuple, list)):
         return [to_json(x, alphabet) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_json(v, alphabet) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_json(getattr(obj, f.name), alphabet) for f in dataclasses.fields(obj)}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

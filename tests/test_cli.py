@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, canonical JSON, schema conformance, goldens."""
 
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -13,7 +14,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from commlab.bt_tree import TreeVertex
 from commlab.cli import dump_generator_file, load_generator_file, main
-from commlab.diagnostics import long_reid_pair
+from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
 from commlab.report import dumps_canonical, to_json
 from commlab.words import Word, format_word
@@ -359,6 +360,31 @@ def test_huge_prime_is_decided_at_once(capsys):
             10**18 + 3, [10**18 + 3])
 
 
+def _one_entry_gens(tmp_path, entry):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["1", entry], ["0", "1"]]}]}), encoding="utf-8")
+    return str(path)
+
+
+def test_semiprime_denominator_is_factored_at_once(capsys, tmp_path):
+    gens = _one_entry_gens(tmp_path, "1/1000000016000000063")  # 1000000007 * 1000000009
+    started = time.monotonic()
+    code, out, _ = run(capsys, ["diag", "places", "--gens", gens])
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert check_schema(out)["results"][0]["primes"] == [1000000007, 1000000009]
+
+
+def test_denominator_past_the_prime_bound_is_a_parameter_error(capsys, tmp_path):
+    gens = _one_entry_gens(tmp_path, f"1/{(10**13 + 37) * (10**13 + 51)}")
+    code, out, _ = run(capsys, ["diag", "places", "--gens", gens])
+    assert code == 2
+    error = check_schema(out)["error"]
+    assert error["code"] == "parameter"
+    assert error["message"].startswith("primality is decided only below")
+
+
 def test_tree_orbit_rejects_composite_p(capsys):
     code, out, _ = run(capsys, ["tree", "orbit", "--q", "1/2", "--p", "6", "--radius", "2"])
     assert code == 2
@@ -390,6 +416,21 @@ def test_traces_csv_matches_json(capsys, tmp_path):
         assert int(row[1]) == hit["length"]
         assert row[2] == hit["trace"]
         assert row[3] == hit["valuations"]["2"]
+
+
+def test_traces_rejects_an_unwritable_csv_before_the_scan(capsys, monkeypatch, tmp_path):
+    def scan(*args):
+        raise AssertionError("the scan ran before the CSV path was checked")
+
+    monkeypatch.setattr("commlab.cli.integral_trace_scan", scan)
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, _ = run(capsys, ["diag", "traces", "--builtin", "long-reid", "--max-len", "9",
+                                "--csv", path])
+    assert code == 2
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": f"cannot write CSV file: [Errno 2] No such file or directory: '{path}'",
+    }
 
 
 def test_probe_rejects_entries_outside_s(capsys):
@@ -466,6 +507,36 @@ def test_to_json_renders_each_report_type():
     assert to_json((Fraction(1, 2), (INFINITY,)), ab) == ["1/2", ["inf"]]
     assert to_json([m], ab) == [[["1", "-1/2"], ["0", "3"]]]
     assert to_json({2: Fraction(1, 3), "k": (1,)}, ab) == {"2": "1/3", "k": [1]}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    word: Word
+    matrix: Mat2
+    vertex: TreeVertex
+    cls: ElementClass
+    inner: object = None
+
+
+def test_to_json_renders_nested_dataclasses_by_their_fields():
+    ab = long_reid_pair()
+    w = Word(((0, 1), (1, -1)))
+    row = _Row(w, Mat2(1, Fraction(-1, 2), 0, 3), TreeVertex(3, -2, Fraction(5, 9)),
+               ElementClass("parabolic"), PlaceSupport((2, 3)))
+    rendered = {
+        "word": format_word(w, ab),
+        "matrix": [["1", "-1/2"], ["0", "3"]],
+        "vertex": "3^-2:5/9",
+        "cls": {"kind": "parabolic", "order": None, "translation_length": None, "note": None},
+        "inner": {"primes": [2, 3], "includes_real": True},
+    }
+    assert to_json({"row": row, "rows": [row, (row,)]}, ab) == {
+        "row": rendered, "rows": [rendered, [rendered]]}
+
+
+def test_to_json_rejects_a_dataclass_type():
+    with pytest.raises(TypeError):
+        to_json(_Row, long_reid_pair())
 
 
 @pytest.mark.parametrize("value", [0.5, {1, 2}, object()])

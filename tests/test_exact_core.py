@@ -132,6 +132,32 @@ def test_prime_factors_agrees_with_is_prime():
         assert list(fs) == sorted(set(fs))
 
 
+def test_prime_factors_matches_trial_division():
+    def trial(n):
+        out, f = [], 2
+        while f * f <= n:
+            if n % f == 0:
+                out.append(f)
+                while n % f == 0:
+                    n //= f
+            f += 1
+        return out + [n] if n > 1 else out
+
+    assert all(prime_factors(n) == trial(n) for n in range(1, 2 * 10**4))
+
+
+def test_prime_factors_splits_large_cofactors():
+    assert prime_factors(1000000007 * 1000000009) == [1000000007, 1000000009]
+    assert prime_factors((10**12 + 39) * (10**12 + 61)) == [10**12 + 39, 10**12 + 61]
+    assert prime_factors(-(2**5) * 1000003**3) == [2, 1000003]
+    assert prime_factors(2**64 + 1) == [274177, 67280421310721]
+
+
+def test_prime_factors_refuses_a_cofactor_past_the_prime_bound():
+    with pytest.raises(ValueError, match="decided only below"):
+        prime_factors((10**13 + 37) * (10**13 + 51))
+
+
 # ---------------------------------------------------------------- valuations
 
 def test_vp_frozen():

@@ -77,7 +77,7 @@ def test_pingpong_free_regime():
         r = pingpong(q)
         assert r.applicable and r.free
         assert r.m_squared == abs(Fraction(q))
-        assert len(r.inequalities) == 4
+        assert len(r.steps) == 4
 
 
 def test_pingpong_outside_regime():
