@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import Mat2, classify_padic, vp, _require_prime, _vp_int
-from .words import Word, iter_forms
+from .words import Word, iter_forms, word_of_codes
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,9 @@ def first_loxodromic(alphabet, p, max_len):
     is (a + d)^2/(ad - bc), so the translation length is v_p(ad - bc) -
     2 v_p(a + d) when that is positive."""
     _require_prime(p)
-    for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+    for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
         if a + d and _vp_int(a * d - b * c, p) > 2 * _vp_int(a + d, p):
-            return word
+            return word_of_codes(codes)
     return None
 
 

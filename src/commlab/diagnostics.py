@@ -20,7 +20,7 @@ from .exact_core import (
     vp,
 )
 from .lu_lab import knapp
-from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms
+from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms, word_of_codes
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -163,14 +163,14 @@ def integral_trace_scan(alphabet, primes, max_len):
     listed prime. The identity (length 0) is integral trivially and skipped.
 
     The walk (iter_forms) carries letter codes and integer forms; only a
-    class representative gets its trace as a Fraction.
+    class representative gets its trace as a Fraction, and only a hit a Word.
     """
     for p in primes:
         vp(1, p)  # validates primality
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
-    for word, (codes, a, _, _, d, den) in iter_forms(alphabet, max_len):
+    for codes, a, _, _, d, den in iter_forms(alphabet, max_len):
         if not is_necklace_form(codes):
             continue
         classes_per_length[len(codes)] += 1
@@ -178,7 +178,7 @@ def integral_trace_scan(alphabet, primes, max_len):
         vals = {p: vp(t, p) for p in primes}
         if all(v >= 0 for v in vals.values()):
             hits_per_length[len(codes)] += 1
-            hits.append((word, t, vals))
+            hits.append((word_of_codes(codes), t, vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 
@@ -192,9 +192,10 @@ class PlaceStatus:
 
 
 def _real_place_status(alphabet, max_len):
-    for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+    for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
         det = a * d - b * c
         if det > 0 and (a + d) ** 2 < 4 * det and _infinite_order(a, b, c, d):
+            word = word_of_codes(codes)
             m = evaluate(word, alphabet)
             if m.det() == 1:
                 cls = classify_real(m)
@@ -216,10 +217,11 @@ def _finite_place_status(alphabet, p, max_len, radius):
     lies in the compact stabilizer of the base vertex. Failing that, when
     orbit_bounded finds the orbit bounded, any word of infinite order is one.
     """
-    for word, (_, a, b, c, d, den) in iter_forms(alphabet, max_len):
+    for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
         k = _vp_int(den, p)
         if (_infinite_order(a, b, c, d) and not any(x % p**k for x in (a, b, c, d))
                 and _vp_int(a * d - b * c, p) == 2 * k):
+            word = word_of_codes(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
                 "infinite order inside the base vertex stabilizer",
@@ -227,8 +229,9 @@ def _finite_place_status(alphabet, p, max_len, radius):
     orbit = orbit_bounded(alphabet, p, radius)
     if orbit.status == "bounded":
         # a bounded group has no loxodromic: infinite order is parabolic or elliptic
-        for word, (_, a, b, c, d, _) in iter_forms(alphabet, max_len):
+        for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
             if _infinite_order(a, b, c, d):
+                word = word_of_codes(codes)
                 cls = classify_padic(evaluate(word, alphabet), p)
                 return PlaceStatus(
                     str(p), "indiscrete-witness", word, cls,

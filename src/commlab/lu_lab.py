@@ -17,16 +17,15 @@ from fractions import Fraction
 from .exact_core import Mat2, key_inverse, key_mul, projective_key, projective_normalize
 from .words import (
     Alphabet,
-    EMPTY_WORD,
     Word,
     canonical_letters,
     evaluate,
-    invert_letters,
     iter_level,
     iter_level_carrying,
     necklace_canonical,
-    reduce_letters,
+    reduce,
     word_key,
+    word_of_codes,
 )
 
 
@@ -130,7 +129,7 @@ _IDENTITY_KEY = (1, 0, 0, 1)
 
 @contextmanager
 def _gc_paused():
-    # The search allocates hundreds of thousands of tuples and words but no
+    # The search allocates hundreds of thousands of tuples and ints but no
     # reference cycles, so refcounting frees everything it drops. Cyclic
     # collections would only rescan the growing table (about a tenth of a
     # max-len 18 search, all of it memory-bound); pause them for the search.
@@ -141,6 +140,13 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def _unpack_codes(packed, bits):
+    """Letter codes of a packed word: a sentinel 1, then bits bits per code,
+    first letter highest. Packed words of one length compare like words."""
+    mask = (1 << bits) - 1
+    return tuple((packed >> shift) & mask for shift in range(packed.bit_length() - 1 - bits, -1, -bits))
 
 
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
@@ -159,6 +165,10 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     (necklace-deduplicating the collision set). No collision through level k
     certifies no relator of length <= 2k.
 
+    Words travel packed into ints (_unpack_codes), each with its inverse, and
+    the table maps a key to the first word with that image; only collision
+    candidates are decoded into Words.
+
     mem_cap bounds the table size under a coarse deterministic byte model; a
     breached cap yields status "inconclusive" unless a relator was already
     certified at a completed level. Cyclic garbage collection is paused
@@ -167,15 +177,20 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     half = (max_len + 1) // 2
-    table = {_IDENTITY_KEY: EMPTY_WORD}
+    table = {_IDENTITY_KEY: 1}
     cost = _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
     num_gens = len(alphabet)
-    letter_keys = {l: projective_key(alphabet.matrix_of(l)) for l in canonical_letters(num_gens)}
+    bits = (2 * num_gens - 1).bit_length()
+    letter_keys = [projective_key(alphabet.matrix_of(l)) for l in canonical_letters(num_gens)]
+    # prepending code c ^ 1 to a packed inverse of n letters adds lift[c] << bits * n
+    lift = [(1 << bits) - 1 + (c ^ 1) for c in range(2 * num_gens)]
 
-    def step(key, letter):
-        return key_mul(key, letter_keys[letter])
+    def step(value, c):
+        key, packed, inverse = value
+        return (key_mul(key, letter_keys[c]), packed << bits | c,
+                inverse + (lift[c] << (packed.bit_length() - 1)))
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -191,33 +206,44 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
 
     with _gc_paused():
         for level in range(1, half + 1):
-            entries = list(iter_level_carrying(num_gens, level, _IDENTITY_KEY, step))
-            words_per_length[level] = len(entries)
-            level_keys = set()
+            keys, words, inverses = [], [], []
+            for key, packed, inverse in iter_level_carrying(num_gens, level, (_IDENTITY_KEY, 1, 1), step):
+                keys.append(key)
+                words.append(packed)
+                inverses.append(inverse)
+            words_per_length[level] = len(keys)
+            # images = new keys + keys first met at an earlier level, whose
+            # stored word is shorter: below this level's sentinel bit
+            floor = 1 << bits * level
+            new = 0
+            earlier = set()
             capped = False
-            for word, key in entries:
-                level_keys.add(key)
-                if key not in table:
-                    cost += _entry_cost(key, len(word))
+            for key, packed in zip(keys, words):
+                first = table.get(key)
+                if first is None:
+                    new += 1
+                    cost += _entry_cost(key, level)
                     if mem_cap is not None and cost > mem_cap:
                         capped = True
                         break
-                    table[key] = word
-            images_per_length[level] = len(level_keys)
+                    table[key] = packed
+                elif first < floor:
+                    earlier.add(key)
+            images_per_length[level] = new + len(earlier)
             if capped:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
 
             candidates = []
-            for word, key in entries:
+            for key, packed, inverse in zip(keys, words, inverses):
                 u = table.get(key_inverse(key))
                 # u = word^-1 is the trivial collision; on a free group every word hits it
-                if u is None or u.letters == invert_letters(word.letters):
+                if u is None or u == inverse:
                     continue
-                rel = reduce_letters(u.letters + word.letters)
-                if rel and len(rel) <= max_len:
-                    candidates.append(Word(rel))
+                rel = reduce(word_of_codes(_unpack_codes(u, bits) + _unpack_codes(packed, bits)))
+                if rel.letters and len(rel) <= max_len:
+                    candidates.append(rel)
             if progress is not None:
-                progress(level, len(entries), len(table))
+                progress(level, len(keys), len(table))
             if candidates:
                 best = min(
                     candidates, key=lambda w: (len(w), word_key(necklace_canonical(w).letters))

@@ -134,7 +134,7 @@ def necklace_canonical(w):
         return EMPTY_WORD
     codes = tuple(codes)
     best = min(cand[r:] + cand[:r] for cand in (codes, _inverse_codes(codes)) for r in range(len(cand)))
-    return Word(tuple(_code_letter(c) for c in best))
+    return word_of_codes(best)
 
 
 class Alphabet:
@@ -177,54 +177,54 @@ def evaluate(w, alphabet):
 
 
 def iter_level_carrying(num_gens, length, start, step):
-    """Reduced words of exactly the given length, lexicographic order, each
-    paired with a value carried along the DFS: start for the empty word, and
-    step(value, letter) for the value of the word extended by one letter.
+    """Values carried along a DFS over the reduced words of exactly the given
+    length, in lexicographic order: start for the empty word, and
+    step(value, code) for the word extended by the letter with that code
+    (letter_code order, skipping code ^ 1 after code). Yields only the value;
+    a caller that needs the word carries its codes and calls word_of_codes.
     """
-    letters = canonical_letters(num_gens)
+    codes = range(2 * num_gens)
 
-    def extend(prefix, value, remaining):
+    def extend(value, last, remaining):
         if remaining == 0:
-            yield Word(tuple(prefix)), value
+            yield value
             return
-        last = prefix[-1] if prefix else None
-        for l in letters:
-            if last is not None and _cancels(last, l):
-                continue
-            prefix.append(l)
-            yield from extend(prefix, step(value, l), remaining - 1)
-            prefix.pop()
+        for c in codes:
+            if c != last ^ 1:
+                yield from extend(step(value, c), c, remaining - 1)
 
-    yield from extend([], start, length)
+    yield from extend(start, -1, length)
+
+
+def word_of_codes(codes):
+    """The word whose letter codes are codes."""
+    return Word(tuple(_code_letter(c) for c in codes))
 
 
 def iter_forms(alphabet, max_len):
-    """Reduced words of length 1..max_len in canonical order, each paired with
+    """Reduced words of length 1..max_len in canonical order, each as
     (codes, a, b, c, d, den): its letter codes and its image (a, b, c, d)/den,
     the product of the letters' integer forms (no gcd taken) over the product
-    of their denominators. The walk builds no Fraction."""
-    letters = {}
-    for l in canonical_letters(len(alphabet)):
-        (e, f, g, h), den = integer_form(alphabet.matrix_of(l))
-        letters[l] = (letter_code(l), e, f, g, h, den)
+    of their denominators. The walk builds no Fraction and no Word."""
+    forms = [integer_form(alphabet.matrix_of(l)) for l in canonical_letters(len(alphabet))]
 
-    def step(value, letter):
+    def step(value, code):
         codes, a, b, c, d, den = value
-        code, e, f, g, h, k = letters[letter]
+        (e, f, g, h), k = forms[code]
         return (codes + (code,), a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
 
     for n in range(1, max_len + 1):
         yield from iter_level_carrying(len(alphabet), n, ((), 1, 0, 0, 1, 1), step)
 
 
-def _carry_nothing(value, letter):
-    return None
+def _append_code(codes, code):
+    return codes + (code,)
 
 
 def iter_level(num_gens, length):
     """Reduced words of exactly the given length, lexicographic order."""
-    for word, _ in iter_level_carrying(num_gens, length, None, _carry_nothing):
-        yield word
+    for codes in iter_level_carrying(num_gens, length, (), _append_code):
+        yield word_of_codes(codes)
 
 
 def iter_words(num_gens, max_len):
@@ -239,9 +239,13 @@ def iter_words(num_gens, max_len):
 
 def iter_level_with_matrices(alphabet, length):
     """Like iter_level but carrying the exact matrix image along the DFS."""
-    return iter_level_carrying(
-        len(alphabet), length, Mat2.identity(), lambda m, l: m * alphabet.matrix_of(l)
-    )
+
+    def step(value, code):
+        codes, m = value
+        return codes + (code,), m * alphabet.matrix_of(_code_letter(code))
+
+    for codes, m in iter_level_carrying(len(alphabet), length, ((), Mat2.identity()), step):
+        yield word_of_codes(codes), m
 
 
 def iter_words_with_matrices(alphabet, max_len):
@@ -270,7 +274,8 @@ def parse_word(text, alphabet):
     """Parse whitespace-separated tokens into a word.
 
     Token forms: name, name^k, name^-k. A single uppercase token whose
-    lowercase form is a generator denotes the inverse (A means a^-1). The
+    lowercase form is a generator denotes the inverse (A means a^-1); a
+    mixed-case token names only a generator spelled that way. The
     result is not reduced; callers reduce when they need to. Raises
     ValueError for words of more than MAX_WORD_LETTERS letters, counted from
     the exponents before any letter is expanded.
@@ -283,7 +288,7 @@ def parse_word(text, alphabet):
             raise ValueError(f"bad word token {tok!r}")
         name = m.group("name")
         sign = 1
-        if name not in index and name != name.lower() and name.lower() in index:
+        if name not in index and name.isupper() and name.lower() in index:
             name = name.lower()
             sign = -1
         if name not in index:

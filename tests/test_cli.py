@@ -385,6 +385,23 @@ def test_denominator_past_the_prime_bound_is_a_parameter_error(capsys, tmp_path)
     assert error["message"].startswith("primality is decided only below")
 
 
+def test_mixed_case_token_is_not_an_inverse(capsys, tmp_path):
+    gens = tmp_path / "ab.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": n, "matrix": [["1", "0"], [str(i), "1"]]} for i, n in ((2, "a"), (4, "ab"))
+    ]}), encoding="utf-8")
+    argv = ["tree", "length", "--gens", str(gens), "--p", "2", "--word"]
+    for word in ("aB", "Ab"):
+        code, out, _ = run(capsys, argv + [word])
+        assert code == 2
+        assert check_schema(out)["error"] == {
+            "code": "parameter", "message": f"unknown generator {word!r}"}
+    for word, inverse in (("A", "a^-1"), ("AB", "ab^-1")):
+        code, out, _ = run(capsys, argv + [word])
+        assert code == 0
+        assert check_schema(out)["results"][0]["reduced"] == inverse
+
+
 def test_tree_orbit_rejects_composite_p(capsys):
     code, out, _ = run(capsys, ["tree", "orbit", "--q", "1/2", "--p", "6", "--radius", "2"])
     assert code == 2

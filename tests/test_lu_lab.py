@@ -1,21 +1,36 @@
 """Delta_q lab: Knapp window, ping-pong, and the two relator strategies."""
 
 import gc
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from commlab.diagnostics import long_reid_pair
 from commlab.exact_core import Mat2
 from commlab.lu_lab import (
+    _unpack_codes,
     knapp,
     lu_generators,
     naive_relator_search,
     pingpong,
     relator_search,
 )
-from commlab.words import Alphabet, Word, evaluate, parse_word
+from commlab.words import (
+    Alphabet,
+    Word,
+    canonical_letters,
+    evaluate,
+    is_reduced,
+    iter_level_carrying,
+    parse_word,
+    word_key,
+    word_of_codes,
+)
 
 A = (0, 1)
 Ai = (0, -1)
@@ -217,6 +232,31 @@ def test_mitm_matches_naive_beyond_delta_q(name):
         assert fast.images_per_length[n] == slow.images_per_length[n]
 
 
+# Small entries, plus torsion (orders 2, 3, 4 and 6 in PGL(2, Q)) and a
+# scalar, so collisions, odd relators and keys met at an earlier level occur.
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+_SMALL_MATS = st.one_of(
+    st.builds(Mat2, _SMALL, _SMALL, _SMALL, _SMALL).filter(lambda m: m.det() != 0),
+    st.sampled_from((Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(1, -1, 1, 1), Mat2(2, -1, 1, 1),
+                     Mat2(2, 0, 0, 2))),
+)
+
+
+# No shrinking: each shrink step reruns the naive search.
+@settings(derandomize=True, max_examples=100, deadline=None, phases=(Phase.generate,))
+@given(st.lists(_SMALL_MATS, min_size=1, max_size=3), st.integers(2, 6))
+def test_mitm_matches_naive_on_random_generators(matrices, max_len):
+    ab = Alphabet([f"g{i}" for i in range(len(matrices))], matrices)
+    max_len = min(max_len, 4) if len(matrices) == 3 else max_len
+    fast = relator_search(ab, max_len)
+    slow = naive_relator_search(ab, max_len)
+    assert (fast.status, fast.relator, fast.scalar) == (slow.status, slow.relator, slow.scalar)
+    shared = set(fast.words_per_length) & set(slow.words_per_length)
+    for n in shared:
+        assert fast.words_per_length[n] == slow.words_per_length[n]
+        assert fast.images_per_length[n] == slow.images_per_length[n]
+
+
 def test_mirror_parameter_symmetry():
     # diag(1, -1) conjugates Delta_q onto Delta_(-q): same relator length,
     # same scalar, same projective image counts
@@ -238,41 +278,124 @@ def test_mem_cap_inconclusive():
 
 
 # Smallest caps that let each level in, measured on the Fraction-keyed
-# search: (cap, status, completed_length) at cap c and c - 1. Below the
-# first cap nothing completes.
+# search, with the whole capped report at each cap c and at c - 1, pinned
+# from the Word-valued table: (cap, status, completed_length,
+# words_per_length, images_per_length), the counts listed by length from 0.
+# Below the first cap nothing completes. A capped level counts the images
+# met up to the key that breached the cap.
 MEM_CAP_THRESHOLDS = {
     "q=1/2": (
         lambda: lu_generators(Fraction(1, 2)),
         12,
-        [(392, "inconclusive", 2), (1448, "inconclusive", 4), (4904, "inconclusive", 6),
-         (15720, "relator-found", 8)],
+        [(391, "inconclusive", 0, [1, 4], [1, 4]),
+         (392, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
+         (1447, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
+         (1448, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
+         (4903, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (4904, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
+         (15719, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104]),
+         (15720, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     "q=9/2": (
         lambda: lu_generators(Fraction(9, 2)),
         12,
-        [(392, "inconclusive", 2), (1448, "inconclusive", 4), (4916, "inconclusive", 6),
-         (16288, "inconclusive", 8), (53248, "inconclusive", 10), (172770, "none-found", 12)],
+        [(391, "inconclusive", 0, [1, 4], [1, 4]),
+         (392, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
+         (1447, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
+         (1448, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
+         (4915, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (4916, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
+         (16287, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (16288, "inconclusive", 8, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 1]),
+         (53247, "inconclusive", 8, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (53248, "inconclusive", 10, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 1]),
+         (172769, "inconclusive", 10, [1, 4, 12, 36, 108, 324, 972],
+          [1, 4, 12, 36, 108, 324, 972]),
+         (172770, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
     ),
     "long-reid": (
         long_reid_pair,
         8,
-        [(394, "inconclusive", 2), (1478, "inconclusive", 4), (5067, "inconclusive", 6),
-         (16491, "relator-found", 8)],
+        [(393, "inconclusive", 0, [1, 4], [1, 4]),
+         (394, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
+         (1477, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
+         (1478, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
+         (5066, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (5067, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
+         (16490, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104]),
+         (16491, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
+    ),
+    # a^3 = -I: both level-2 keys are level-1 keys, so level 2 costs nothing
+    "one-generator": (
+        lambda: Alphabet(["a"], [Mat2(0, -1, 1, 1)]),
+        6,
+        [(231, "inconclusive", 0, [1, 2], [1, 2]),
+         (232, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
+    ),
+    # c^3 = -I again; at 3015 the cap breaks after c c, a level-1 key, is met
+    "three-generators": (
+        lambda: Alphabet(["a", "b", "c"],
+                         [Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)]),
+        6,
+        [(551, "inconclusive", 0, [1, 6], [1, 6]),
+         (552, "inconclusive", 2, [1, 6, 30], [1, 6, 1]),
+         (3015, "inconclusive", 2, [1, 6, 30], [1, 6, 29]),
+         (3016, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MEM_CAP_THRESHOLDS))
 def test_mem_cap_thresholds_frozen(name):
-    make, max_len, thresholds = MEM_CAP_THRESHOLDS[name]
+    make, max_len, rows = MEM_CAP_THRESHOLDS[name]
     ab = make()
-    below = ("inconclusive", 0)
-    for cap, status, completed in thresholds:
-        res = relator_search(ab, max_len, mem_cap=cap - 1)
-        assert (res.status, res.completed_length) == below, cap - 1
+    for cap, status, completed, words, images in rows:
         res = relator_search(ab, max_len, mem_cap=cap)
         assert (res.status, res.completed_length) == (status, completed), cap
-        below = (status, completed)
+        assert res.words_per_length == dict(enumerate(words)), cap
+        assert res.images_per_length == dict(enumerate(images)), cap
+
+
+def test_mem_cap_cases_meet_keys_of_earlier_levels():
+    # A level whose images outnumber the table entries it adds holds a key
+    # first met at an earlier level: a relator of odd length.
+    earlier = set()
+    for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items():
+        sizes = [1]
+        res = relator_search(make(), max_len, progress=lambda level, words, table: sizes.append(table))
+        for level in range(1, len(sizes)):
+            if res.images_per_length[level] > sizes[level] - sizes[level - 1]:
+                earlier.add(name)
+    assert earlier == {"one-generator", "three-generators"}
+
+
+def test_table_memory_per_entry():
+    # The table and a level hold packed ints, not Words: the traced peak of a
+    # max-len 14 search (4373 table entries) is near 270 bytes per entry.
+    sizes = []
+    tracemalloc.start()
+    try:
+        relator_search(lu_generators(Fraction(11, 2)), 14,
+                       progress=lambda level, words, table: sizes.append(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes[-1] == 4373
+    assert peak <= 350 * sizes[-1]
+
+
+@pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
+def test_packed_words_round_trip_in_canonical_order(num_gens, bits):
+    letters = canonical_letters(num_gens)
+    for n in range(6):
+        packed = list(iter_level_carrying(num_gens, n, 1, lambda value, c: value << bits | c))
+        assert all(x.bit_length() == 1 + bits * n for x in packed)
+        assert packed == sorted(packed)
+        words = [word_of_codes(_unpack_codes(x, bits)) for x in packed]
+        expected = sorted(
+            (w for w in itertools.product(letters, repeat=n) if is_reduced(w)), key=word_key
+        )
+        assert [w.letters for w in words] == expected
 
 
 def test_mem_cap_generous_still_finds():
