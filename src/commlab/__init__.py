@@ -33,7 +33,6 @@ from .lu_lab import (
     RelatorResult,
     knapp,
     lu_generators,
-    naive_relator_search,
     pingpong,
     relator_search,
 )

@@ -14,14 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import Mat2, key_inverse, key_mul, projective_key, projective_normalize
+from .exact_core import Mat2, key_inverse, key_mul, projective_key
 from .words import (
     Alphabet,
     Word,
     canonical_letters,
     evaluate,
-    iter_level,
-    iter_level_carrying,
     necklace_canonical,
     reduce,
     word_key,
@@ -149,48 +147,76 @@ def _unpack_codes(packed, bits):
     return tuple((packed >> shift) & mask for shift in range(packed.bit_length() - 1 - bits, -1, -bits))
 
 
+def _extend_level(keys, words, letter_keys, bits):
+    """The reduced words one letter longer than a level's, as parallel lists
+    of keys and packed words, in the lexicographic order of
+    words.iter_level_carrying: each parent in list order, then each letter
+    code c except the inverse of its last letter. One key_mul per word."""
+    mask = (1 << bits) - 1
+    codes = tuple(enumerate(letter_keys))
+    new_keys, new_words = [], []
+    add_key, add_word = new_keys.append, new_words.append
+    for key, packed in zip(keys, words):
+        back = (packed & mask) ^ 1 if packed > 1 else -1  # packed == 1: the empty word
+        packed <<= bits
+        for c, letter_key in codes:
+            if c != back:
+                add_key(key_mul(key, letter_key))
+                add_word(packed | c)
+    return new_keys, new_words
+
+
+def _level_inverses(words, parent_inverses, num_gens, bits):
+    """Packed inverse of each word of a level built by _extend_level, from the
+    packed inverses of the level before. Word j extends parent j // fan by its
+    last code c, and prepending c ^ 1 to the parent's inverse of n letters adds
+    lift(c) << bits * n: the sentinel moves up one slot, c ^ 1 fills it."""
+    mask = (1 << bits) - 1
+    shift = words[0].bit_length() - 1 - bits
+    lifted = [(mask + (c ^ 1)) << shift for c in range(2 * num_gens)]
+    fan = 2 * num_gens if shift == 0 else 2 * num_gens - 1
+    for j, packed in enumerate(words):
+        yield parent_inverses[j // fan] + lifted[packed & mask]
+
+
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     """Shortest relator (word with scalar image) by meet-in-the-middle.
 
     Builds all reduced words of length <= ceil(max_len/2) keyed by their
     projective image, an exact_core.projective_key: the primitive integer
-    quadruple of the class in PGL(2, Q). The DFS carries keys, multiplying by
-    each letter's key, and the inverse image is the adjugate key, so no
-    Fraction matrix is built. Equal keys mean equal projective_normalize
-    forms, so collisions are exactly those of the rational normal form. A
-    relator w = u x of length L makes image(u) = image(x^-1)
-    collide, and every rotation of a cyclic relator is scanned, so the first
-    level with a collision carries a certified-minimal relator; among
-    minimal-length relators the least necklace form is returned
-    (necklace-deduplicating the collision set). No collision through level k
-    certifies no relator of length <= 2k.
+    quadruple of the class in PGL(2, Q). Each level is built from the one
+    before (_extend_level), multiplying each kept key by each letter's key,
+    and the inverse image is the adjugate key, so no Fraction matrix is
+    built. Equal keys mean equal projective_normalize forms, so collisions
+    are exactly those of the rational normal form. A relator w = u x of
+    length L makes image(u) = image(x^-1) collide, and every rotation of a
+    cyclic relator is scanned, so the first level with a collision carries a
+    certified-minimal relator; among minimal-length relators the least
+    necklace form is returned (necklace-deduplicating the collision set). No
+    collision through level k certifies no relator of length <= 2k.
 
-    Words travel packed into ints (_unpack_codes), each with its inverse, and
-    the table maps a key to the first word with that image; only collision
-    candidates are decoded into Words.
+    Words travel packed into ints (_unpack_codes). The table maps a key to
+    the first word with that image, first in lexicographic order; each
+    word's packed inverse comes from its parent's (_level_inverses), and only
+    collision candidates are decoded into Words. A level's keys and words
+    are dropped once the next level is built from them.
 
-    mem_cap bounds the table size under a coarse deterministic byte model; a
-    breached cap yields status "inconclusive" unless a relator was already
-    certified at a completed level. Cyclic garbage collection is paused
-    while the levels are built and restored, as found, on every return.
+    mem_cap bounds the table size under a coarse deterministic byte model
+    (_entry_cost), priced only when a cap is given; a breached cap yields
+    status "inconclusive" unless a relator was already certified at a
+    completed level. Cyclic garbage collection is paused while the levels
+    are built and restored, as found, on every return.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     half = (max_len + 1) // 2
     table = {_IDENTITY_KEY: 1}
-    cost = _entry_cost(_IDENTITY_KEY, 0)
+    cost = 0 if mem_cap is None else _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
     num_gens = len(alphabet)
     bits = (2 * num_gens - 1).bit_length()
     letter_keys = [projective_key(alphabet.matrix_of(l)) for l in canonical_letters(num_gens)]
-    # prepending code c ^ 1 to a packed inverse of n letters adds lift[c] << bits * n
-    lift = [(1 << bits) - 1 + (c ^ 1) for c in range(2 * num_gens)]
-
-    def step(value, c):
-        key, packed, inverse = value
-        return (key_mul(key, letter_keys[c]), packed << bits | c,
-                inverse + (lift[c] << (packed.bit_length() - 1)))
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -205,12 +231,9 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
         )
 
     with _gc_paused():
+        keys, words, inverses = [_IDENTITY_KEY], [1], [1]
         for level in range(1, half + 1):
-            keys, words, inverses = [], [], []
-            for key, packed, inverse in iter_level_carrying(num_gens, level, (_IDENTITY_KEY, 1, 1), step):
-                keys.append(key)
-                words.append(packed)
-                inverses.append(inverse)
+            keys, words = _extend_level(keys, words, letter_keys, bits)
             words_per_length[level] = len(keys)
             # images = new keys + keys first met at an earlier level, whose
             # stored word is shorter: below this level's sentinel bit
@@ -222,10 +245,11 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                 first = table.get(key)
                 if first is None:
                     new += 1
-                    cost += _entry_cost(key, level)
-                    if mem_cap is not None and cost > mem_cap:
-                        capped = True
-                        break
+                    if mem_cap is not None:
+                        cost += _entry_cost(key, level)
+                        if cost > mem_cap:
+                            capped = True
+                            break
                     table[key] = packed
                 elif first < floor:
                     earlier.add(key)
@@ -233,6 +257,9 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             if capped:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
 
+            inverses = _level_inverses(words, inverses, num_gens, bits)
+            if level < half:
+                inverses = list(inverses)  # the parents of the next level
             candidates = []
             for key, packed, inverse in zip(keys, words, inverses):
                 u = table.get(key_inverse(key))
@@ -259,41 +286,3 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                     completed=min(2 * level, max_len),
                 )
         return finish("none-found", completed=max_len)
-
-
-def naive_relator_search(alphabet, max_len):
-    """Reference strategy: scan every reduced word by length for a scalar image.
-
-    Exponentially slower than relator_search; kept as an independent oracle,
-    including an independent count of distinct projective images per length.
-    """
-    words_per_length = {}
-    images_per_length = {}
-    found = []
-    for length in range(max_len + 1):
-        count = 0
-        keys = set()
-        for word in iter_level(len(alphabet), length):
-            m = evaluate(word, alphabet)
-            count += 1
-            keys.add(projective_normalize(m))
-            if length > 0 and m.is_scalar():
-                found.append(word)
-        words_per_length[length] = count
-        images_per_length[length] = len(keys)
-        if found:
-            best = min(found, key=lambda w: word_key(necklace_canonical(w).letters))
-            relator = necklace_canonical(best)
-            return RelatorResult(
-                "relator-found",
-                relator,
-                evaluate(relator, alphabet).a,
-                "naive",
-                max_len,
-                length,
-                words_per_length,
-                images_per_length,
-            )
-    return RelatorResult(
-        "none-found", None, None, "naive", max_len, max_len, words_per_length, images_per_length
-    )

@@ -13,13 +13,18 @@ from commlab.exact_core import (
     _require_prime,
     classify_padic,
     classify_real,
+    projective_normalize,
     vp,
 )
+from commlab.lu_lab import RelatorResult
 from commlab.words import (
     Word,
     canonical_letters,
+    evaluate,
     invert_letters,
+    iter_level,
     iter_words_with_matrices,
+    necklace_canonical,
     reduce_letters,
     word_key,
 )
@@ -212,3 +217,41 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
         if translation_length(m, p) > 0:
             return OrbitResult("unbounded", None, max_radius, word, max_radius)
     return OrbitResult("inconclusive", None, max_radius, None, max_radius)
+
+
+def naive_relator_search(alphabet, max_len):
+    """Reference strategy: scan every reduced word by length for a scalar image.
+
+    Exponentially slower than relator_search; an independent oracle,
+    including an independent count of distinct projective images per length.
+    """
+    words_per_length = {}
+    images_per_length = {}
+    found = []
+    for length in range(max_len + 1):
+        count = 0
+        keys = set()
+        for word in iter_level(len(alphabet), length):
+            m = evaluate(word, alphabet)
+            count += 1
+            keys.add(projective_normalize(m))
+            if length > 0 and m.is_scalar():
+                found.append(word)
+        words_per_length[length] = count
+        images_per_length[length] = len(keys)
+        if found:
+            best = min(found, key=lambda w: word_key(necklace_canonical(w).letters))
+            relator = necklace_canonical(best)
+            return RelatorResult(
+                "relator-found",
+                relator,
+                evaluate(relator, alphabet).a,
+                "naive",
+                max_len,
+                length,
+                words_per_length,
+                images_per_length,
+            )
+    return RelatorResult(
+        "none-found", None, None, "naive", max_len, max_len, words_per_length, images_per_length
+    )

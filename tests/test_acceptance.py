@@ -25,7 +25,7 @@ from commlab.bt_tree import (
 from commlab.cli import main
 from commlab.diagnostics import GS_TAG, integral_trace_scan, long_reid_pair, two_gen_probe
 from commlab.exact_core import Mat2, vp
-from commlab.lu_lab import knapp, lu_generators, naive_relator_search, relator_search
+from commlab.lu_lab import knapp, lu_generators, relator_search
 from commlab.report import dumps_canonical
 from commlab.words import (
     Word,
@@ -34,7 +34,7 @@ from commlab.words import (
     iter_words_with_matrices,
     parse_word,
 )
-from helpers import necklace_oracle
+from helpers import naive_relator_search, necklace_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from commlab.diagnostics import long_reid_pair
 from commlab.exact_core import Mat2
+from commlab import lu_lab
+from commlab.exact_core import key_mul, projective_key
 from commlab.lu_lab import (
+    _extend_level,
+    _level_inverses,
     _unpack_codes,
     knapp,
     lu_generators,
-    naive_relator_search,
     pingpong,
     relator_search,
 )
@@ -25,12 +28,15 @@ from commlab.words import (
     Word,
     canonical_letters,
     evaluate,
+    invert_letters,
     is_reduced,
     iter_level_carrying,
+    letter_code,
     parse_word,
     word_key,
     word_of_codes,
 )
+from helpers import naive_relator_search
 
 A = (0, 1)
 Ai = (0, -1)
@@ -396,6 +402,74 @@ def test_packed_words_round_trip_in_canonical_order(num_gens, bits):
             (w for w in itertools.product(letters, repeat=n) if is_reduced(w)), key=word_key
         )
         assert [w.letters for w in words] == expected
+
+
+_LEVEL_ALPHABETS = {
+    1: (Mat2(2, 1, 1, 1),),
+    2: (Mat2(1, 0, 1, 1), Mat2(1, Fraction(9, 2), 0, 1)),
+    3: (Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)),
+}
+
+
+def _pack(letters, bits):
+    packed = 1
+    for l in letters:
+        packed = packed << bits | letter_code(l)
+    return packed
+
+
+@pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
+def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
+    # _extend_level must give the walker's lexicographic order: the table
+    # keeps the first word per key. Each parent-derived inverse must be the
+    # packed inverse word.
+    ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
+    letter_keys = [projective_key(ab.matrix_of(l)) for l in canonical_letters(num_gens)]
+
+    def step(value, c):
+        key, packed = value
+        return key_mul(key, letter_keys[c]), packed << bits | c
+
+    keys, words, inverses = [(1, 0, 0, 1)], [1], [1]
+    for n in range(7):
+        if n:
+            keys, words = _extend_level(keys, words, letter_keys, bits)
+            inverses = list(_level_inverses(words, inverses, num_gens, bits))
+        walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
+        assert words == [packed for _, packed in walked]
+        assert keys == [key for key, _ in walked]
+        assert len(inverses) == len(words)
+        for packed, inverse in zip(words, inverses):
+            letters = word_of_codes(_unpack_codes(packed, bits)).letters
+            assert inverse == _pack(invert_letters(letters), bits)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(lu_lab, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(lu_lab, name, counted)
+    return calls
+
+
+def test_search_work_counts_on_a_free_group(monkeypatch):
+    # One key_mul per word of lengths 1..6; no collision on a free group is
+    # decoded, so every trivial collision met its parent-derived inverse; the
+    # byte model is priced only under a cap.
+    products = _count_calls(monkeypatch, "key_mul")
+    decoded = _count_calls(monkeypatch, "_unpack_codes")
+    priced = _count_calls(monkeypatch, "_entry_cost")
+    res = relator_search(lu_generators(Fraction(9, 2)), 12)
+    assert res.status == "none-found"
+    assert len(products) == sum(res.words_per_length[n] for n in range(1, 7)) == 1456
+    assert len(decoded) == 0
+    assert len(priced) == 0
+    relator_search(lu_generators(Fraction(9, 2)), 12, mem_cap=10**7)
+    assert len(priced) == 1 + 1456
 
 
 def test_mem_cap_generous_still_finds():
