@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import Mat2, classify_padic, vp, _require_prime, _vp_int
-from .words import Word, iter_forms, word_of_codes
+from .words import Word, iter_forms
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def first_loxodromic(alphabet, p, max_len):
     _require_prime(p)
     for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
         if a + d and _vp_int(a * d - b * c, p) > 2 * _vp_int(a + d, p):
-            return word_of_codes(codes)
+            return Word(codes)
     return None
 
 
@@ -184,14 +184,13 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
     witness = first_loxodromic(alphabet, p, 2)
     if witness is not None:
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
-    gens = [g for pair in zip(alphabet.matrices, alphabet.inverses) for g in pair]
     seen = {base}
     order = [base]
     frontier = deque([base])
     radius_seen = 0
     while frontier:
         v = frontier.popleft()
-        for g in gens:
+        for g in alphabet.letter_matrices:
             w = act(g, v)
             if w in seen:
                 continue

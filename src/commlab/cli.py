@@ -10,6 +10,7 @@ import contextlib
 import csv
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -45,11 +46,21 @@ class ParameterError(ValueError):
         self.detail = detail
 
 
+_EXPONENT_RE = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+
+
 def _parse_fraction(text, label):
+    """The rational that text spells. An exponent past the int-to-str digit
+    limit is refused before Fraction builds its power of ten."""
+    exp = _EXPONENT_RE.search(text)
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        if exp is None or not 0 < limit < abs(int(exp.group(1))):
+            return Fraction(text)
+        Fraction(text[:exp.start(1)] + "0")  # a rational but for its exponent
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"{label} must be a rational like 3 or -5/2, got {text!r}")
+    raise ParameterError(f"{label} has an exponent past the {limit}-digit limit, got {text!r}")
 
 
 def _parse_prime(value, label="p"):
@@ -92,10 +103,7 @@ def load_generator_file(path):
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)
         ):
             raise ParameterError(f'generator #{i}: "matrix" must be 2 rows of 2 entries')
-        try:
-            entries = [Fraction(str(e)) for r in rows for e in r]
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"generator #{i}: matrix entries must be rationals")
+        entries = [_parse_fraction(str(e), f"generator #{i}: matrix entry") for r in rows for e in r]
         names.append(str(g["name"]))
         matrices.append(Mat2(*entries))
     try:

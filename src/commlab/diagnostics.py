@@ -20,7 +20,8 @@ from .exact_core import (
     vp,
 )
 from .lu_lab import knapp
-from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms, word_of_codes
+from .report import frac_str
+from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -53,7 +54,7 @@ class PlaceSupport:
 def place_support(alphabet):
     """Primes appearing in any denominator of a generator or its inverse."""
     primes = set()
-    for m in alphabet.matrices + alphabet.inverses:
+    for m in alphabet.letter_matrices:
         for e in m.entries():
             primes.update(denominator_primes(e))
     return PlaceSupport(tuple(sorted(primes)), True)
@@ -117,19 +118,18 @@ def density_report(alphabet):
         return DensityResult(
             "not-dense", "reducible", {}, (alphabet.names[0],)
         )
-    candidates = [Word(((i, 1),)) for i in range(k)]
+    candidates = [Word((2 * i,)) for i in range(k)]
     if k > 2:
         for i in range(k):
             for j in range(k):
                 if i != j:
-                    candidates.append(Word(((i, 1), (j, 1))))
+                    candidates.append(Word((2 * i, 2 * j)))
+    # zariski_dense needs det 1; each candidate is evaluated once, not once per pair
+    candidates = [(w, m) for w in candidates if (m := evaluate(w, alphabet)).det() == 1]
     best = None
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            u, v = candidates[i], candidates[j]
-            g, h = evaluate(u, alphabet), evaluate(v, alphabet)
-            if g.det() != 1 or h.det() != 1:
-                continue
+            (u, g), (v, h) = candidates[i], candidates[j]
             r = zariski_dense(g, h)
             named = DensityResult(
                 r.verdict, r.reason, r.traces,
@@ -178,7 +178,7 @@ def integral_trace_scan(alphabet, primes, max_len):
         vals = {p: vp(t, p) for p in primes}
         if all(v >= 0 for v in vals.values()):
             hits_per_length[len(codes)] += 1
-            hits.append((word_of_codes(codes), t, vals))
+            hits.append((Word(codes), t, vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 
@@ -195,7 +195,7 @@ def _real_place_status(alphabet, max_len):
     for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
         det = a * d - b * c
         if det > 0 and (a + d) ** 2 < 4 * det and _infinite_order(a, b, c, d):
-            word = word_of_codes(codes)
+            word = Word(codes)
             m = evaluate(word, alphabet)
             if m.det() == 1:
                 cls = classify_real(m)
@@ -221,7 +221,7 @@ def _finite_place_status(alphabet, p, max_len, radius):
         k = _vp_int(den, p)
         if (_infinite_order(a, b, c, d) and not any(x % p**k for x in (a, b, c, d))
                 and _vp_int(a * d - b * c, p) == 2 * k):
-            word = word_of_codes(codes)
+            word = Word(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
                 "infinite order inside the base vertex stabilizer",
@@ -231,7 +231,7 @@ def _finite_place_status(alphabet, p, max_len, radius):
         # a bounded group has no loxodromic: infinite order is parabolic or elliptic
         for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
             if _infinite_order(a, b, c, d):
-                word = word_of_codes(codes)
+                word = Word(codes)
                 cls = classify_padic(evaluate(word, alphabet), p)
                 return PlaceStatus(
                     str(p), "indiscrete-witness", word, cls,
@@ -347,7 +347,8 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
     commutators c_0 = h, c_(k+1) = [c_k, g] stay nontrivial while their
     max-entry distance from I strictly decreases, reported as evidence and
     never as proof; (4) some word of length <= max_word_len is loxodromic on
-    the tree at p. Entries must lie in Z[1/p] with det 1.
+    the tree at p. Entries must lie in Z[1/p] with det 1. The first delta
+    too long for the report to print stops the probe with DigitLimitError.
     """
     for m in (g, h):
         if m.det() != 1:
@@ -371,6 +372,7 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
     for _ in range(iterations):
         c = commutator(c, g)
         deltas.append(_delta_from_identity(c))
+        frac_str(deltas[-1])  # raises DigitLimitError: the digits double each step
         if c.is_identity():
             nonidentity = False
             break

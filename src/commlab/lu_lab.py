@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import Mat2, key_inverse, key_mul, projective_key
-from .words import (
-    Alphabet,
-    Word,
-    canonical_letters,
-    evaluate,
-    necklace_canonical,
-    reduce,
-    word_key,
-    word_of_codes,
-)
+from .words import Alphabet, Word, evaluate, necklace_canonical, reduce
 
 
 def lu_generators(q):
@@ -147,21 +138,22 @@ def _unpack_codes(packed, bits):
     return tuple((packed >> shift) & mask for shift in range(packed.bit_length() - 1 - bits, -1, -bits))
 
 
-def _extend_level(keys, words, letter_keys, bits):
+def _extend_level(keys, words, code_keys, bits):
     """The reduced words one letter longer than a level's, as parallel lists
     of keys and packed words, in the lexicographic order of
     words.iter_level_carrying: each parent in list order, then each letter
-    code c except the inverse of its last letter. One key_mul per word."""
+    code c except the inverse of its last letter. One key_mul per word, by
+    code_keys[c], the projective key of letter c."""
     mask = (1 << bits) - 1
-    codes = tuple(enumerate(letter_keys))
+    codes = tuple(enumerate(code_keys))
     new_keys, new_words = [], []
     add_key, add_word = new_keys.append, new_words.append
     for key, packed in zip(keys, words):
         back = (packed & mask) ^ 1 if packed > 1 else -1  # packed == 1: the empty word
         packed <<= bits
-        for c, letter_key in codes:
+        for c, code_key in codes:
             if c != back:
-                add_key(key_mul(key, letter_key))
+                add_key(key_mul(key, code_key))
                 add_word(packed | c)
     return new_keys, new_words
 
@@ -216,7 +208,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     images_per_length = {0: 1}
     num_gens = len(alphabet)
     bits = (2 * num_gens - 1).bit_length()
-    letter_keys = [projective_key(alphabet.matrix_of(l)) for l in canonical_letters(num_gens)]
+    code_keys = [projective_key(m) for m in alphabet.letter_matrices]
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -233,7 +225,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     with _gc_paused():
         keys, words, inverses = [_IDENTITY_KEY], [1], [1]
         for level in range(1, half + 1):
-            keys, words = _extend_level(keys, words, letter_keys, bits)
+            keys, words = _extend_level(keys, words, code_keys, bits)
             words_per_length[level] = len(keys)
             # images = new keys + keys first met at an earlier level, whose
             # stored word is shorter: below this level's sentinel bit
@@ -266,15 +258,13 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                 # u = word^-1 is the trivial collision; on a free group every word hits it
                 if u is None or u == inverse:
                     continue
-                rel = reduce(word_of_codes(_unpack_codes(u, bits) + _unpack_codes(packed, bits)))
+                rel = reduce(Word(_unpack_codes(u, bits) + _unpack_codes(packed, bits)))
                 if rel.letters and len(rel) <= max_len:
                     candidates.append(rel)
             if progress is not None:
                 progress(level, len(keys), len(table))
             if candidates:
-                best = min(
-                    candidates, key=lambda w: (len(w), word_key(necklace_canonical(w).letters))
-                )
+                best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
                 relator = necklace_canonical(best)
                 image = evaluate(relator, alphabet)
                 if not image.is_scalar():

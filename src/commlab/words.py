@@ -1,10 +1,11 @@
 """Reduced words over a symmetric alphabet and their matrix images.
 
-A letter is a pair (index, sign) with sign +1 or -1; a word is a tuple of
-letters. The canonical order on letters puts each generator just before its
-inverse: a < a^-1 < b < b^-1 < ... All enumeration in the package follows
-(length, lexicographic) order under that convention, so search results are
-reproducible.
+A letter is an int code: 2*i for generator i and 2*i + 1 for its inverse, so
+c ^ 1 inverts a letter; a word is a tuple of codes. Code order is the
+canonical order on letters, each generator just before its inverse:
+a < a^-1 < b < b^-1 < ... All enumeration in the package follows (length,
+lexicographic) order under it, so search results are reproducible. Generator
+names meet codes only in format_word and parse_word.
 """
 
 from __future__ import annotations
@@ -33,40 +34,18 @@ class Word:
 EMPTY_WORD = Word(())
 
 
-def letter_key(letter):
-    i, s = letter
-    return (i, 0 if s > 0 else 1)
-
-
-def word_key(letters):
-    return tuple(letter_key(l) for l in letters)
-
-
-def canonical_letters(num_gens):
-    """All 2k letters in canonical order."""
-    out = []
-    for i in range(num_gens):
-        out.append((i, 1))
-        out.append((i, -1))
-    return tuple(out)
-
-
-def _cancels(x, y):
-    return x[0] == y[0] and x[1] == -y[1]
-
-
 def reduce_letters(letters):
     out = []
-    for l in letters:
-        if out and _cancels(out[-1], l):
+    for c in letters:
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append(l)
+            out.append(c)
     return tuple(out)
 
 
 def invert_letters(letters):
-    return tuple((i, -s) for i, s in reversed(letters))
+    return tuple(c ^ 1 for c in reversed(letters))
 
 
 def reduce(w):
@@ -83,23 +62,7 @@ def multiply(u, v):
 
 
 def is_reduced(letters):
-    return all(not _cancels(letters[i], letters[i + 1]) for i in range(len(letters) - 1))
-
-
-def letter_code(letter):
-    """The letter as the int 2*i + (s < 0). Codes order letters canonically,
-    a < a^-1 < b < ..., so code tuples compare like word_key tuples; a
-    letter's inverse is its code XOR 1."""
-    i, s = letter
-    return 2 * i + (s < 0)
-
-
-def _code_letter(code):
-    return (code >> 1, -1 if code & 1 else 1)
-
-
-def _inverse_codes(codes):
-    return tuple(c ^ 1 for c in reversed(codes))
+    return all(letters[i] ^ 1 != letters[i + 1] for i in range(len(letters) - 1))
 
 
 def is_necklace_form(codes):
@@ -112,7 +75,7 @@ def is_necklace_form(codes):
     first = codes[0]
     if min(codes) < first:  # the common rejection, before building the inverse
         return False
-    for cand in (codes, _inverse_codes(codes)):
+    for cand in (codes, invert_letters(codes)):
         for r, c in enumerate(cand):
             if c < first or (c == first and cand[r:] + cand[:r] < codes):
                 return False
@@ -124,21 +87,22 @@ def necklace_canonical(w):
     """Canonical representative of the conjugacy class of w and w^-1.
 
     Cyclically reduce, then take the lexicographically least rotation of the
-    word and of its inverse under the canonical letter order (least letter
-    code tuple).
+    word and of its inverse under the canonical letter order (least code
+    tuple).
     """
-    codes = [letter_code(l) for l in reduce_letters(w.letters)]
+    codes = reduce_letters(w.letters)
     while len(codes) >= 2 and codes[0] ^ 1 == codes[-1]:
         codes = codes[1:-1]
     if not codes:
         return EMPTY_WORD
-    codes = tuple(codes)
-    best = min(cand[r:] + cand[:r] for cand in (codes, _inverse_codes(codes)) for r in range(len(cand)))
-    return word_of_codes(best)
+    best = min(cand[r:] + cand[:r] for cand in (codes, invert_letters(codes)) for r in range(len(cand)))
+    return Word(best)
 
 
 class Alphabet:
-    """Named generators with exact invertible matrices; inverses precomputed."""
+    """Named generators with exact invertible matrices. letter_matrices holds
+    the 2k letter matrices in code order, inverses precomputed: the matrix of
+    letter code c is letter_matrices[c]."""
 
     _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -157,22 +121,18 @@ class Alphabet:
         for m in self.matrices:
             if m.det() == 0:
                 raise ValueError("singular generator matrix")
-        self.inverses = tuple(m.inverse() for m in self.matrices)
+        self.letter_matrices = tuple(x for m in self.matrices for x in (m, m.inverse()))
 
     def __len__(self):
         return len(self.names)
-
-    def matrix_of(self, letter):
-        i, s = letter
-        return self.matrices[i] if s > 0 else self.inverses[i]
 
 
 def evaluate(w, alphabet):
     """Left-to-right matrix image of a word; a homomorphism on reduced words.
     Each run of one repeated letter is raised to its length by squaring."""
     out = Mat2.identity()
-    for l, run in groupby(w.letters):
-        out = out * alphabet.matrix_of(l) ** sum(1 for _ in run)
+    for c, run in groupby(w.letters):
+        out = out * alphabet.letter_matrices[c] ** sum(1 for _ in run)
     return out
 
 
@@ -180,8 +140,8 @@ def iter_level_carrying(num_gens, length, start, step):
     """Values carried along a DFS over the reduced words of exactly the given
     length, in lexicographic order: start for the empty word, and
     step(value, code) for the word extended by the letter with that code
-    (letter_code order, skipping code ^ 1 after code). Yields only the value;
-    a caller that needs the word carries its codes and calls word_of_codes.
+    (code order, skipping code ^ 1 after code). Yields only the value; a
+    caller that needs the word carries its codes.
     """
     codes = range(2 * num_gens)
 
@@ -196,17 +156,12 @@ def iter_level_carrying(num_gens, length, start, step):
     yield from extend(start, -1, length)
 
 
-def word_of_codes(codes):
-    """The word whose letter codes are codes."""
-    return Word(tuple(_code_letter(c) for c in codes))
-
-
 def iter_forms(alphabet, max_len):
     """Reduced words of length 1..max_len in canonical order, each as
     (codes, a, b, c, d, den): its letter codes and its image (a, b, c, d)/den,
     the product of the letters' integer forms (no gcd taken) over the product
     of their denominators. The walk builds no Fraction and no Word."""
-    forms = [integer_form(alphabet.matrix_of(l)) for l in canonical_letters(len(alphabet))]
+    forms = [integer_form(m) for m in alphabet.letter_matrices]
 
     def step(value, code):
         codes, a, b, c, d, den = value
@@ -224,7 +179,7 @@ def _append_code(codes, code):
 def iter_level(num_gens, length):
     """Reduced words of exactly the given length, lexicographic order."""
     for codes in iter_level_carrying(num_gens, length, (), _append_code):
-        yield word_of_codes(codes)
+        yield Word(codes)
 
 
 def iter_words(num_gens, max_len):
@@ -239,13 +194,14 @@ def iter_words(num_gens, max_len):
 
 def iter_level_with_matrices(alphabet, length):
     """Like iter_level but carrying the exact matrix image along the DFS."""
+    letter_matrices = alphabet.letter_matrices
 
     def step(value, code):
         codes, m = value
-        return codes + (code,), m * alphabet.matrix_of(_code_letter(code))
+        return codes + (code,), m * letter_matrices[code]
 
     for codes, m in iter_level_carrying(len(alphabet), length, ((), Mat2.identity()), step):
-        yield word_of_codes(codes), m
+        yield Word(codes), m
 
 
 def iter_words_with_matrices(alphabet, max_len):
@@ -255,11 +211,8 @@ def iter_words_with_matrices(alphabet, max_len):
 
 def format_word(w, alphabet):
     """Whitespace-separated tokens, one per letter, ^-1 marking inverses."""
-    parts = []
-    for i, s in w.letters:
-        name = alphabet.names[i]
-        parts.append(name if s > 0 else name + "^-1")
-    return " ".join(parts)
+    names = alphabet.names
+    return " ".join(names[c >> 1] + ("^-1" if c & 1 else "") for c in w.letters)
 
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?$")
@@ -280,25 +233,24 @@ def parse_word(text, alphabet):
     ValueError for words of more than MAX_WORD_LETTERS letters, counted from
     the exponents before any letter is expanded.
     """
-    index = {n: i for i, n in enumerate(alphabet.names)}
+    index = {n: 2 * i for i, n in enumerate(alphabet.names)}
     tokens = []
     for tok in text.split():
         m = _TOKEN_RE.match(tok)
         if not m:
             raise ValueError(f"bad word token {tok!r}")
         name = m.group("name")
-        sign = 1
-        if name not in index and name.isupper() and name.lower() in index:
-            name = name.lower()
-            sign = -1
-        if name not in index:
-            raise ValueError(f"unknown generator {m.group('name')!r}")
+        upper = name not in index and name.isupper() and name.lower() in index
+        code = index.get(name.lower() if upper else name)
+        if code is None:
+            raise ValueError(f"unknown generator {name!r}")
         exp = m.group("exp")
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise ValueError(f"zero exponent in token {tok!r}")
-        tokens.append(((index[name], sign * (1 if k > 0 else -1)), abs(k)))
+        # an uppercase name and a negative exponent each invert the letter
+        tokens.append((code + (upper != (k < 0)), abs(k)))
     total = sum(k for _, k in tokens)
     if total > MAX_WORD_LETTERS:
         raise ValueError(f"word has {total} letters, more than the limit {MAX_WORD_LETTERS}")
-    return Word(tuple(letter for letter, k in tokens for _ in range(k)))
+    return Word(tuple(code for code, k in tokens for _ in range(k)))

@@ -19,14 +19,12 @@ from commlab.exact_core import (
 from commlab.lu_lab import RelatorResult
 from commlab.words import (
     Word,
-    canonical_letters,
     evaluate,
     invert_letters,
     iter_level,
     iter_words_with_matrices,
     necklace_canonical,
     reduce_letters,
-    word_key,
 )
 
 
@@ -50,22 +48,21 @@ def rand_sl2(rng, steps=4, bound=5):
 
 
 def rand_reduced_word(rng, num_gens, length):
-    letters = canonical_letters(num_gens)
     out = []
     while len(out) < length:
-        l = rng.choice(letters)
-        if out and out[-1][0] == l[0] and out[-1][1] == -l[1]:
+        c = rng.randrange(2 * num_gens)
+        if out and out[-1] == c ^ 1:
             continue
-        out.append(l)
+        out.append(c)
     assert reduce_letters(tuple(out)) == tuple(out)
     return Word(tuple(out))
 
 
 def necklace_oracle(w):
-    """Reference necklace form on letter pairs: cyclically reduce, then the
-    least rotation of the word and of its inverse under word_key."""
+    """Reference necklace form: cyclically reduce, then the least rotation
+    of the word and of its inverse as a letter code tuple."""
     ls = list(reduce_letters(w.letters))
-    while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
+    while len(ls) >= 2 and ls[0] ^ 1 == ls[-1]:
         ls = ls[1:-1]
     if not ls:
         return Word(())
@@ -73,7 +70,7 @@ def necklace_oracle(w):
     for cand in (tuple(ls), invert_letters(tuple(ls))):
         for r in range(len(cand)):
             rot = cand[r:] + cand[:r]
-            if best is None or word_key(rot) < word_key(best):
+            if best is None or rot < best:
                 best = rot
     return Word(best)
 
@@ -189,7 +186,7 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
     gens = []
     for i in range(len(alphabet)):
         gens.append(alphabet.matrices[i])
-        gens.append(alphabet.inverses[i])
+        gens.append(alphabet.matrices[i].inverse())
     seen = {base}
     order = [base]
     frontier = deque([base])
@@ -240,7 +237,7 @@ def naive_relator_search(alphabet, max_len):
         words_per_length[length] = count
         images_per_length[length] = len(keys)
         if found:
-            best = min(found, key=lambda w: word_key(necklace_canonical(w).letters))
+            best = min(found, key=lambda w: necklace_canonical(w).letters)
             relator = necklace_canonical(best)
             return RelatorResult(
                 "relator-found",

@@ -38,10 +38,10 @@ from helpers import naive_relator_search, necklace_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 
-A = (0, 1)
-Ai = (0, -1)
-B = (1, 1)
-Bi = (1, -1)
+A = 0
+Ai = 1
+B = 2
+Bi = 3
 
 
 class timer:

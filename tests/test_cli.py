@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from commlab.bt_tree import TreeVertex
-from commlab.cli import dump_generator_file, load_generator_file, main
+from commlab.cli import _parse_fraction, dump_generator_file, load_generator_file, main
 from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
 from commlab.report import dumps_canonical, to_json
@@ -185,6 +186,26 @@ def test_orbit_bounded_lists_vertices(capsys, tmp_path):
     assert res["orbit_size"] == 2
 
 
+LIMIT = sys.get_int_max_str_digits()
+# Building any of these values takes 10^n with n = 10^8.
+HUGE_EXPONENTS = [
+    (["lu", "knapp", "--q", "1e100000000"],
+     f"--q has an exponent past the {LIMIT}-digit limit, got '1e100000000'"),
+    (["lu", "relators", "--q", "1e-100000000", "--max-len", "4"],
+     f"--q has an exponent past the {LIMIT}-digit limit, got '1e-100000000'"),
+    (["diag", "places", "--gens", "{huge}"],
+     f"generator #0: matrix entry has an exponent past the {LIMIT}-digit limit, got '1e100000000'"),
+]
+
+
+def _with_files(argv, tmp_path):
+    """argv with {huge} replaced by a generator file whose entry is 1e100000000."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["1e100000000", "0"], ["0", "1"]]}]}), encoding="utf-8")
+    return [str(huge) if a == "{huge}" else a for a in argv]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["lu", "knapp", "--q", "5"], "knapp window is 0 < |q| < 4"),
     (["lu", "knapp", "--q", "x"], "--q must be a rational like 3 or -5/2, got 'x'"),
@@ -219,13 +240,14 @@ def test_orbit_bounded_lists_vertices(capsys, tmp_path):
      "cannot write CSV file: [Errno 21] Is a directory: '{tmp}'"),
     (["tree", "length", "--q", "1/2", "--p", "3317044064679887385961981", "--word", "a"],
      "primality is decided only below 3317044064679887385961981, got 3317044064679887385961981"),
-])
+] + HUGE_EXPONENTS)
 def test_parameter_error_messages(capsys, tmp_path, argv, message):
     three = tmp_path / "three.json"
     three.write_text(json.dumps({"generators": [
         {"name": n, "matrix": [["1", str(i)], ["0", "1"]]} for i, n in enumerate("abc", 1)
     ]}), encoding="utf-8")
-    argv = [str(three) if a == "{three}" else a.replace("{tmp}", str(tmp_path)) for a in argv]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _with_files(argv, tmp_path)]
+    argv = [str(three) if a == "{three}" else a for a in argv]
     code, out, _ = run(capsys, argv)
     assert code == 2
     doc = check_schema(out)
@@ -317,6 +339,32 @@ def test_tree_length_fails_the_digit_limit_fast(capsys):
     doc = check_schema(out)
     assert doc["error"]["code"] == "parameter"
     assert "printable digit limit" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in HUGE_EXPONENTS])
+def test_huge_exponents_are_refused_fast(capsys, tmp_path, argv):
+    argv = _with_files(argv, tmp_path)
+    started = time.monotonic()
+    code, _, _ = run(capsys, argv)
+    assert time.monotonic() - started < 1
+    assert code == 2
+
+
+@pytest.mark.parametrize("text", ["3", "-5/2", "0.5", "1e3", "1E-2", "1_0", " 7 ", f"1e{LIMIT}"])
+def test_parse_fraction_keeps_every_printable_form(text):
+    assert _parse_fraction(text, "--q") == Fraction(text)
+
+
+def test_probe_iterations_stop_at_the_digit_limit(capsys):
+    # the deltas' digits double each step; the 13th passes the limit, and
+    # iterating on to 30 would never finish
+    started = time.monotonic()
+    pair = str(REPO / "tests" / "data" / "probe_pair.json")
+    code, out, _ = run(capsys, ["diag", "probe", "--gens", pair, "--p", "2", "--iterations", "30"])
+    assert time.monotonic() - started < 2
+    assert code == 2
+    assert check_schema(out)["error"]["message"] == (
+        f"exact entries exceed the printable digit limit ({LIMIT} digits)")
 
 
 def test_tree_length_long_word_below_the_digit_limit(capsys):
@@ -516,7 +564,7 @@ def test_to_json_renders_each_report_type():
     assert to_json(Fraction(-6, 4), ab) == "-3/2"
     assert to_json(Fraction(4), ab) == "4"
     assert to_json(INFINITY, ab) == "inf"
-    assert to_json(Word(((0, 1), (1, -1))), ab) == format_word(Word(((0, 1), (1, -1))), ab)
+    assert to_json(Word((0, 3)), ab) == format_word(Word((0, 3)), ab)
     assert to_json(m, ab) == [["1", "-1/2"], ["0", "3"]]
     assert to_json(ElementClass("loxodromic", translation_length=2), ab) == {
         "kind": "loxodromic", "order": None, "translation_length": 2, "note": None}
@@ -537,7 +585,7 @@ class _Row:
 
 def test_to_json_renders_nested_dataclasses_by_their_fields():
     ab = long_reid_pair()
-    w = Word(((0, 1), (1, -1)))
+    w = Word((0, 3))
     row = _Row(w, Mat2(1, Fraction(-1, 2), 0, 3), TreeVertex(3, -2, Fraction(5, 9)),
                ElementClass("parabolic"), PlaceSupport((2, 3)))
     rendered = {

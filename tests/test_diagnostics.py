@@ -28,8 +28,8 @@ from commlab.words import (
 )
 from helpers import necklace_oracle, trace_scan_oracle
 
-A = (0, 1)
-B = (1, 1)
+A = 0
+B = 2
 
 
 def probe_pair():
@@ -282,7 +282,7 @@ def test_probe_canonical_pair():
     assert not c3.data["strictly_decreasing"]
     assert c3.data["first_violation"] == 2
     assert c4.name == "loxodromic-word-at-p" and c4.passed
-    assert c4.data["word"] == Word(((0, 1), (1, 1)))  # g h
+    assert c4.data["word"] == Word((0, 2))  # g h
     assert c4.data["trace"] == Fraction(25, 8)
     assert c4.data["valuation"] == -3
     assert c4.data["translation_length"] == 6

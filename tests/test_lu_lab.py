@@ -26,22 +26,18 @@ from commlab.lu_lab import (
 from commlab.words import (
     Alphabet,
     Word,
-    canonical_letters,
     evaluate,
     invert_letters,
     is_reduced,
     iter_level_carrying,
-    letter_code,
     parse_word,
-    word_key,
-    word_of_codes,
 )
 from helpers import naive_relator_search
 
-A = (0, 1)
-Ai = (0, -1)
-B = (1, 1)
-Bi = (1, -1)
+A = 0
+Ai = 1
+B = 2
+Bi = 3
 
 
 def test_lu_generators_frozen():
@@ -392,16 +388,14 @@ def test_table_memory_per_entry():
 
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_packed_words_round_trip_in_canonical_order(num_gens, bits):
-    letters = canonical_letters(num_gens)
+    letters = range(2 * num_gens)
     for n in range(6):
         packed = list(iter_level_carrying(num_gens, n, 1, lambda value, c: value << bits | c))
         assert all(x.bit_length() == 1 + bits * n for x in packed)
         assert packed == sorted(packed)
-        words = [word_of_codes(_unpack_codes(x, bits)) for x in packed]
-        expected = sorted(
-            (w for w in itertools.product(letters, repeat=n) if is_reduced(w)), key=word_key
-        )
-        assert [w.letters for w in words] == expected
+        words = [_unpack_codes(x, bits) for x in packed]
+        expected = sorted(w for w in itertools.product(letters, repeat=n) if is_reduced(w))
+        assert words == expected
 
 
 _LEVEL_ALPHABETS = {
@@ -414,7 +408,7 @@ _LEVEL_ALPHABETS = {
 def _pack(letters, bits):
     packed = 1
     for l in letters:
-        packed = packed << bits | letter_code(l)
+        packed = packed << bits | l
     return packed
 
 
@@ -424,23 +418,23 @@ def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
     # keeps the first word per key. Each parent-derived inverse must be the
     # packed inverse word.
     ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
-    letter_keys = [projective_key(ab.matrix_of(l)) for l in canonical_letters(num_gens)]
+    code_keys = [projective_key(m) for m in ab.letter_matrices]
 
     def step(value, c):
         key, packed = value
-        return key_mul(key, letter_keys[c]), packed << bits | c
+        return key_mul(key, code_keys[c]), packed << bits | c
 
     keys, words, inverses = [(1, 0, 0, 1)], [1], [1]
     for n in range(7):
         if n:
-            keys, words = _extend_level(keys, words, letter_keys, bits)
+            keys, words = _extend_level(keys, words, code_keys, bits)
             inverses = list(_level_inverses(words, inverses, num_gens, bits))
         walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
         assert words == [packed for _, packed in walked]
         assert keys == [key for key, _ in walked]
         assert len(inverses) == len(words)
         for packed, inverse in zip(words, inverses):
-            letters = word_of_codes(_unpack_codes(packed, bits)).letters
+            letters = _unpack_codes(packed, bits)
             assert inverse == _pack(invert_letters(letters), bits)
 
 

@@ -13,7 +13,6 @@ from commlab.words import (
     MAX_WORD_LETTERS,
     Alphabet,
     Word,
-    canonical_letters,
     evaluate,
     format_word,
     invert,
@@ -22,19 +21,17 @@ from commlab.words import (
     iter_level,
     iter_level_with_matrices,
     iter_words,
-    letter_code,
     multiply,
     necklace_canonical,
     parse_word,
     reduce,
-    word_key,
 )
 from helpers import necklace_oracle, rand_reduced_word
 
-A = (0, 1)
-Ai = (0, -1)
-B = (1, 1)
-Bi = (1, -1)
+A = 0
+Ai = 1
+B = 2
+Bi = 3
 
 
 def two_gen_alphabet():
@@ -100,7 +97,7 @@ def test_enumeration_order_and_uniqueness():
     prev = None
     for w in iter_words(2, 4):
         assert is_reduced(w.letters)
-        key = (len(w), word_key(w.letters))
+        key = (len(w), w.letters)
         if prev is not None:
             assert prev < key
         prev = key
@@ -135,10 +132,10 @@ def test_evaluate_folds_runs_like_the_letter_by_letter_product():
     for _ in range(100):
         letters = []
         for _ in range(rng.randint(0, 5)):
-            letters += [rng.choice(canonical_letters(2))] * rng.randint(1, 6)
+            letters += [rng.choice(range(4))] * rng.randint(1, 6)
         product = Mat2.identity()
         for l in letters:
-            product = product * ab.matrix_of(l)
+            product = product * ab.letter_matrices[l]
         assert evaluate(Word(tuple(letters)), ab) == product
 
 
@@ -170,20 +167,19 @@ def test_necklace_invariance():
 # Words on 1-3 generators, unreduced as drawn; the tests also use their
 # reductions and necklace forms, since long random words are rarely either.
 _WORDS = st.integers(1, 3).flatmap(
-    lambda k: st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1))), max_size=10)
+    lambda k: st.lists(st.integers(0, 2 * k - 1), max_size=10)
 ).map(Word)
 _NECKLACE = settings(derandomize=True, max_examples=300)
 
 
-def _codes(w):
-    return tuple(letter_code(l) for l in w.letters)
-
-
 def test_letter_codes_follow_the_canonical_order():
-    letters = canonical_letters(3)
-    assert [letter_code(l) for l in letters] == list(range(6))
-    for l in letters:
-        assert letter_code(l) ^ 1 == letter_code((l[0], -l[1]))
+    abc = Alphabet(["a", "b", "c"], [Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1), Mat2(2, 0, 0, 1)])
+    names = ["a", "a^-1", "b", "b^-1", "c", "c^-1"]
+    assert [format_word(Word((c,)), abc) for c in range(6)] == names
+    assert [format_word(w, abc) for w in iter_level(3, 1)] == names
+    for c, name in enumerate(names):
+        assert parse_word(name, abc) == Word((c,))
+        assert invert(Word((c,))) == Word((c ^ 1,))
 
 
 @_NECKLACE
@@ -197,7 +193,7 @@ def test_necklace_canonical_matches_oracle(w):
 @given(_WORDS)
 def test_is_necklace_form_iff_oracle_fixes(w):
     for v in (w, reduce(w), necklace_oracle(w)):
-        assert is_necklace_form(_codes(v)) == (necklace_oracle(v) == v)
+        assert is_necklace_form(v.letters) == (necklace_oracle(v) == v)
 
 
 # ---------------------------------------------------------------- parse/format
@@ -259,5 +255,5 @@ def test_alphabet_validation():
 
 def test_alphabet_inverses_precomputed():
     ab = two_gen_alphabet()
-    assert ab.matrix_of(Ai) == Mat2(1, -2, 0, 1)
-    assert ab.matrix_of(B) * ab.matrix_of(Bi) == Mat2.identity()
+    assert ab.letter_matrices[Ai] == Mat2(1, -2, 0, 1)
+    assert ab.letter_matrices[B] * ab.letter_matrices[Bi] == Mat2.identity()
