@@ -11,6 +11,13 @@ residue: u = 0 when v_p(u) >= n, otherwise u = c * p^m with m = v_p(u)
 (possibly negative), 0 < c < p^(n-m) and gcd(c, p) = 1. The pairs (n, u) are
 in bijection with vertices only together with that residue rule. The base
 vertex v_0 = (0, 0) is the class of Z_p^2.
+
+The arithmetic runs on the integer chart (n, m, c) of u = c * p^m, with
+(n, 0, 0) for u = 0. A matrix acts through its integer form (its
+denominator is a homothety), valuations are taken of integers, and the
+residue c is a modular inverse, so act, vertex_of, distance and the orbit
+search do no Fraction arithmetic. A TreeVertex, with its Fraction u, is
+built only for a vertex handed back to the caller.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import Mat2, classify_padic, vp, _require_prime, _vp_int
+from .exact_core import Mat2, classify_padic, integer_form, vp, _require_prime, _vp_int
 from .words import Word, iter_forms
 
 
@@ -42,22 +49,101 @@ def base_vertex(p):
     return TreeVertex(p, 0, Fraction(0))
 
 
+def _split(x, p):
+    """(v_p(x), x / p^v_p(x)) for a nonzero integer x."""
+    v = 0
+    while not x % p:
+        x //= p
+        v += 1
+    return v, x
+
+
+def _chart_of(n, b, vd, ud, p):
+    """The chart (n, m, c) of the vertex [[p^n, u], [0, 1]] with
+    u = b / (ud * p^vd), for integers b and ud, ud prime to p: c * p^m is the
+    canonical residue of u modulo p^n, and (m, c) = (0, 0) when it is 0."""
+    if b:
+        m, ub = _split(b, p)
+        m -= vd
+        if m < n:
+            mod = p ** (n - m)
+            return n, m, ub * pow(ud, -1, mod) % mod
+    return n, 0, 0
+
+
+def _letter(g, p):
+    """The integer form (a, b, c, d) of g with v_p(det) and the split of c:
+    what _act needs of g, computed once per matrix."""
+    (a, b, c, d), _ = integer_form(g)
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular matrix spans no lattice")
+    return (a, b, c, d, _vp_int(det, p)) + (_split(c, p) if c else (None, 0))
+
+
+def _act(g, v, p):
+    """Chart of g applied to the vertex charted by v = (n, m, c).
+
+    The columns of g * [[p^n, u], [0, 1]] span the image lattice. Its first
+    column is p^n (a, c_g), of known valuation; the second, (a u + b, c_g u + d),
+    is scaled by p^e with e = max(0, -m), a homothety, to clear the denominator.
+    Pivot on the bottom entry of least valuation (the first column only when
+    strictly less); with D its unscaled valuation the image is
+    n' = v_p(det g) + n - 2 D and u' = top / bottom of the pivot column.
+    """
+    a, b, gc, gd, vdet, vc, uc = g
+    n, m, c = v
+    if c:
+        e = -m if m < 0 else 0
+        s = c * p ** (m + e)
+        t = p ** e
+        top, bottom = a * s + b * t, gc * s + gd * t
+    else:
+        e, top, bottom = 0, b, gd
+    if bottom:
+        vy, uy = _split(bottom, p)
+        if vc is None or vy - e <= vc + n:
+            return _chart_of(vdet + n - 2 * (vy - e), top, vy, uy, p)
+    return _chart_of(vdet - n - 2 * vc, a, vc, uc, p)
+
+
+def _distance(v, w, p):
+    """Tree distance between charted vertices: |dn - 2 min(dn, v_p(u_w - u_v) - n_v, 0)|
+    with dn = n_w - n_v, from the transition matrix [[p^dn, (u_w - u_v)/p^n_v], [0, 1]]."""
+    n1, m1, c1 = v
+    n2, m2, c2 = w
+    dn = n2 - n1
+    if c1 and c2:
+        k = min(m1, m2)
+        diff = c2 * p ** (m2 - k) - c1 * p ** (m1 - k)
+        least = min(dn, _vp_int(diff, p) + k - n1, 0) if diff else min(dn, 0)
+    elif c1 or c2:
+        least = min(dn, (m2 if c2 else m1) - n1, 0)
+    else:
+        least = min(dn, 0)
+    return abs(dn - 2 * least)
+
+
+def _chart(v):
+    """The (n, m, c) chart of a vertex, its u reduced to the canonical residue."""
+    return _chart_of(v.n, v.u.numerator, *_split(v.u.denominator, v.p), v.p)
+
+
+def _u(m, c, p):
+    return Fraction(c * p**m) if m >= 0 else Fraction(c, p**-m)
+
+
+def _vertex(p, chart):
+    n, m, c = chart
+    return TreeVertex(p, n, _u(m, c, p))
+
+
 def canonical_residue(u, n, p):
     """The canonical representative of u + p^n Z_(p)."""
+    _require_prime(p)
     u = Fraction(u)
-    if u == 0:
-        return Fraction(0)
-    m = vp(u, p)
-    if m >= n:
-        return Fraction(0)
-    # unit part of u is A/B with both prime to p
-    if m >= 0:
-        A, B = u.numerator // p**m, u.denominator
-    else:
-        A, B = u.numerator, u.denominator // p ** (-m)
-    mod = p ** (n - m)
-    c = A * pow(B, -1, mod) % mod
-    return Fraction(c) * Fraction(p) ** m
+    _, m, c = _chart_of(n, u.numerator, *_split(u.denominator, p), p)
+    return _u(m, c, p)
 
 
 def rep_matrix(v):
@@ -70,22 +156,17 @@ def vertex_of(m, p):
 
     Column operations over Z_p preserve the lattice: pivot on the bottom-row
     entry of least valuation, rescale by it (a homothety), then clear the
-    other column. What remains is [[det/d^2, b/d], [0, 1]] up to units.
+    other column. What remains is [[det/d^2, b/d], [0, 1]] up to units. This
+    is the image of the base vertex under m.
     """
     _require_prime(p)
-    det = m.det()
-    if det == 0:
-        raise ValueError("singular matrix spans no lattice")
-    a, b, c, d = m.entries()
-    if vp(c, p) < vp(d, p):
-        a, b, c, d = b, a, d, c
-    n = vp(det / (d * d), p)
-    return TreeVertex(p, n, canonical_residue(b / d, n, p))
+    return _vertex(p, _act(_letter(m, p), (0, 0, 0), p))
 
 
 def act(g, v):
     """Image vertex of v under g in GL(2, Q)."""
-    return vertex_of(g * rep_matrix(v), v.p)
+    _require_prime(v.p)
+    return _vertex(v.p, _act(_letter(g, v.p), _chart(v), v.p))
 
 
 def distance(v, w):
@@ -93,10 +174,8 @@ def distance(v, w):
     transition matrix between representative lattices."""
     if v.p != w.p:
         raise ValueError("vertices live on different trees")
-    p = v.p
-    m = rep_matrix(v).inverse() * rep_matrix(w)
-    least = min(vp(e, p) for e in m.entries() if e != 0)
-    return abs(vp(m.det(), p) - 2 * least)
+    _require_prime(v.p)
+    return _distance(_chart(v), _chart(w), v.p)
 
 
 def neighbors(v):
@@ -181,26 +260,30 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
     _require_prime(p)
     if base is None:
         base = base_vertex(p)
+    if base.p != p:
+        raise ValueError("base vertex lives on a different tree")
     witness = first_loxodromic(alphabet, p, 2)
     if witness is not None:
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
-    seen = {base}
-    order = [base]
-    frontier = deque([base])
+    letters = [_letter(g, p) for g in alphabet.letter_matrices]
+    start = _chart(base)
+    seen = {start}
+    order = [start]
     radius_seen = 0
-    while frontier:
-        v = frontier.popleft()
-        for g in alphabet.letter_matrices:
-            w = act(g, v)
+    for v in order:  # breadth-first: order grows behind the loop
+        for g in letters:
+            w = _act(g, v, p)
             if w in seen:
                 continue
-            d = distance(base, w)
+            d = _distance(start, w, p)
             if d > max_radius:
                 return OrbitResult("inconclusive", None, max_radius, None, max_radius)
             radius_seen = max(radius_seen, d)
             seen.add(w)
             order.append(w)
-            frontier.append(w)
+    del seen  # the largest object goes before the rows are built
+    for i, w in enumerate(order):
+        order[i] = _vertex(p, w)
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
 
 

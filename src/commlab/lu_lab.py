@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import Mat2, key_inverse, key_mul, projective_key
+from .report import frac_str
 from .words import Alphabet, Word, evaluate, necklace_canonical, reduce
 
 
@@ -79,7 +80,7 @@ def pingpong(q):
     if abs(q) < 4:
         return PingpongResult(False, False, abs(q), ("|q| < 4: ping-pong estimate not available",), q)
     steps = (
-        f"|q| = {abs(q)} >= 4",
+        f"|q| = {frac_str(abs(q))} >= 4",
         "balanced form has m^2 = |q|, so m >= 2",
         "for k != 0: |x + k*m*y| >= m|y| - |x| > |y| whenever |x| < |y|",
         "the two parabolic subgroups play ping-pong on the height-ordered halves of R^2",

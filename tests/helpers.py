@@ -5,7 +5,13 @@ from fractions import Fraction
 
 from collections import deque
 
-from commlab.bt_tree import OrbitResult, act, base_vertex, distance, translation_length
+from commlab.bt_tree import (
+    OrbitResult,
+    TreeVertex,
+    base_vertex,
+    rep_matrix,
+    translation_length,
+)
 from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
@@ -177,6 +183,61 @@ def probe_check4_oracle(alphabet, p, max_word_len):
     return check4
 
 
+# Reference tree primitives: the Fraction bodies the library ran before its
+# vertices moved to integer charts, kept verbatim but for the oracle names.
+
+def canonical_residue_oracle(u, n, p):
+    """The canonical representative of u + p^n Z_(p)."""
+    u = Fraction(u)
+    if u == 0:
+        return Fraction(0)
+    m = vp(u, p)
+    if m >= n:
+        return Fraction(0)
+    # unit part of u is A/B with both prime to p
+    if m >= 0:
+        A, B = u.numerator // p**m, u.denominator
+    else:
+        A, B = u.numerator, u.denominator // p ** (-m)
+    mod = p ** (n - m)
+    c = A * pow(B, -1, mod) % mod
+    return Fraction(c) * Fraction(p) ** m
+
+
+def vertex_of_oracle(m, p):
+    """The vertex spanned by the columns of an invertible matrix.
+
+    Column operations over Z_p preserve the lattice: pivot on the bottom-row
+    entry of least valuation, rescale by it (a homothety), then clear the
+    other column. What remains is [[det/d^2, b/d], [0, 1]] up to units.
+    """
+    _require_prime(p)
+    det = m.det()
+    if det == 0:
+        raise ValueError("singular matrix spans no lattice")
+    a, b, c, d = m.entries()
+    if vp(c, p) < vp(d, p):
+        a, b, c, d = b, a, d, c
+    n = vp(det / (d * d), p)
+    return TreeVertex(p, n, canonical_residue_oracle(b / d, n, p))
+
+
+def act_oracle(g, v):
+    """Image vertex of v under g in GL(2, Q)."""
+    return vertex_of_oracle(g * rep_matrix(v), v.p)
+
+
+def distance_oracle(v, w):
+    """Tree distance: the gap between the elementary divisor exponents of the
+    transition matrix between representative lattices."""
+    if v.p != w.p:
+        raise ValueError("vertices live on different trees")
+    p = v.p
+    m = rep_matrix(v).inverse() * rep_matrix(w)
+    least = min(vp(e, p) for e in m.entries() if e != 0)
+    return abs(vp(m.det(), p) - 2 * least)
+
+
 def orbit_oracle(alphabet, p, max_radius, base=None):
     """Breadth-first orbit; on escape, the full scan of words of length
     <= 2*max_radius for a loxodromic witness."""
@@ -195,10 +256,10 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
     while frontier and not escaped:
         v = frontier.popleft()
         for g in gens:
-            w = act(g, v)
+            w = act_oracle(g, v)
             if w in seen:
                 continue
-            d = distance(base, w)
+            d = distance_oracle(base, w)
             if d > max_radius:
                 escaped = True
                 break

@@ -1,9 +1,12 @@
 """Bruhat-Tits tree: vertex chart, metric, action, orbits, pigeonhole."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from commlab.bt_tree import (
     PigeonholeBudgetError,
@@ -21,10 +24,18 @@ from commlab.bt_tree import (
     translation_length,
     vertex_of,
 )
-from commlab.exact_core import Mat2
+from commlab.cli import main
+from commlab.exact_core import Mat2, vp
 from commlab.lu_lab import lu_generators
 from commlab.words import Alphabet, Word, evaluate, iter_words_with_matrices
-from helpers import rand_frac
+from helpers import (
+    act_oracle,
+    canonical_residue_oracle,
+    distance_oracle,
+    orbit_oracle,
+    rand_frac,
+    vertex_of_oracle,
+)
 
 
 def rand_int_sl2(rng, steps=4, bound=3):
@@ -72,6 +83,92 @@ def test_canonical_residue_is_a_residue():
         # translating by p^n does not change it
         t = rng.randint(-5, 5)
         assert canonical_residue(u + t * Fraction(p) ** n, n, p) == c
+
+
+# ------------------------------------------------- charts against oracles
+
+_PRIMES = st.sampled_from((2, 3, 5, 7))
+
+
+def _smooth(exponents):
+    return 2 ** exponents[0] * 3 ** exponents[1] * 5 ** exponents[2] * 7 ** exponents[3]
+
+
+# p-powers in numerators and denominators give negative n and m; zeros give
+# u = 0 and the column swap at d = 0
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 4)
+_ENTRIES = st.builds(lambda s, k, j: Fraction(s * _smooth(k), _smooth(j)),
+                     st.integers(-4, 4), _EXPONENTS, _EXPONENTS)
+_GL2Q = st.builds(Mat2, _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES).filter(lambda m: m.det() != 0)
+_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, phases=(Phase.generate,))
+
+
+@st.composite
+def _vertices(draw, p):
+    """A vertex with any n in -4..4 and u any rational, canonical or not."""
+    n = draw(st.integers(-4, 4))
+    u = draw(_ENTRIES)
+    if draw(st.booleans()):
+        u = canonical_residue_oracle(u, n, p)
+    return TreeVertex(p, n, u)
+
+
+@_SETTINGS
+@given(_PRIMES, _ENTRIES, st.integers(-5, 5))
+def test_canonical_residue_matches_the_fraction_oracle(p, u, n):
+    assert canonical_residue(u, n, p) == canonical_residue_oracle(u, n, p)
+
+
+@_SETTINGS
+@given(_PRIMES, _GL2Q)
+def test_vertex_of_matches_the_fraction_oracle(p, m):
+    assert vertex_of(m, p) == vertex_of_oracle(m, p)
+
+
+@_SETTINGS
+@given(_PRIMES.flatmap(lambda p: st.tuples(_GL2Q, _vertices(p), _vertices(p))))
+def test_act_and_distance_match_the_fraction_oracles(args):
+    g, v, w = args
+    assert act(g, v) == act_oracle(g, v)
+    assert distance(v, w) == distance_oracle(v, w)
+    assert distance(v, base_vertex(v.p)) == distance_oracle(v, base_vertex(v.p))
+
+
+def _gl2_zp(p):
+    """Integer matrices with det prime to p: GL(2, Z_p) points."""
+    e = st.integers(-9, 9)
+    return st.builds(Mat2, e, e, e, e).filter(lambda k: k.det() % p != 0)
+
+
+@_SETTINGS
+@given(_PRIMES.flatmap(lambda p: st.tuples(st.just(p), _GL2Q, _gl2_zp(p))))
+def test_vertex_of_is_invariant_under_gl2_zp(args):
+    # right multiplication by GL(2, Z_p) changes the basis, not the lattice
+    p, m, k = args
+    assert vertex_of(m * k, p) == vertex_of(m, p)
+
+
+# Each case reaches one branch of the chart code, as its predicate on the
+# matrix m and the oracle's vertex v checks; the oracle decides the answer.
+_BRANCH_CASES = {
+    "negative n": (Mat2(Fraction(1, 9), 0, 0, 1), 3, lambda m, v: v.n < 0),
+    "negative m": (Mat2(1, Fraction(1, 25), 0, 1), 5, lambda m, v: v.u != 0 and vp(v.u, 5) < 0),
+    "u = 0": (Mat2(4, 12, 0, 1), 2, lambda m, v: v.u == 0),
+    "odd v_p(det)": (Mat2(1, 1, 0, 7), 7, lambda m, v: v.n % 2 == 1),
+    "swap at d = 0": (Mat2(1, 3, 2, 0), 3, lambda m, v: m.d == 0),
+    "swap at v_p(c) < v_p(d)": (Mat2(1, Fraction(1, 2), 1, 4), 2, lambda m, v: vp(m.c, 2) < vp(m.d, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+def test_chart_branches_match_the_fraction_oracles(name):
+    m, p, reached = _BRANCH_CASES[name]
+    v = vertex_of_oracle(m, p)
+    assert reached(m, v)
+    assert vertex_of(m, p) == v
+    w = TreeVertex(p, -2, Fraction(3, p**3))
+    assert act(m, w) == act_oracle(m, w)
+    assert distance(v, w) == distance_oracle(v, w)
 
 
 # ---------------------------------------------------------------- vertices
@@ -253,6 +350,60 @@ def test_orbit_bounded_inconclusive_budget():
     res = orbit_bounded(ab, 2, 1)
     assert res.status == "inconclusive"
     assert res.witness is None
+
+
+def _conjugated_sl2z(p, k, seed):
+    """A seeded SL(2, Z) conjugate of <[[1, p^-k], [0, 1]], [[1, 0], [p^k, 1]]>:
+    it fixes a vertex at distance k from v_0, whose orbit is the whole sphere
+    of radius k about it, (p + 1) p^(k - 1) vertices, up to 2k from v_0."""
+    m = rand_int_sl2(random.Random(seed))
+    gens = (Mat2(1, Fraction(1, p**k), 0, 1), Mat2(1, 0, p**k, 1))
+    return Alphabet(("a", "b"), tuple(m * g * m.inverse() for g in gens))
+
+
+_FAMILY = [(p, k) for p in (2, 3, 5) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,k", _FAMILY)
+def test_orbit_of_a_conjugated_sl2z_matches_the_oracle(p, k):
+    ab = _conjugated_sl2z(p, k, seed=10 * p + k)
+    res = orbit_bounded(ab, p, 2 * k)
+    assert res == orbit_oracle(ab, p, 2 * k)
+    assert (res.status, len(res.orbit), res.radius_seen) == ("bounded", (p + 1) * p ** (k - 1), 2 * k)
+    for radius in (1, 2 * k - 1) if k == 2 else (1,):
+        res = orbit_bounded(ab, p, radius)
+        assert res.status == "inconclusive"
+        assert res == orbit_oracle(ab, p, radius)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+def test_orbit_from_another_base_matches_the_oracle(p, k):
+    ab = _conjugated_sl2z(p, k, seed=p + k)
+    for base in (TreeVertex(p, -1, Fraction(1, p * p)), TreeVertex(p, 2, 1)):
+        res = orbit_bounded(ab, p, 4 * k + 6, base=base)
+        assert res.status == "bounded" and res.orbit[0] == base
+        assert res == orbit_oracle(ab, p, 4 * k + 6, base=base)
+
+
+def test_orbit_base_on_another_tree_rejected():
+    with pytest.raises(ValueError):
+        orbit_bounded(Alphabet(("a",), (Mat2(1, 0, 1, 1),)), 2, 3, base=base_vertex(3))
+
+
+@pytest.mark.parametrize("p,k", _FAMILY)
+def test_tree_orbit_cli_on_a_conjugated_sl2z(capsys, tmp_path, p, k):
+    ab = _conjugated_sl2z(p, k, seed=p * k)
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": n, "matrix": [[str(e) for e in row] for row in m.rows()]}
+        for n, m in zip(ab.names, ab.matrices)
+    ]}), encoding="utf-8")
+    code = main(["tree", "orbit", "--gens", str(gens), "--p", str(p), "--radius", str(2 * k)])
+    res = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 0
+    assert (res["status"], res["orbit_size"], res["radius_seen"]) == (
+        "bounded", (p + 1) * p ** (k - 1), 2 * k)
+    assert len(set(res["orbit"])) == res["orbit_size"]
 
 
 # ---------------------------------------------------------------- pigeonhole

@@ -341,6 +341,21 @@ def test_tree_length_fails_the_digit_limit_fast(capsys):
     assert "printable digit limit" in doc["error"]["message"]
 
 
+def test_pingpong_past_the_digit_limit_is_a_parameter_error(capsys, monkeypatch):
+    # 1e4300 parses (its exponent is at the limit), but |q| has 4301 digits
+    code, out, _ = run(capsys, ["lu", "pingpong", "--q", "1e4300"])
+    assert code == 2
+    doc = check_schema(out)
+    assert doc["error"] == {
+        "code": "parameter",
+        "message": f"exact entries exceed the printable digit limit ({LIMIT} digits)",
+    }
+    monkeypatch.chdir(REPO)
+    code, out, _ = run(capsys, GOLDEN_CASES["pingpong_q4.json"])
+    assert code == 0
+    assert normalize(out) == (GOLDEN / "pingpong_q4.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in HUGE_EXPONENTS])
 def test_huge_exponents_are_refused_fast(capsys, tmp_path, argv):
     argv = _with_files(argv, tmp_path)
