@@ -189,7 +189,9 @@ def neighbors(v):
 
 
 def ball(center, radius):
-    """Vertices within the radius, as a dict vertex -> distance, BFS order."""
+    """Vertices within the radius, as a dict vertex -> distance, BFS order.
+    The center is keyed by its canonical chart, as every neighbor is."""
+    center = _vertex(center.p, _chart(center))
     out = {center: 0}
     frontier = deque([center])
     while frontier:
@@ -321,6 +323,7 @@ def commutator_pigeonhole(x, y, v, p=None, n_max=None):
         p = v.p
     if p != v.p:
         raise ValueError("p disagrees with the vertex")
+    v = _vertex(p, _chart(v))  # act returns canonical charts; compare like with like
     if act(y, v) != v:
         raise ValueError("y must fix v")
     w = act(x.inverse(), v)

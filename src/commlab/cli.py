@@ -1,21 +1,19 @@
-"""Command line interface. Reports go to stdout as canonical JSON; progress
-chatter goes to stderr. Exit codes: 0 success, 2 parameter problems (with a
-machine-readable error object), 3 inconclusive because a search budget ran
-out.
+"""Exact-arithmetic lab for discreteness, freeness and irreducibility
+experiments on explicit matrix groups. Reports go to stdout as canonical
+JSON; progress chatter goes to stderr. Exit codes: 0 success, 2 parameter
+problems (with a machine-readable error object), 3 inconclusive because a
+search budget ran out.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import re
 import sys
 import time
 from fractions import Fraction
-
-import click
 
 from .bt_tree import orbit_bounded, translation_length
 from .diagnostics import (
@@ -120,11 +118,27 @@ def dump_generator_file(alphabet):
     ))
 
 
+class Option:
+    """`--flag VALUE`: an int or a str (one of choices), the command's dest argument."""
+
+    def __init__(self, flag, kind=str, dest=None, required=False, default=None, choices=None, help=""):
+        self.flag, self.kind, self.required, self.default = flag, kind, required, default
+        self.dest, self.choices, self.help = dest or flag[2:].replace("-", "_"), choices, help
+
+    def convert(self, text):
+        try:
+            value = self.kind(text)
+        except ValueError:  # only int can refuse a str
+            raise ParameterError(f"{self.flag} must be an integer, got {text!r}")
+        if self.choices is not None and value not in self.choices:
+            raise ParameterError(f"{self.flag} must be one of {', '.join(self.choices)}, got {text!r}")
+        return value
+
+
 SOURCE_OPTIONS = (
-    click.option("--builtin", "builtin", type=click.Choice(BUILTINS), default=None,
-                 help="Use a named builtin generator set."),
-    click.option("--q", "q_text", type=str, default=None, help="Use the two-parabolic pair Delta_q."),
-    click.option("--gens", "gens_path", type=str, default=None, help="Generator file (JSON)."),
+    Option("--builtin", choices=BUILTINS, help="Use a named builtin generator set."),
+    Option("--q", dest="q_text", help="Use the two-parabolic pair Delta_q."),
+    Option("--gens", dest="gens_path", help="Generator file (JSON)."),
 )
 
 
@@ -147,6 +161,14 @@ def _witness(word, alphabet, classify):
     return {"word": word, "matrix": m, "classification": classify(m)}
 
 
+GROUPS = {
+    "lu": "Two-parabolic groups Delta_q = <[[1,0],[1,1]], [[1,q],[0,1]]>.",
+    "tree": "Bruhat-Tits tree computations for PGL(2, Q_p).",
+    "diag": "Irreducibility diagnostics for S-arithmetic subgroups of SL(2, Q).",
+}
+COMMANDS = {group: {} for group in GROUPS}  # group -> name -> (run, options, summary)
+
+
 def command(group, name, *options, source=True):
     """Register the decorated function as `group name`, with its options.
 
@@ -156,7 +178,6 @@ def command(group, name, *options, source=True):
     ValueError (a bad option, a library range check, the digit limit) becomes
     a parameter error with exit 2."""
     def decorate(fn):
-        @functools.wraps(fn)
         def run(**kwargs):
             started = time.monotonic()
             alphabet, src = None, {}
@@ -167,50 +188,36 @@ def command(group, name, *options, source=True):
                     kwargs["alphabet"] = alphabet
                 params, results, witnesses, *code = fn(**kwargs)
                 ms = max(0, int(round((time.monotonic() - started) * 1000)))
-                report = to_json(build_report(f"{group.name} {name}", dict(src, **params),
+                report = to_json(build_report(f"{group} {name}", dict(src, **params),
                                               results, witnesses, ms), alphabet)
             except ValueError as e:
                 report = error_report("parameter", str(e), getattr(e, "detail", None))
                 code = [2]
-            click.echo(dumps_canonical(report), nl=False)
+            sys.stdout.write(dumps_canonical(report))
             return code[0] if code else 0
 
-        # click lists options in the reverse of the order they are applied
-        for option in reversed((SOURCE_OPTIONS if source else ()) + options):
-            run = option(run)
-        return group.command(name)(run)
+        COMMANDS[group][name] = (run, (SOURCE_OPTIONS if source else ()) + options, fn.__doc__)
+        return fn
 
     return decorate
 
 
-@click.group()
-def cli():
-    """Exact-arithmetic lab for discreteness, freeness and irreducibility
-    experiments on explicit matrix groups."""
-
-
-@cli.group()
-def lu():
-    """Two-parabolic groups Delta_q = <[[1,0],[1,1]], [[1,q],[0,1]]>."""
-
-
-@command(lu, "knapp", click.option("--q", "q_text", type=str, required=True), source=False)
+@command("lu", "knapp", Option("--q", dest="q_text", required=True), source=False)
 def lu_knapp(q_text):
     """Knapp discreteness verdict inside the window 0 < |q| < 4."""
     q = _parse_fraction(q_text, "--q")
     return {"q": q}, [knapp(q)], []
 
 
-@command(lu, "pingpong", click.option("--q", "q_text", type=str, required=True), source=False)
+@command("lu", "pingpong", Option("--q", dest="q_text", required=True), source=False)
 def lu_pingpong(q_text):
     """Ping-pong freeness certificate for |q| >= 4."""
     q = _parse_fraction(q_text, "--q")
     return {"q": q}, [pingpong(q)], []
 
 
-@command(lu, "relators",
-         click.option("--max-len", type=int, required=True),
-         click.option("--mem-cap", type=int, default=None, help="Table budget in bytes."))
+@command("lu", "relators", Option("--max-len", int, required=True),
+         Option("--mem-cap", int, help="Table budget in bytes."))
 def lu_relators(alphabet, max_len, mem_cap):
     """Shortest relator (word with scalar image), meet-in-the-middle."""
     if max_len < 2:
@@ -219,7 +226,7 @@ def lu_relators(alphabet, max_len, mem_cap):
         raise ParameterError("--mem-cap must be >= 1")
 
     def progress(level, words, table):
-        click.echo(f"level {level}: {words} words, table {table}", err=True)
+        print(f"level {level}: {words} words, table {table}", file=sys.stderr)
 
     res = relator_search(alphabet, max_len, mem_cap=mem_cap, progress=progress)
     results = [dict(vars(res), relator_length=res.relator and len(res.relator),
@@ -230,14 +237,8 @@ def lu_relators(alphabet, max_len, mem_cap):
             3 if res.status == "inconclusive" else 0)
 
 
-@cli.group()
-def tree():
-    """Bruhat-Tits tree computations for PGL(2, Q_p)."""
-
-
-@command(tree, "orbit",
-         click.option("--p", type=int, required=True),
-         click.option("--radius", type=int, required=True))
+@command("tree", "orbit", Option("--p", int, required=True),
+         Option("--radius", int, required=True))
 def tree_orbit(alphabet, p, radius):
     """Bounded-orbit test for the base vertex under the generated group."""
     p = _parse_prime(p)
@@ -259,9 +260,8 @@ def tree_orbit(alphabet, p, radius):
             3 if res.status == "inconclusive" else 0)
 
 
-@command(tree, "length",
-         click.option("--p", type=int, required=True),
-         click.option("--word", "word_text", type=str, required=True))
+@command("tree", "length", Option("--p", int, required=True),
+         Option("--word", dest="word_text", required=True))
 def tree_length(alphabet, p, word_text):
     """Translation length of a word on the tree at p."""
     p = _parse_prime(p)
@@ -280,28 +280,21 @@ def tree_length(alphabet, p, word_text):
     return {"p": p, "word": word_text}, results, [witness]
 
 
-@cli.group()
-def diag():
-    """Irreducibility diagnostics for S-arithmetic subgroups of SL(2, Q)."""
-
-
-@command(diag, "places")
+@command("diag", "places")
 def diag_places(alphabet):
     """Place support: primes dividing any generator denominator."""
     return {}, [place_support(alphabet)], []
 
 
-@command(diag, "density")
+@command("diag", "density")
 def diag_density(alphabet):
     """Zariski density of the generated subgroup of SL_2."""
     return {}, [density_report(alphabet)], []
 
 
-@command(diag, "traces",
-         click.option("--primes", "primes_text", type=str, default=None,
-                      help="Comma-separated; defaults to the place support."),
-         click.option("--max-len", type=int, required=True),
-         click.option("--csv", "csv_path", type=str, default=None))
+@command("diag", "traces",
+         Option("--primes", dest="primes_text", help="Comma-separated; defaults to the place support."),
+         Option("--max-len", int, required=True), Option("--csv", dest="csv_path"))
 def diag_traces(alphabet, primes_text, max_len, csv_path):
     """Integral-trace scan over necklace classes of words."""
     if max_len < 1:
@@ -351,9 +344,8 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
     return {"primes": primes, "max_len": max_len, "csv": csv_path}, results, []
 
 
-@command(diag, "irreducible",
-         click.option("--max-len", type=int, default=6),
-         click.option("--radius", type=int, default=3))
+@command("diag", "irreducible", Option("--max-len", int, default=6),
+         Option("--radius", int, default=3))
 def diag_irreducible(alphabet, max_len, radius):
     """Per-place indiscreteness witnesses plus the product-level summary."""
     if max_len < 1 or radius < 1:
@@ -364,10 +356,8 @@ def diag_irreducible(alphabet, max_len, radius):
     return {"max_len": max_len, "radius": radius}, [rep], witnesses
 
 
-@command(diag, "probe",
-         click.option("--p", type=int, required=True),
-         click.option("--iterations", type=int, default=5),
-         click.option("--max-word-len", type=int, default=6))
+@command("diag", "probe", Option("--p", int, required=True),
+         Option("--iterations", int, default=5), Option("--max-word-len", int, default=6))
 def diag_probe(alphabet, p, iterations, max_word_len):
     """Four-check probe of a candidate irreducible two-generator pair."""
     p = _parse_prime(p)
@@ -387,13 +377,62 @@ def diag_probe(alphabet, p, iterations, max_word_len):
 
 
 def main(argv=None):
+    """Run `GROUP COMMAND --flag VALUE ...` and return its exit code. An
+    option's value is the next token even if it starts with "-"; a repeated
+    option keeps its last value; --help prints the usage and returns 0."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    path = []
     try:
-        # non-standalone click returns the command's exit code, and 0 for --help
-        rv = cli.main(args=argv, standalone_mode=False)
-        return rv if isinstance(rv, int) else 0
-    except click.UsageError as e:
-        click.echo(dumps_canonical(error_report("parameter", e.format_message())), nl=False)
+        for kind in ("group", "command"):
+            names = COMMANDS[path[0]] if path else GROUPS
+            if args[:1] == ["--help"]:
+                return _help(path)
+            if not args or args[0] not in names:
+                raise ParameterError(f"no such {kind} {args[0]!r}" if args
+                                     else f"missing {kind}: one of {', '.join(names)}")
+            path.append(args.pop(0))
+        run, options, _ = COMMANDS[path[0]][path[1]]
+        kwargs = _parse_options(iter(args), options)
+    except ParameterError as e:
+        sys.stdout.write(dumps_canonical(error_report("parameter", str(e))))
         return 2
+    return _help(path) if kwargs is None else run(**kwargs)
+
+
+def _parse_options(tokens, options):
+    """The command's keyword arguments from the tokens, or None for --help."""
+    flags, given = {o.flag for o in options}, {}
+    for token in tokens:
+        if token == "--help":
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ParameterError(f"no such option {flag!r}" if token.startswith("-")
+                                 else f"unexpected argument {token!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ParameterError(f"option {flag!r} needs a value")
+        given[flag] = value
+    for o in options:
+        if o.required and o.flag not in given:
+            raise ParameterError(f"missing option {o.flag!r}")
+    return {o.dest: o.convert(given[o.flag]) if o.flag in given else o.default for o in options}
+
+
+def _help(path):
+    """Print the usage of the group or command at path; exit code 0."""
+    if len(path) == 2:
+        _, options, doc = COMMANDS[path[0]][path[1]]
+        rows = [(f"{o.flag} " + ("|".join(o.choices or ()) or {int: "INTEGER"}.get(o.kind, "TEXT")),
+                 o.help + " [required]" * o.required) for o in options]
+    else:
+        doc = GROUPS[path[0]] if path else __doc__.strip().replace("\n", "\n  ")
+        rows = [(n, entry[2]) for n, entry in COMMANDS[path[0]].items()] if path else list(GROUPS.items())
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(name) for name, _ in rows) + 2
+    usage = " ".join(["commlab", *path, *["GROUP", "COMMAND"][len(path):], "[OPTIONS]"])
+    sys.stdout.write(f"Usage: {usage}\n\n  {doc}\n\n"
+                     + "".join(f"  {name:{width}}{text.strip()}".rstrip() + "\n" for name, text in rows))
+    return 0
 
 
 if __name__ == "__main__":

@@ -288,7 +288,7 @@ def irreducibility_report(alphabet, max_len=6, radius=3):
     q = _lu_parameter(alphabet)
     if q is not None:
         if abs(q) >= 4:
-            note = f"free and discrete at the real place by ping-pong (|q| = {abs(q)} >= 4)"
+            note = f"free and discrete at the real place by ping-pong (|q| = {frac_str(abs(q))} >= 4)"
         elif (kv := knapp(q)).verdict == "discrete":
             note = f"discrete at the real place (Knapp parameter n = {kv.n})"
         else:

@@ -273,6 +273,15 @@ def test_ball_sizes(p, sizes):
             assert distance(base_vertex(p), v) == d
 
 
+def test_ball_of_a_non_canonical_center():
+    # u = 3 and u = 1 chart one vertex at n = 1, p = 2
+    v, canon = TreeVertex(2, 1, 3), TreeVertex(2, 1, 1)
+    assert v != canon and distance(v, canon) == 0
+    for r in range(4):
+        assert ball(v, r) == ball(canon, r)
+    assert len(ball(v, 2)) == 10
+
+
 # ------------------------------------------------------- translation lengths
 
 def test_translation_length_frozen():
@@ -443,6 +452,16 @@ def test_pigeonhole_requires_fixed_vertex():
         commutator_pigeonhole(x, y, base_vertex(2))  # y moves v_0
     with pytest.raises(ValueError):
         commutator_pigeonhole(x, y, fixed_vertex_of_b(), p=3)
+
+
+def test_pigeonhole_at_a_non_canonical_vertex():
+    # [[1, 2], [0, 1]] fixes the vertex that TreeVertex(2, 1, 3) and
+    # TreeVertex(2, 1, 1) both chart; x = [[1, 0], [1, 1]] moves it
+    x, y = Mat2(1, 0, 1, 1), Mat2(1, 2, 0, 1)
+    v, canon = TreeVertex(2, 1, 3), TreeVertex(2, 1, 1)
+    res = commutator_pigeonhole(x, y, v)
+    assert res == commutator_pigeonhole(x, y, canon)
+    assert res.radius > 0 and act(res.z, v) == canon
 
 
 def test_pigeonhole_budget_error():

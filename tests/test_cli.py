@@ -4,17 +4,27 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from commlab.bt_tree import TreeVertex
-from commlab.cli import _parse_fraction, dump_generator_file, load_generator_file, main
+from commlab.cli import (
+    COMMANDS,
+    GROUPS,
+    _parse_fraction,
+    dump_generator_file,
+    load_generator_file,
+    main,
+)
 from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
 from commlab.report import dumps_canonical, to_json
@@ -540,6 +550,64 @@ def test_irreducible_exits_zero_even_when_inconclusive(capsys):
     assert places[0]["status"] == "inconclusive"
 
 
+# ---------------------------------------------------------------- argv parser
+
+def test_negative_option_values(capsys):
+    reports = []
+    for argv in (["--q", "-9/2"], ["--q=-9/2"]):
+        code, out, _ = run(capsys, ["lu", "pingpong", *argv])
+        assert code == 0
+        reports.append(normalize(out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["params"]["q"] == "-9/2"
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    code, out, _ = run(capsys, ["lu", "knapp", "--q", "5", "--q", "x", "--q", "2"])
+    assert code == 0
+    assert normalize(out) == (GOLDEN / "knapp_q2.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, expect", [
+    ([], ["Usage: commlab GROUP COMMAND [OPTIONS]", "Exact-arithmetic lab", "Exit codes",
+          "lu ", "tree ", "diag "]),
+    (["lu"], ["Usage: commlab lu COMMAND [OPTIONS]", "Two-parabolic groups",
+              "knapp ", "pingpong ", "relators "]),
+    (["diag", "probe", "--p", "2"], ["Usage: commlab diag probe [OPTIONS]",
+                                     "--builtin long-reid", "--p INTEGER [required]",
+                                     "--iterations INTEGER --max-word-len INTEGER --help"]),
+])
+def test_help_at_each_level(capsys, argv, expect):
+    code, out, _ = run(capsys, argv + ["--help"])
+    assert code == 0
+    out = " ".join(out.split())
+    for text in expect:
+        assert text in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing group: one of lu, tree, diag"),
+    (["nope"], "no such group 'nope'"),
+    (["lu"], "missing command: one of knapp, pingpong, relators"),
+    (["lu", "nope"], "no such command 'nope'"),
+    (["lu", "knapp"], "missing option '--q'"),
+    (["lu", "knapp", "--x", "1"], "no such option '--x'"),
+    (["lu", "knapp", "--x=1"], "no such option '--x'"),
+    (["lu", "knapp", "-q", "2"], "no such option '-q'"),
+    (["lu", "knapp", "--q"], "option '--q' needs a value"),
+    (["tree", "orbit", "--q", "1/2", "--p", "x", "--radius", "2"], "--p must be an integer, got 'x'"),
+    (["tree", "orbit", "--q", "1/2", "--p=2", "--radius=1e3"],
+     "--radius must be an integer, got '1e3'"),
+    (["diag", "places", "--builtin", "foo"], "--builtin must be one of long-reid, got 'foo'"),
+    (["lu", "knapp", "--q", "2", "extra"], "unexpected argument 'extra'"),
+])
+def test_usage_errors_name_the_token(capsys, argv, message):
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert check_schema(out)["error"] == {"code": "parameter", "message": message}
+
+
 # ---------------------------------------------------------------- progress
 
 @pytest.mark.parametrize("argv, summary", [
@@ -639,3 +707,92 @@ def test_golden(capsys, monkeypatch, fname):
     assert isinstance(doc["timing_ms"], int) and doc["timing_ms"] >= 0
     expect = (GOLDEN / fname).read_text(encoding="utf-8")
     assert normalize(out) == expect
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+def _fuzz_values():
+    data, huge, prime = REPO / "tests" / "data", str(10**40), str(10**18 + 3)
+    small = [str(n) for n in range(-2, 7)]
+    return {
+        "--q": ["2", "-9/2", "1/2", "1/3", "0", "4", "1e4300", "1e-4300", huge, "-" + huge, "1/0",
+                "1/" + prime],
+        "--builtin": ["long-reid"],
+        "--gens": [str(data / "long_reid.json"), str(data / "probe_pair.json"), str(data),
+                   str(REPO / "missing.json")],
+        "--p": ["2", "3", "5", "-3", "4", prime, str(10**30)],
+        "--word": ["a", "a b^2 A", "b^-1 a", "c", "a^0", "b^300000000", "-a"],
+        "--primes": ["2", "2,3", "3,2", "4", "2,2", prime],
+        "--max-len": small, "--radius": small[:6], "--iterations": small[:6],
+        "--max-word-len": small, "--mem-cap": ["1", "600", "0", "-1", huge],
+        "--csv": ["hits.csv", str(REPO / "tests"), str(REPO / "missing" / "x.csv")],
+    }
+
+
+FUZZ_VALUES = _fuzz_values()
+FUZZ_JUNK = ["", "x", "--help", "1e4300", "-" + str(10**40)]
+# real commands four times as often as broken heads
+FUZZ_HEADS = [[group, name] for group in GROUPS for name in COMMANDS[group]] * 4 + [
+    [], ["nope"], ["lu"], ["lu", "nope"], ["--help"], ["diag", "--help"]]
+
+
+def _option_tokens(flag):
+    valid = FUZZ_VALUES.get(flag, [])
+    values = st.sampled_from(valid * (12 // max(1, len(valid)) + 1) + FUZZ_JUNK)  # junk 1 in 4 or fewer
+    return st.one_of(values.map(lambda v: [flag, v]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+# A stray token is never a bare value, so a stray flag consumes a flag or
+# junk and every size stays within its small pool.
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(sorted(FUZZ_VALUES) + ["--x"]).flatmap(_option_tokens),
+    st.sampled_from([["--help"], ["extra"], ["-q"], ["--"], ["--max-len"], ["--p"], [""]]),
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A head from the real groups and commands, then one source option, the
+    required options and some optional ones of that command, and strays, in
+    any order; one line in four loses its last token."""
+    head = draw(st.sampled_from(FUZZ_HEADS))
+    group, name = (head + ["", ""])[:2]
+    _, options, _ = COMMANDS.get(group, {}).get(name, (None, (), None))
+    sources = [o.flag for o in options if o.flag in ("--builtin", "--q", "--gens")]
+    flags = [draw(st.sampled_from(sources))] if sources else []
+    flags += [o.flag for o in options if o.flag not in sources and (o.required or draw(st.booleans()))]
+    tokens = [draw(_option_tokens(f)) for f in flags]
+    tokens += draw(st.one_of(st.just([]), st.lists(FUZZ_TOKENS, max_size=2)))
+    argv = head + [t for ts in draw(st.permutations(tokens)) for t in ts]
+    return argv[:len(argv) - draw(st.sampled_from([0, 0, 0, 1]))]  # cut short: a bare flag last
+
+
+@given(argv=fuzz_argv())
+@settings(derandomize=True, max_examples=300, deadline=None, phases=(Phase.generate,),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where a relative --csv path is written
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 2, 3)
+    if "--help" not in argv:
+        doc = check_schema(out)
+        # a digit-limit overflow is reported in the project's words
+        assert "set_int_max_str_digits" not in doc.get("error", {}).get("message", "")
+
+
+# ---------------------------------------------------------------- entry point
+
+def test_the_module_entry_point_runs_without_click():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    # the benchmark's tracer wraps functions in every module once commlab.cli is imported
+    probe = ("import json, sys, commlab.cli; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('click', 'commlab'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    expect = ["commlab"] + [f"commlab.{p.stem}" for p in (REPO / "src" / "commlab").glob("*.py")
+                            if p.stem != "__init__"]
+    assert json.loads(loaded) == sorted(expect)
+    r = subprocess.run([sys.executable, "-m", "commlab.cli", *GOLDEN_CASES["knapp_q2.json"]],
+                       cwd=REPO, env=env, capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert normalize(r.stdout) == (GOLDEN / "knapp_q2.json").read_text(encoding="utf-8")
