@@ -23,22 +23,21 @@ built only for a vertex handed back to the caller.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import Mat2, classify_padic, integer_form, vp, _require_prime, _vp_int
+from .exact_core import Mat2, Record, classify_padic, integer_form, vp, _require_prime, _set, _vp_int
 from .words import Word, iter_forms
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(Record):
     p: int
     n: int
     u: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.u, Fraction):
-            object.__setattr__(self, "u", Fraction(self.u))
+    def __init__(self, p, n, u):
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "u", u if isinstance(u, Fraction) else Fraction(u))
 
     def __repr__(self):
         return f"TreeVertex({self.p}^{self.n}:{self.u})"
@@ -228,8 +227,7 @@ def busemann(g, p):
     return vp(g.a, p) - vp(g.d, p)
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Record):
     status: str        # "bounded" | "unbounded" | "inconclusive"
     orbit: tuple       # visited vertices in discovery order, None unless bounded
     radius_seen: int
@@ -289,8 +287,7 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
 
 
-@dataclass(frozen=True)
-class PigeonholeResult:
+class PigeonholeResult(Record):
     n1: int
     n2: int
     k: int             # n1 - n2

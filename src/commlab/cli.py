@@ -8,7 +8,6 @@ search budget ran out.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import re
 import sys
@@ -150,6 +149,7 @@ def resolve_alphabet(gens_path, q_text, builtin):
         alphabet = load_generator_file(gens_path)
     elif q_text is not None:
         q = _parse_fraction(q_text, "--q")
+        frac_str(q)  # params echo q: an unprintable q fails here, before the command's work
         alphabet = lu_generators(q)
     else:
         alphabet = long_reid_pair()
@@ -321,6 +321,8 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
     with fh:
         scan = integral_trace_scan(alphabet, primes, max_len)
         if csv_path is not None:
+            import csv  # only this option uses it; keeps it out of every start-up
+
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
             for w, t, vals in scan.hits:

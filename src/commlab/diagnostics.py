@@ -5,13 +5,13 @@ indiscreteness witnesses, and a two-generator probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bt_tree import first_loxodromic, orbit_bounded, translation_length
 from .exact_core import (
     ElementClass,
     Mat2,
+    Record,
     _vp_int,
     classify_padic,
     classify_real,
@@ -45,8 +45,7 @@ def long_reid_pair():
     return Alphabet(("a", "b"), (a, b))
 
 
-@dataclass(frozen=True)
-class PlaceSupport:
+class PlaceSupport(Record):
     primes: tuple
     includes_real: bool = True
 
@@ -60,8 +59,7 @@ def place_support(alphabet):
     return PlaceSupport(tuple(sorted(primes)), True)
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Record):
     verdict: str      # "dense" | "not-dense" | "unknown"
     reason: str       # "reducible" | "monomial" | "finite" | None
     traces: dict      # labelled exact traces backing the verdict
@@ -145,8 +143,7 @@ def density_report(alphabet):
     return DensityResult("unknown", None, {}, None)
 
 
-@dataclass(frozen=True)
-class TraceScanResult:
+class TraceScanResult(Record):
     primes: tuple
     max_len: int
     hits: tuple               # (word, trace, {p: v_p(trace)}) per hit
@@ -182,8 +179,7 @@ def integral_trace_scan(alphabet, primes, max_len):
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 
-@dataclass(frozen=True)
-class PlaceStatus:
+class PlaceStatus(Record):
     place: str            # "real" or the prime as a string
     status: str           # "indiscrete-witness" | "bounded-orbit" | "inconclusive"
     word: Word            # witness word, None otherwise
@@ -263,8 +259,7 @@ def _lu_parameter(alphabet):
     return None
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(Record):
     support: PlaceSupport
     places: tuple             # PlaceStatus entries, real first then primes ascending
     product_discrete: bool
@@ -293,7 +288,7 @@ def irreducibility_report(alphabet, max_len=6, radius=3):
             note = f"discrete at the real place (Knapp parameter n = {kv.n})"
         else:
             note = "inside the Knapp indiscreteness window"
-        real = replace(real, note=real.note + "; " + note)
+        real = real.replace(note=real.note + "; " + note)
     places = [real]
     for p in support.primes:
         places.append(_finite_place_status(alphabet, p, max_len, radius))
@@ -322,15 +317,13 @@ def irreducibility_report(alphabet, max_len=6, radius=3):
     )
 
 
-@dataclass(frozen=True)
-class ProbeCheck:
+class ProbeCheck(Record):
     name: str
     passed: bool
     data: dict
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     checks: tuple
     decisive_pass: bool   # checks (1), (2) and (4); check (3) is evidence only
     message: str          # PROBE_MESSAGE on decisive pass, else None

@@ -8,9 +8,55 @@ quadruples. No floats anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
+
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record. The fields are the class annotations, in order; a
+    class attribute is its field's default. Records of one type with equal
+    fields are equal and hash alike; repr is Name(field=value, ...). Mat2,
+    Word and TreeVertex, built on hot paths, write their own __init__."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = operator.attrgetter(*cls.__match_args__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.__match_args__
+        given = dict(zip(names, args))
+        extra = args[len(names):] or [k for k in kwargs if k in given or k not in names]
+        if extra:
+            raise TypeError(f"{cls.__name__} got an extra or repeated field: {extra[0]!r}")
+        given.update(kwargs)
+        for name in names:
+            if name not in given and name not in cls.__dict__:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            _set(self, name, given[name] if name in given else cls.__dict__[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.__match_args__}, **changes})
 
 
 class _Infinity:
@@ -144,8 +190,7 @@ def denominator_primes(x):
     return tuple(prime_factors(x.denominator))
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """Immutable 2x2 matrix with Fraction entries, row-major a b / c d."""
 
     a: Fraction
@@ -153,11 +198,11 @@ class Mat2:
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            v = getattr(self, f)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, f, Fraction(v))
+    def __init__(self, a, b, c, d):
+        _set(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        _set(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        _set(self, "c", c if isinstance(c, Fraction) else Fraction(c))
+        _set(self, "d", d if isinstance(d, Fraction) else Fraction(d))
 
     @classmethod
     def identity(cls):
@@ -284,8 +329,7 @@ def commutator(g, h):
     return g * h * g.inverse() * h.inverse()
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(Record):
     """Dynamical type of a matrix acting on the relevant symmetric space.
 
     kind is one of "identity", "elliptic-finite-order",

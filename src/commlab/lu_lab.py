@@ -11,10 +11,9 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import Mat2, key_inverse, key_mul, projective_key
+from .exact_core import Mat2, Record, key_inverse, key_mul, projective_key
 from .report import frac_str
 from .words import Alphabet, Word, evaluate, necklace_canonical, reduce
 
@@ -29,8 +28,7 @@ def lu_generators(q):
     return Alphabet(("a", "b"), (a, b))
 
 
-@dataclass(frozen=True)
-class KnappVerdict:
+class KnappVerdict(Record):
     verdict: str  # "discrete" | "indiscrete"
     n: int        # Knapp parameter with |q| = 4cos^2(pi/n), None when indiscrete
     q: Fraction
@@ -56,8 +54,7 @@ def knapp(q):
     return KnappVerdict("discrete", n, q)
 
 
-@dataclass(frozen=True)
-class PingpongResult:
+class PingpongResult(Record):
     applicable: bool
     free: bool
     m_squared: Fraction  # |q|, the square of the balanced parameter
@@ -88,8 +85,7 @@ def pingpong(q):
     return PingpongResult(True, True, abs(q), steps, q)
 
 
-@dataclass(frozen=True)
-class RelatorResult:
+class RelatorResult(Record):
     status: str                # "relator-found" | "none-found" | "inconclusive"
     relator: Word              # necklace-canonical, None unless found
     scalar: Fraction           # evaluate(relator) = scalar * I

@@ -3,7 +3,6 @@ no floats, byte-stable across runs."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -40,9 +39,10 @@ def to_json(obj, alphabet):
 
     None, bools, ints and strings stay as they are. Fractions and INFINITY
     become frac_str strings, a Word its format_word text, a Mat2 its rows, a
-    TreeVertex "p^n:u", and any other dataclass (ElementClass, every result
-    row) an object of its fields. Tuples and lists become lists, dicts objects
-    with string keys, item by item. Anything else, floats too, is a TypeError.
+    TreeVertex "p^n:u", and any other object whose type has __match_args__
+    (a Record such as ElementClass or a result row, or a dataclass) an object
+    of those fields. Tuples and lists become lists, dicts objects with string
+    keys, item by item. Anything else, floats too, is a TypeError.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -58,8 +58,9 @@ def to_json(obj, alphabet):
         return [to_json(x, alphabet) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_json(v, alphabet) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_json(getattr(obj, f.name), alphabet) for f in dataclasses.fields(obj)}
+    names = getattr(type(obj), "__match_args__", None)
+    if names is not None:
+        return {name: to_json(getattr(obj, name), alphabet) for name in names}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

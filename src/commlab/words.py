@@ -11,18 +11,16 @@ names meet codes only in format_word and parse_word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 
-from .exact_core import Mat2, integer_form
+from .exact_core import Mat2, Record, _set, integer_form
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     letters: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters):
+        _set(self, "letters", tuple(letters))
 
     def __len__(self):
         return len(self.letters)

@@ -366,6 +366,32 @@ def test_pingpong_past_the_digit_limit_is_a_parameter_error(capsys, monkeypatch)
     assert normalize(out) == (GOLDEN / "pingpong_q4.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["diag", "irreducible", "--q", "1e4300"], "irreducibility_report"),
+    (["tree", "orbit", "--q", "1e-4300", "--p", "2", "--radius", "3"], "orbit_bounded"),
+    (["lu", "relators", "--q", "1e4300", "--max-len", "6"], "relator_search"),
+    (["diag", "traces", "--q", "1e4300", "--max-len", "3"], "place_support"),
+])
+def test_an_unprintable_q_is_refused_before_the_work(capsys, monkeypatch, argv, stage):
+    # params echo q, so a q past the digit limit could never be reported
+    def work(*args, **kwargs):
+        raise AssertionError(f"{stage} ran for an unprintable q")
+
+    monkeypatch.setattr(f"commlab.cli.{stage}", work)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, "")
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": f"exact entries exceed the printable digit limit ({LIMIT} digits)",
+    }
+
+
+def test_knapp_keeps_its_window_error_for_an_unprintable_q(capsys):
+    code, out, _ = run(capsys, ["lu", "knapp", "--q", "1e4300"])
+    assert code == 2
+    assert check_schema(out)["error"] == {"code": "parameter", "message": "knapp window is 0 < |q| < 4"}
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in HUGE_EXPONENTS])
 def test_huge_exponents_are_refused_fast(capsys, tmp_path, argv):
     argv = _with_files(argv, tmp_path)
@@ -796,3 +822,13 @@ def test_the_module_entry_point_runs_without_click():
                        cwd=REPO, env=env, capture_output=True, text=True)
     assert (r.returncode, r.stderr) == (0, "")
     assert normalize(r.stdout) == (GOLDEN / "knapp_q2.json").read_text(encoding="utf-8")
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds of every command's start
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = ("import json, sys, commlab.cli; print(json.dumps(sorted(m for m in sys.modules "
+             "if m in ('csv', 'dataclasses', 'inspect'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert json.loads(loaded) == []

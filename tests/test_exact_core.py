@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commlab.bt_tree import TreeVertex
 from commlab.exact_core import (
     INFINITY,
     PRIME_TEST_BOUND,
+    ElementClass,
     Mat2,
+    Record,
     classify_padic,
     classify_real,
     commutator,
@@ -30,7 +33,8 @@ from commlab.exact_core import (
     projective_normalize,
     vp,
 )
-from commlab.lu_lab import _entry_cost
+from commlab.lu_lab import KnappVerdict, _entry_cost
+from commlab.words import Word
 from helpers import rand_frac, rand_sl2
 
 
@@ -240,6 +244,93 @@ def test_mat2_hash_and_eq():
     a = Mat2(1, Fraction(1, 2), 0, 1)
     b = Mat2(Fraction(2, 2), Fraction(2, 4), Fraction(0), Fraction(3, 3))
     assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------- records
+
+class _Pair(Record):
+    left: int
+    right: str = "r"
+
+
+def test_record_construction_by_position_keyword_and_default():
+    assert _Pair.__match_args__ == ("left", "right")
+    for p in (_Pair(1, "x"), _Pair(1, right="x"), _Pair(right="x", left=1)):
+        assert (p.left, p.right) == (1, "x")
+    assert _Pair(1) == _Pair(1, "r")
+    assert vars(_Pair(1)) == {"left": 1, "right": "r"}
+    e = ElementClass("loxodromic", translation_length=2)
+    assert (e.kind, e.order, e.translation_length, e.note) == ("loxodromic", None, 2, None)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "_Pair is missing field 'left'"),
+    ((1, "x", 3), {}, "_Pair got an extra or repeated field: 3"),
+    ((1,), {"colour": 3}, "_Pair got an extra or repeated field: 'colour'"),
+    ((1,), {"left": 2}, "_Pair got an extra or repeated field: 'left'"),
+])
+def test_record_refuses_a_missing_extra_or_repeated_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        _Pair(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record", [_Pair(1), Mat2(1, 0, 0, 1), Word((0,)), TreeVertex(2, 0, 0)])
+def test_record_is_immutable(record):
+    name = record.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 5
+
+
+def test_record_equality_is_by_type_and_fields():
+    assert _Pair(1, "x") == _Pair(1, "x") and hash(_Pair(1, "x")) == hash(_Pair(1, "x"))
+    assert _Pair(1, "x") != _Pair(1, "y") and _Pair(1, "x") != _Pair(2, "x")
+
+    class Other(Record):
+        left: int
+        right: str = "r"
+
+    assert _Pair(1) != Other(1)
+    assert Mat2(1, 2, 3, 4) != (1, 2, 3, 4) and (1, 2, 3, 4) != Mat2(1, 2, 3, 4)
+    assert Word((0, 2)) != (0, 2)
+    assert len({_Pair(1), _Pair(1, "r"), Other(1)}) == 2
+
+
+def test_record_replace():
+    p = _Pair(1, "x")
+    assert p.replace(right="y") == _Pair(1, "y") and p == _Pair(1, "x")
+    assert p.replace() == p and p.replace() is not p
+    assert KnappVerdict("discrete", 3, 1).replace(q=-1) == KnappVerdict("discrete", 3, -1)
+    with pytest.raises(TypeError, match="extra or repeated field: 'colour'"):
+        p.replace(colour=3)
+
+
+def test_record_repr_has_the_dataclass_format():
+    assert repr(_Pair(1, "x")) == "_Pair(left=1, right='x')"
+    assert repr(ElementClass("parabolic")) == (
+        "ElementClass(kind='parabolic', order=None, translation_length=None, note=None)")
+    assert repr(Word((0, 3))) == "Word(letters=(0, 3))"
+    assert repr(KnappVerdict("discrete", 4, Fraction(2))) == (
+        "KnappVerdict(verdict='discrete', n=4, q=Fraction(2, 1))")
+    assert repr(TreeVertex(3, -2, Fraction(5, 9))) == "TreeVertex(3^-2:5/9)"
+    assert repr(Mat2(1, Fraction(1, 2), 0, 1)) == "Mat2[[1, 1/2], [0, 1]]"
+
+
+def test_hot_records_from_ints_and_fractions_agree():
+    pairs = [
+        (Mat2(1, 2, 0, -1), Mat2(Fraction(1), Fraction(4, 2), Fraction(0), Fraction(-3, 3))),
+        (Word((0, 3)), Word([Fraction(0), Fraction(3)])),
+        (Word(iter((0, 3))), Word((0, 3))),
+        (TreeVertex(3, 1, 2), TreeVertex(3, 1, Fraction(2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert all(type(x) is Fraction for x in Mat2(1, 2, 0, -1).entries())
+    assert type(TreeVertex(3, 1, 2).u) is Fraction
+    assert type(Word([0, 3]).letters) is tuple
 
 
 def test_commutator_convention():
