@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .exact_core import Mat2, Record, classify_padic, integer_form, vp, _require_prime, _set, _vp_int
+from .exact_core import Mat2, Record, classify_padic, integer_form, vp, _require_prime, _set, _split
 from .words import Word, iter_forms
 
 
@@ -48,15 +48,6 @@ def base_vertex(p):
     return TreeVertex(p, 0, Fraction(0))
 
 
-def _split(x, p):
-    """(v_p(x), x / p^v_p(x)) for a nonzero integer x."""
-    v = 0
-    while not x % p:
-        x //= p
-        v += 1
-    return v, x
-
-
 def _chart_of(n, b, vd, ud, p):
     """The chart (n, m, c) of the vertex [[p^n, u], [0, 1]] with
     u = b / (ud * p^vd), for integers b and ud, ud prime to p: c * p^m is the
@@ -77,7 +68,7 @@ def _letter(g, p):
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix spans no lattice")
-    return (a, b, c, d, _vp_int(det, p)) + (_split(c, p) if c else (None, 0))
+    return (a, b, c, d, _split(det, p)[0]) + (_split(c, p) if c else (None, 0))
 
 
 def _act(g, v, p):
@@ -115,7 +106,7 @@ def _distance(v, w, p):
     if c1 and c2:
         k = min(m1, m2)
         diff = c2 * p ** (m2 - k) - c1 * p ** (m1 - k)
-        least = min(dn, _vp_int(diff, p) + k - n1, 0) if diff else min(dn, 0)
+        least = min(dn, _split(diff, p)[0] + k - n1, 0) if diff else min(dn, 0)
     elif c1 or c2:
         least = min(dn, (m2 if c2 else m1) - n1, 0)
     else:
@@ -242,7 +233,7 @@ def first_loxodromic(alphabet, p, max_len):
     2 v_p(a + d) when that is positive."""
     _require_prime(p)
     for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
-        if a + d and _vp_int(a * d - b * c, p) > 2 * _vp_int(a + d, p):
+        if a + d and _split(a * d - b * c, p)[0] > 2 * _split(a + d, p)[0]:
             return Word(codes)
     return None
 

@@ -101,6 +101,8 @@ def load_generator_file(path):
         ):
             raise ParameterError(f'generator #{i}: "matrix" must be 2 rows of 2 entries')
         entries = [_parse_fraction(str(e), f"generator #{i}: matrix entry") for r in rows for e in r]
+        for e in entries:
+            frac_str(e)  # an entry no report could print fails here, before the command's work
         names.append(str(g["name"]))
         matrices.append(Mat2(*entries))
     try:
@@ -370,8 +372,7 @@ def diag_probe(alphabet, p, iterations, max_word_len):
     if max_word_len < 1:
         raise ParameterError("--max-word-len must be >= 1")
     g, h = alphabet.matrices
-    rep = two_gen_probe(g, h, p, iterations=iterations, names=alphabet.names,
-                        max_word_len=max_word_len)
+    rep = two_gen_probe(g, h, p, iterations=iterations, max_word_len=max_word_len)
     witnesses = [_witness(ck.data["word"], alphabet, lambda m: classify_padic(m, p))
                  for ck in rep.checks if ck.name == "loxodromic-word-at-p" and ck.passed]
     params = {"p": p, "iterations": iterations, "max_word_len": max_word_len}

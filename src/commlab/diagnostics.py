@@ -12,7 +12,8 @@ from .exact_core import (
     ElementClass,
     Mat2,
     Record,
-    _vp_int,
+    _require_prime,
+    _split,
     classify_padic,
     classify_real,
     commutator,
@@ -163,7 +164,7 @@ def integral_trace_scan(alphabet, primes, max_len):
     class representative gets its trace as a Fraction, and only a hit a Word.
     """
     for p in primes:
-        vp(1, p)  # validates primality
+        _require_prime(p)
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
@@ -214,9 +215,9 @@ def _finite_place_status(alphabet, p, max_len, radius):
     orbit_bounded finds the orbit bounded, any word of infinite order is one.
     """
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
-        k = _vp_int(den, p)
+        k = _split(den, p)[0]
         if (_infinite_order(a, b, c, d) and not any(x % p**k for x in (a, b, c, d))
-                and _vp_int(a * d - b * c, p) == 2 * k):
+                and _split(a * d - b * c, p)[0] == 2 * k):
             word = Word(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
@@ -333,7 +334,7 @@ def _delta_from_identity(m):
     return max(abs(m.a - 1), abs(m.b), abs(m.c), abs(m.d - 1))
 
 
-def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
+def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
     """Four quick exact checks on a candidate irreducible pair at {real, p}.
 
     (1) g is loxodromic over R; (2) <g, h> is Zariski dense; (3) iterated
@@ -350,7 +351,7 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
             extra = [q for q in denominator_primes(e) if q != p]
             if extra:
                 raise ValueError(f"entries outside Z[1/{p}]: denominator prime {extra[0]}")
-    vp(1, p)  # validates primality
+    _require_prime(p)
 
     t = g.trace()
     check1 = ProbeCheck("real-loxodromic-generator", t * t > 4, {"trace": t})
@@ -384,7 +385,7 @@ def two_gen_probe(g, h, p, iterations=5, names=("g", "h"), max_word_len=6):
         },
     )
 
-    alphabet = Alphabet(tuple(names), (g, h))
+    alphabet = Alphabet(("g", "h"), (g, h))
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
     word = first_loxodromic(alphabet, p, max_word_len)
     if word is not None:

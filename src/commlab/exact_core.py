@@ -163,14 +163,13 @@ def _require_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
 
 
-def _vp_int(n, p):
-    # n nonzero
-    n = abs(n)
+def _split(x, p):
+    """(v_p(x), x / p^v_p(x)) for a nonzero integer x."""
     v = 0
-    while n % p == 0:
-        n //= p
+    while not x % p:
+        x //= p
         v += 1
-    return v
+    return v, x
 
 
 def vp(x, p):
@@ -179,7 +178,7 @@ def vp(x, p):
     x = Fraction(x)
     if x == 0:
         return INFINITY
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
 
 
 def denominator_primes(x):
@@ -311,17 +310,6 @@ def key_mul(k, l):
     a, b, c, d = k
     e, f, g, h = l
     return _primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def key_inverse(k):
-    """Key of the inverse: the adjugate (d, -b, -c, a), which is already
-    primitive, with its sign re-fixed. No division."""
-    a, b, c, d = k
-    if a * d == b * c:
-        raise ZeroDivisionError("singular matrix has no inverse")
-    if (d or -b or -c or a) < 0:
-        return (-d, b, c, -a)
-    return (d, -b, -c, a)
 
 
 def commutator(g, h):

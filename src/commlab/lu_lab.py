@@ -13,9 +13,9 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .exact_core import Mat2, Record, key_inverse, key_mul, projective_key
+from .exact_core import Mat2, Record, key_mul, projective_key
 from .report import frac_str
-from .words import Alphabet, Word, evaluate, necklace_canonical, reduce
+from .words import Alphabet, Word, evaluate, invert_letters, necklace_canonical, reduce_letters
 
 
 def lu_generators(q):
@@ -155,19 +155,6 @@ def _extend_level(keys, words, code_keys, bits):
     return new_keys, new_words
 
 
-def _level_inverses(words, parent_inverses, num_gens, bits):
-    """Packed inverse of each word of a level built by _extend_level, from the
-    packed inverses of the level before. Word j extends parent j // fan by its
-    last code c, and prepending c ^ 1 to the parent's inverse of n letters adds
-    lift(c) << bits * n: the sentinel moves up one slot, c ^ 1 fills it."""
-    mask = (1 << bits) - 1
-    shift = words[0].bit_length() - 1 - bits
-    lifted = [(mask + (c ^ 1)) << shift for c in range(2 * num_gens)]
-    fan = 2 * num_gens if shift == 0 else 2 * num_gens - 1
-    for j, packed in enumerate(words):
-        yield parent_inverses[j // fan] + lifted[packed & mask]
-
-
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     """Shortest relator (word with scalar image) by meet-in-the-middle.
 
@@ -175,20 +162,24 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     projective image, an exact_core.projective_key: the primitive integer
     quadruple of the class in PGL(2, Q). Each level is built from the one
     before (_extend_level), multiplying each kept key by each letter's key,
-    and the inverse image is the adjugate key, so no Fraction matrix is
-    built. Equal keys mean equal projective_normalize forms, so collisions
-    are exactly those of the rational normal form. A relator w = u x of
-    length L makes image(u) = image(x^-1) collide, and every rotation of a
-    cyclic relator is scanned, so the first level with a collision carries a
+    so no Fraction matrix is built. Equal keys mean equal
+    projective_normalize forms, so collisions are exactly those of the
+    rational normal form.
+
+    The table maps a key to the first word with that image, first in
+    lexicographic order. A word x whose key is already stored, for the word
+    F, collides as it is inserted: F x^-1 is a relator candidate, never
+    empty since F != x. A relator F x^-1 of length L, split with
+    |F| <= |x| = ceil(L/2), gives F and x one image, so the later of them
+    collides by level |x|, and every rotation of a cyclic relator is
+    scanned, so the first level with a collision carries a
     certified-minimal relator; among minimal-length relators the least
     necklace form is returned (necklace-deduplicating the collision set). No
     collision through level k certifies no relator of length <= 2k.
 
-    Words travel packed into ints (_unpack_codes). The table maps a key to
-    the first word with that image, first in lexicographic order; each
-    word's packed inverse comes from its parent's (_level_inverses), and only
-    collision candidates are decoded into Words. A level's keys and words
-    are dropped once the next level is built from them.
+    Words travel packed into ints (_unpack_codes), and only colliding words
+    are decoded; on a free group none is. A level's keys and words are
+    dropped once the next level is built from them.
 
     mem_cap bounds the table size under a coarse deterministic byte model
     (_entry_cost), priced only when a cap is given; a breached cap yields
@@ -203,8 +194,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     cost = 0 if mem_cap is None else _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
-    num_gens = len(alphabet)
-    bits = (2 * num_gens - 1).bit_length()
+    bits = (2 * len(alphabet) - 1).bit_length()
     code_keys = [projective_key(m) for m in alphabet.letter_matrices]
 
     def finish(status, relator=None, scalar=None, completed=0):
@@ -220,7 +210,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
         )
 
     with _gc_paused():
-        keys, words, inverses = [_IDENTITY_KEY], [1], [1]
+        keys, words = [_IDENTITY_KEY], [1]
         for level in range(1, half + 1):
             keys, words = _extend_level(keys, words, code_keys, bits)
             words_per_length[level] = len(keys)
@@ -230,6 +220,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             new = 0
             earlier = set()
             capped = False
+            candidates = []
             for key, packed in zip(keys, words):
                 first = table.get(key)
                 if first is None:
@@ -240,24 +231,16 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                             capped = True
                             break
                     table[key] = packed
-                elif first < floor:
+                    continue
+                if first < floor:
                     earlier.add(key)
+                # first and packed share an image, so first packed^-1 is scalar
+                rel = reduce_letters(_unpack_codes(first, bits) + invert_letters(_unpack_codes(packed, bits)))
+                if len(rel) <= max_len:
+                    candidates.append(Word(rel))
             images_per_length[level] = new + len(earlier)
             if capped:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
-
-            inverses = _level_inverses(words, inverses, num_gens, bits)
-            if level < half:
-                inverses = list(inverses)  # the parents of the next level
-            candidates = []
-            for key, packed, inverse in zip(keys, words, inverses):
-                u = table.get(key_inverse(key))
-                # u = word^-1 is the trivial collision; on a free group every word hits it
-                if u is None or u == inverse:
-                    continue
-                rel = reduce(Word(_unpack_codes(u, bits) + _unpack_codes(packed, bits)))
-                if rel.letters and len(rel) <= max_len:
-                    candidates.append(rel)
             if progress is not None:
                 progress(level, len(keys), len(table))
             if candidates:

@@ -386,6 +386,36 @@ def test_an_unprintable_q_is_refused_before_the_work(capsys, monkeypatch, argv, 
     }
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["lu", "relators", "--max-len", "6"], "relator_search"),
+    (["tree", "orbit", "--p", "2", "--radius", "3"], "orbit_bounded"),
+    (["tree", "length", "--p", "2", "--word", "b"], "evaluate"),
+    (["diag", "places"], "place_support"),
+    (["diag", "density"], "density_report"),
+    (["diag", "traces", "--primes", "2", "--max-len", "3"], "integral_trace_scan"),
+    (["diag", "irreducible"], "irreducibility_report"),
+    (["diag", "probe", "--p", "2"], "two_gen_probe"),
+])
+def test_an_unprintable_generator_entry_is_refused_before_the_work(capsys, monkeypatch, tmp_path,
+                                                                   argv, stage):
+    # 1e4300 parses (its exponent is at the limit), but no report could print it
+    gens = tmp_path / "unprintable.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [[1, "1e4300"], [0, 1]]},
+        {"name": "b", "matrix": [[1, 0], [1, 1]]}]}), encoding="utf-8")
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{stage} ran for an unprintable generator entry")
+
+    monkeypatch.setattr(f"commlab.cli.{stage}", work)
+    code, out, err = run(capsys, argv + ["--gens", str(gens)])
+    assert (code, err) == (2, "")
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": f"exact entries exceed the printable digit limit ({LIMIT} digits)",
+    }
+
+
 def test_knapp_keeps_its_window_error_for_an_unprintable_q(capsys):
     code, out, _ = run(capsys, ["lu", "knapp", "--q", "1e4300"])
     assert code == 2

@@ -26,7 +26,6 @@ from commlab.exact_core import (
     denominator_primes,
     integer_form,
     is_prime,
-    key_inverse,
     key_mul,
     prime_factors,
     projective_key,
@@ -450,16 +449,6 @@ def test_key_mul_agrees_with_matrix_product(m, n):
 
 
 @_KERNEL
-@given(_NONZERO_MATS)
-def test_key_inverse_is_key_of_inverse(m):
-    if m.det() == 0:
-        with pytest.raises(ZeroDivisionError):
-            key_inverse(projective_key(m))
-        return
-    assert key_inverse(projective_key(m)) == projective_key(m.inverse())
-
-
-@_KERNEL
 @given(_NONZERO_MATS, st.integers(min_value=0, max_value=40))
 def test_entry_cost_matches_fraction_byte_model(m, word_len):
     assert _entry_cost(projective_key(m), word_len) == _fraction_entry_cost(m, word_len)
@@ -469,8 +458,6 @@ def test_projective_key_frozen():
     assert projective_key(Mat2(0, Fraction(3, 2), 5, 7)) == (0, 3, 10, 14)
     assert projective_key(Mat2(0, Fraction(-3, 2), 5, 7)) == (0, 3, -10, -14)
     assert projective_key(Mat2.identity().scale(Fraction(-7, 3))) == (1, 0, 0, 1)
-    assert key_inverse((2, 9, 0, 2)) == (2, -9, 0, 2)
-    assert key_inverse((0, 1, -1, 0)) == (0, 1, -1, 0)
 
 
 def test_projective_key_rejects_zero_matrix():

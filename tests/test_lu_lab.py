@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from commlab.diagnostics import long_reid_pair
@@ -16,7 +16,6 @@ from commlab import lu_lab
 from commlab.exact_core import key_mul, projective_key
 from commlab.lu_lab import (
     _extend_level,
-    _level_inverses,
     _unpack_codes,
     knapp,
     lu_generators,
@@ -27,7 +26,6 @@ from commlab.words import (
     Alphabet,
     Word,
     evaluate,
-    invert_letters,
     is_reduced,
     iter_level_carrying,
     parse_word,
@@ -259,6 +257,28 @@ def test_mitm_matches_naive_on_random_generators(matrices, max_len):
         assert fast.images_per_length[n] == slow.images_per_length[n]
 
 
+# Two generators at max-len 7-8 reach level 4, a level the test above never
+# builds. In the pinned pair, whose shortest relator has length 7, level-4
+# words meet keys stored at level 3 (length-7 candidates) and at level 4
+# (length-8 candidates, which max_len 7 filters out and max_len 8 keeps).
+_LEVEL_4_PAIR = [Mat2(Fraction(-2, 3), 1, 0, Fraction(-2, 3)),
+                 Mat2(Fraction(-1, 3), Fraction(-3, 2), 0, Fraction(1, 2))]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, phases=(Phase.explicit, Phase.generate))
+@example(_LEVEL_4_PAIR, 7)
+@example(_LEVEL_4_PAIR, 8)
+@given(st.lists(_SMALL_MATS, min_size=2, max_size=2), st.integers(7, 8))
+def test_mitm_matches_naive_on_two_generators_at_level_4(matrices, max_len):
+    ab = Alphabet(["g0", "g1"], matrices)
+    fast = relator_search(ab, max_len)
+    slow = naive_relator_search(ab, max_len)
+    assert (fast.status, fast.relator, fast.scalar) == (slow.status, slow.relator, slow.scalar)
+    for n in fast.words_per_length:
+        assert fast.words_per_length[n] == slow.words_per_length[n]
+        assert fast.images_per_length[n] == slow.images_per_length[n]
+
+
 def test_mirror_parameter_symmetry():
     # diag(1, -1) conjugates Delta_q onto Delta_(-q): same relator length,
     # same scalar, same projective image counts
@@ -405,18 +425,10 @@ _LEVEL_ALPHABETS = {
 }
 
 
-def _pack(letters, bits):
-    packed = 1
-    for l in letters:
-        packed = packed << bits | l
-    return packed
-
-
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
     # _extend_level must give the walker's lexicographic order: the table
-    # keeps the first word per key. Each parent-derived inverse must be the
-    # packed inverse word.
+    # keeps the first word per key.
     ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
     code_keys = [projective_key(m) for m in ab.letter_matrices]
 
@@ -424,18 +436,13 @@ def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
         key, packed = value
         return key_mul(key, code_keys[c]), packed << bits | c
 
-    keys, words, inverses = [(1, 0, 0, 1)], [1], [1]
+    keys, words = [(1, 0, 0, 1)], [1]
     for n in range(7):
         if n:
             keys, words = _extend_level(keys, words, code_keys, bits)
-            inverses = list(_level_inverses(words, inverses, num_gens, bits))
         walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
         assert words == [packed for _, packed in walked]
         assert keys == [key for key, _ in walked]
-        assert len(inverses) == len(words)
-        for packed, inverse in zip(words, inverses):
-            letters = _unpack_codes(packed, bits)
-            assert inverse == _pack(invert_letters(letters), bits)
 
 
 def _count_calls(monkeypatch, name):
@@ -451,9 +458,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_search_work_counts_on_a_free_group(monkeypatch):
-    # One key_mul per word of lengths 1..6; no collision on a free group is
-    # decoded, so every trivial collision met its parent-derived inverse; the
-    # byte model is priced only under a cap.
+    # One key_mul per word of lengths 1..6; on a free group no word meets a
+    # stored key as it is inserted, so none is decoded; the byte model is
+    # priced only under a cap.
     products = _count_calls(monkeypatch, "key_mul")
     decoded = _count_calls(monkeypatch, "_unpack_codes")
     priced = _count_calls(monkeypatch, "_entry_cost")

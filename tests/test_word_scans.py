@@ -118,7 +118,7 @@ def test_probe_check_4_matches_mat2_walk(ab):
         assert first_loxodromic(ab, p, MAX_LEN) == expected.data.get("word")
         if _probe_applies(ab, p):
             g, h = ab.matrices
-            rep = two_gen_probe(g, h, p, names=ab.names, max_word_len=MAX_LEN)
+            rep = two_gen_probe(g, h, p, max_word_len=MAX_LEN)
             assert rep.checks[3] == expected
 
 
