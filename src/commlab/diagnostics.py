@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .bt_tree import first_loxodromic, orbit_bounded, translation_length
 from .exact_core import (
+    INFINITY,
     ElementClass,
     Mat2,
     Record,
@@ -160,23 +161,29 @@ def integral_trace_scan(alphabet, primes, max_len):
     form), and records those whose trace has nonnegative valuation at every
     listed prime. The identity (length 0) is integral trivially and skipped.
 
-    The walk (iter_forms) carries letter codes and integer forms; only a
-    class representative gets its trace as a Fraction, and only a hit a Word.
+    The walk (iter_forms with necklaces) visits only prefixes that can still
+    become a class representative, and carries letter codes and integer
+    forms. The trace of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den),
+    INFINITY for a zero trace, taken on the integers; only a hit gets its
+    trace as a Fraction and its Word.
     """
     for p in primes:
         _require_prime(p)
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
-    for codes, a, _, _, d, den in iter_forms(alphabet, max_len):
+    for codes, a, _, _, d, den in iter_forms(alphabet, max_len, necklaces=True):
         if not is_necklace_form(codes):
             continue
         classes_per_length[len(codes)] += 1
-        t = Fraction(a + d, den)
-        vals = {p: vp(t, p) for p in primes}
+        t = a + d
+        if t:
+            vals = {p: _split(t, p)[0] - _split(den, p)[0] for p in primes}
+        else:
+            vals = dict.fromkeys(primes, INFINITY)
         if all(v >= 0 for v in vals.values()):
             hits_per_length[len(codes)] += 1
-            hits.append((Word(codes), t, vals))
+            hits.append((Word(codes), Fraction(t, den), vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 

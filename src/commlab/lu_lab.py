@@ -184,8 +184,10 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     mem_cap bounds the table size under a coarse deterministic byte model
     (_entry_cost), priced only when a cap is given; a breached cap yields
     status "inconclusive" unless a relator was already certified at a
-    completed level. Cyclic garbage collection is paused while the levels
-    are built and restored, as found, on every return.
+    completed level; words_per_length and images_per_length then cover the
+    completed levels only, not the level that breached the cap. Cyclic
+    garbage collection is paused while the levels are built and restored,
+    as found, on every return.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
@@ -213,7 +215,6 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
         keys, words = [_IDENTITY_KEY], [1]
         for level in range(1, half + 1):
             keys, words = _extend_level(keys, words, code_keys, bits)
-            words_per_length[level] = len(keys)
             # images = new keys + keys first met at an earlier level, whose
             # stored word is shorter: below this level's sentinel bit
             floor = 1 << bits * level
@@ -238,9 +239,10 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                 rel = reduce_letters(_unpack_codes(first, bits) + invert_letters(_unpack_codes(packed, bits)))
                 if len(rel) <= max_len:
                     candidates.append(Word(rel))
-            images_per_length[level] = new + len(earlier)
             if capped:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
+            words_per_length[level] = len(keys)
+            images_per_length[level] = new + len(earlier)
             if progress is not None:
                 progress(level, len(keys), len(table))
             if candidates:

@@ -71,11 +71,19 @@ def is_necklace_form(codes):
     if not codes:
         return True
     first = codes[0]
-    if min(codes) < first:  # the common rejection, before building the inverse
+    # an inverse first letter puts its generator, a smaller letter, in the
+    # inverse word
+    if first & 1 or min(codes) < first:
         return False
-    for cand in (codes, invert_letters(codes)):
-        for r, c in enumerate(cand):
-            if c < first or (c == first and cand[r:] + cand[:r] < codes):
+    for r, c in enumerate(codes):
+        if c == first and codes[r:] + codes[:r] < codes:
+            return False
+    # no inverse letter is below first now, and one equal to it, where a
+    # rotation could start, is the inverse of a letter first ^ 1
+    if first ^ 1 in codes:
+        inverse = invert_letters(codes)
+        for r, c in enumerate(inverse):
+            if c == first and inverse[r:] + inverse[:r] < codes:
                 return False
     # i = 0 compares the first code with the last, its cyclic neighbour
     return all(codes[i] ^ 1 != codes[i - 1] for i in range(len(codes)))
@@ -138,36 +146,77 @@ def iter_level_carrying(num_gens, length, start, step):
     """Values carried along a DFS over the reduced words of exactly the given
     length, in lexicographic order: start for the empty word, and
     step(value, code) for the word extended by the letter with that code
-    (code order, skipping code ^ 1 after code). Yields only the value; a
+    (code order, skipping code ^ 1 after code). A step that returns None
+    cuts that word and every extension of it. Yields only the value; a
     caller that needs the word carries its codes.
+
+    The stack holds (value, last code, letters still to add), so a word of
+    any length costs no recursion. A node's children are stepped together
+    and pushed in reverse, so the least is popped first; a node one letter
+    short of the length yields its children at once.
     """
+    if length == 0:
+        yield start
+        return
     codes = range(2 * num_gens)
+    backward = codes[::-1]
+    stack = [(start, -1, length)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        value, last, remaining = pop()
+        back = last ^ 1
+        if remaining == 1:
+            for c in codes:
+                if c != back and (child := step(value, c)) is not None:
+                    yield child
+        else:
+            remaining -= 1
+            for c in backward:
+                if c != back and (child := step(value, c)) is not None:
+                    push((child, c, remaining))
 
-    def extend(value, last, remaining):
-        if remaining == 0:
-            yield value
-            return
-        for c in codes:
-            if c != last ^ 1:
-                yield from extend(step(value, c), c, remaining - 1)
 
-    yield from extend(start, -1, length)
-
-
-def iter_forms(alphabet, max_len):
+def iter_forms(alphabet, max_len, necklaces=False):
     """Reduced words of length 1..max_len in canonical order, each as
     (codes, a, b, c, d, den): its letter codes and its image (a, b, c, d)/den,
     the product of the letters' integer forms (no gcd taken) over the product
-    of their denominators. The walk builds no Fraction and no Word."""
+    of their denominators. The walk builds no Fraction and no Word.
+
+    With necklaces, the walk visits only prefixes that can still extend to
+    a word passing is_necklace_form, and yields only words that may pass
+    it; callers still apply it to each word yielded. Every cut is exact:
+
+    - the first letter is a generator, not an inverse: otherwise the
+      inverse word holds the generator, a letter below the first;
+    - the word is a prenecklace, a prefix of a word no greater than any of
+      its rotations. The walk carries its period per, as in the FKM rule
+      (Ruskey, Savage and Wang, Generating necklaces, J. Algorithms 1992):
+      appending c to a prefix of length n is cut if c < codes[n - per],
+      and sets per = n + 1 if c is greater. This also cuts any letter
+      below the first;
+    - a word of length n is yielded only if per divides n, the FKM test
+      for a prenecklace to be no greater than its own rotations.
+    """
     forms = [integer_form(m) for m in alphabet.letter_matrices]
 
     def step(value, code):
-        codes, a, b, c, d, den = value
+        codes, per, a, b, c, d, den = value
+        if necklaces:
+            n = len(codes)
+            if not n:
+                if code & 1:
+                    return None
+            elif code != (prev := codes[n - per]):
+                if code < prev:
+                    return None
+                per = n + 1
         (e, f, g, h), k = forms[code]
-        return (codes + (code,), a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
+        return (codes + (code,), per, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
 
     for n in range(1, max_len + 1):
-        yield from iter_level_carrying(len(alphabet), n, ((), 1, 0, 0, 1, 1), step)
+        for codes, per, a, b, c, d, den in iter_level_carrying(len(alphabet), n, ((), 1, 1, 0, 0, 1, 1), step):
+            if not n % per:
+                yield codes, a, b, c, d, den
 
 
 def _append_code(codes, code):

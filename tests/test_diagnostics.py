@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from commlab.diagnostics import (
@@ -196,6 +196,24 @@ _SCAN_MATS = st.builds(Mat2, _SCAN_ENTRIES, _SCAN_ENTRIES, _SCAN_ENTRIES, _SCAN_
 def test_integral_trace_scan_matches_mat2_oracle(mats):
     ab = Alphabet("abc"[: len(mats)], mats)
     max_len = 5 if len(mats) == 2 else 4
+    assert integral_trace_scan(ab, (2, 3, 5), max_len) == trace_scan_oracle(ab, (2, 3, 5), max_len)
+
+
+# Letters of finite order in PGL(2, Q) next to random ones: orders 2, 6 and 4,
+# and a scalar.
+_SCAN_LETTERS = st.one_of(
+    _SCAN_MATS,
+    st.sampled_from((Mat2(0, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(1, -1, 1, 1), Mat2(2, 0, 0, 2))),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from((1, 4)).flatmap(lambda k: st.lists(_SCAN_LETTERS, min_size=k, max_size=k)))
+@example([Mat2(0, -1, 1, 1)])
+@example([Mat2(0, -1, 1, 0), Mat2(1, Fraction(1, 2), 0, 1), Mat2(1, -1, 1, 1), Mat2(3, 0, 0, Fraction(1, 3))])
+def test_integral_trace_scan_matches_mat2_oracle_on_one_and_four_generators(mats):
+    ab = Alphabet("abcd"[: len(mats)], mats)
+    max_len = 8 if len(mats) == 1 else 4
     assert integral_trace_scan(ab, (2, 3, 5), max_len) == trace_scan_oracle(ab, (2, 3, 5), max_len)
 
 

@@ -303,55 +303,54 @@ def test_mem_cap_inconclusive():
 # search, with the whole capped report at each cap c and at c - 1, pinned
 # from the Word-valued table: (cap, status, completed_length,
 # words_per_length, images_per_length), the counts listed by length from 0.
-# Below the first cap nothing completes. A capped level counts the images
-# met up to the key that breached the cap.
+# Below the first cap nothing completes. The level that breached the cap is
+# in neither count.
 MEM_CAP_THRESHOLDS = {
     "q=1/2": (
         lambda: lu_generators(Fraction(1, 2)),
         12,
-        [(391, "inconclusive", 0, [1, 4], [1, 4]),
-         (392, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
-         (1447, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
-         (1448, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
-         (4903, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (4904, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
-         (15719, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104]),
+        [(391, "inconclusive", 0, [1], [1]),
+         (392, "inconclusive", 2, [1, 4], [1, 4]),
+         (1447, "inconclusive", 2, [1, 4], [1, 4]),
+         (1448, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (4903, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (4904, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (15719, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
          (15720, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     "q=9/2": (
         lambda: lu_generators(Fraction(9, 2)),
         12,
-        [(391, "inconclusive", 0, [1, 4], [1, 4]),
-         (392, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
-         (1447, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
-         (1448, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
-         (4915, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (4916, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
-         (16287, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
-         (16288, "inconclusive", 8, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 1]),
-         (53247, "inconclusive", 8, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
-         (53248, "inconclusive", 10, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 1]),
-         (172769, "inconclusive", 10, [1, 4, 12, 36, 108, 324, 972],
-          [1, 4, 12, 36, 108, 324, 972]),
+        [(391, "inconclusive", 0, [1], [1]),
+         (392, "inconclusive", 2, [1, 4], [1, 4]),
+         (1447, "inconclusive", 2, [1, 4], [1, 4]),
+         (1448, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (4915, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (4916, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (16287, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (16288, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (53247, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (53248, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (172769, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
          (172770, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
     ),
     "long-reid": (
         long_reid_pair,
         8,
-        [(393, "inconclusive", 0, [1, 4], [1, 4]),
-         (394, "inconclusive", 2, [1, 4, 12], [1, 4, 1]),
-         (1477, "inconclusive", 2, [1, 4, 12], [1, 4, 12]),
-         (1478, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 1]),
-         (5066, "inconclusive", 4, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (5067, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 1]),
-         (16490, "inconclusive", 6, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104]),
+        [(393, "inconclusive", 0, [1], [1]),
+         (394, "inconclusive", 2, [1, 4], [1, 4]),
+         (1477, "inconclusive", 2, [1, 4], [1, 4]),
+         (1478, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (5066, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (5067, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (16490, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
          (16491, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     # a^3 = -I: both level-2 keys are level-1 keys, so level 2 costs nothing
     "one-generator": (
         lambda: Alphabet(["a"], [Mat2(0, -1, 1, 1)]),
         6,
-        [(231, "inconclusive", 0, [1, 2], [1, 2]),
+        [(231, "inconclusive", 0, [1], [1]),
          (232, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
     ),
     # c^3 = -I again; at 3015 the cap breaks after c c, a level-1 key, is met
@@ -359,9 +358,9 @@ MEM_CAP_THRESHOLDS = {
         lambda: Alphabet(["a", "b", "c"],
                          [Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)]),
         6,
-        [(551, "inconclusive", 0, [1, 6], [1, 6]),
-         (552, "inconclusive", 2, [1, 6, 30], [1, 6, 1]),
-         (3015, "inconclusive", 2, [1, 6, 30], [1, 6, 29]),
+        [(551, "inconclusive", 0, [1], [1]),
+         (552, "inconclusive", 2, [1, 6], [1, 6]),
+         (3015, "inconclusive", 2, [1, 6], [1, 6]),
          (3016, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
     ),
 }

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from commlab import words
 from commlab.exact_core import Mat2
 from commlab.words import (
     EMPTY_WORD,
@@ -18,7 +19,9 @@ from commlab.words import (
     invert,
     is_necklace_form,
     is_reduced,
+    iter_forms,
     iter_level,
+    iter_level_carrying,
     iter_level_with_matrices,
     iter_words,
     multiply,
@@ -109,6 +112,63 @@ def test_iter_level_with_matrices_consistent():
     ab = two_gen_alphabet()
     for w, m in iter_level_with_matrices(ab, 3):
         assert m == evaluate(w, ab)
+
+
+def test_walker_reaches_any_depth():
+    # an explicit stack: no recursion limit on the length
+    def step(value, c):
+        return value - 1 if c & 1 else value + 1
+
+    assert list(iter_level_carrying(1, 5000, 0, step)) == [5000, -5000]
+
+
+def test_a_step_returning_none_cuts_the_word_and_its_extensions():
+    def step(codes, c):
+        return None if c == Bi else codes + (c,)
+
+    for n in range(5):
+        cut = list(iter_level_carrying(2, n, (), step))
+        assert cut == [w.letters for w in iter_level(2, n) if Bi not in w.letters]
+
+
+# Nonsingular letters with small entries, so integer forms have denominators.
+_FORM_MATS = st.builds(
+    Mat2, *[st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))] * 4
+).filter(lambda m: m.det() != 0)
+
+
+# No shrinking: every shrink step reruns the full walk. The examples give
+# each generator count its longest walk.
+@settings(derandomize=True, max_examples=40, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.lists(_FORM_MATS, min_size=k, max_size=k), st.integers(1, 4 if k == 4 else 7))
+))
+@example(([Mat2(0, -1, 1, 1)], 7))
+@example(([Mat2(1, 2, 0, 1), Mat2(1, 0, Fraction(1, 2), 1)], 7))
+@example(([Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 0)], 7))
+@example(([Mat2(0, -1, 1, 0), Mat2(1, 1, 0, 1), Mat2(3, 0, 0, 1), Mat2(1, 0, Fraction(2, 3), 1)], 4))
+def test_necklace_walk_keeps_exactly_the_necklace_forms(case):
+    mats, max_len = case
+    ab = Alphabet("abcd"[: len(mats)], mats)
+    pruned = [form for form in iter_forms(ab, max_len, necklaces=True) if is_necklace_form(form[0])]
+    assert pruned == [form for form in iter_forms(ab, max_len) if is_necklace_form(form[0])]
+
+
+def test_necklace_walk_work_counts(monkeypatch):
+    # Counts of codes only, whatever the matrices: a lost cut shows here.
+    leaves = []
+    walk = words.iter_level_carrying
+
+    def counted(*args):
+        for value in walk(*args):
+            leaves.append(value)
+            yield value
+
+    monkeypatch.setattr(words, "iter_level_carrying", counted)
+    forms = list(iter_forms(two_gen_alphabet(), 9, necklaces=True))
+    assert len(leaves) == 6283  # of the 39364 reduced words
+    assert len(forms) == 4671
+    assert sum(is_necklace_form(form[0]) for form in forms) == 1791
 
 
 # ---------------------------------------------------------------- evaluation
