@@ -247,6 +247,13 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
     <= 2 certifies every orbit unbounded; without one the group is bounded,
     and {base} is closed under generators and inverses breadth-first: the
     orbit if the closure ends inside the radius, inconclusive if it leaves.
+
+    Each Schreier-graph edge is acted on once: g v = w gives g^-1 w = v, so
+    the act of letter c on v stores v as w's image under letter c ^ 1, and
+    the search takes that image from the store when it reaches w. That is
+    k |orbit| acts for k generators, not 2k |orbit|. Only the act is
+    skipped: the letters, the seen test and the distance check run as
+    before, so the discovery order and radius_seen do not change.
     """
     _require_prime(p)
     if base is None:
@@ -257,13 +264,17 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
     if witness is not None:
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
     letters = [_letter(g, p) for g in alphabet.letter_matrices]
+    images = [{} for _ in letters]  # images[c][w] = v once letter c ^ 1 took v to w
     start = _chart(base)
     seen = {start}
     order = [start]
     radius_seen = 0
     for v in order:  # breadth-first: order grows behind the loop
-        for g in letters:
-            w = _act(g, v, p)
+        for code, g in enumerate(letters):
+            w = images[code].pop(v, None)
+            if w is None:
+                w = _act(g, v, p)
+                images[code ^ 1][w] = v
             if w in seen:
                 continue
             d = _distance(start, w, p)
@@ -272,7 +283,7 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
             radius_seen = max(radius_seen, d)
             seen.add(w)
             order.append(w)
-    del seen  # the largest object goes before the rows are built
+    del seen, images  # the largest objects go before the rows are built
     for i, w in enumerate(order):
         order[i] = _vertex(p, w)
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)

@@ -22,7 +22,8 @@ def frac_str(x):
     """Lowest-terms string form of an exact scalar; "/1" is omitted."""
     if x is INFINITY:
         return "inf"
-    x = Fraction(x)
+    if not isinstance(x, Fraction):  # Fraction(x) of a Fraction is a slow copy
+        x = Fraction(x)
     try:
         if x.denominator == 1:
             return str(x.numerator)

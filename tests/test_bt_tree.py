@@ -385,13 +385,69 @@ def test_orbit_of_a_conjugated_sl2z_matches_the_oracle(p, k):
         assert res == orbit_oracle(ab, p, radius)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
-def test_orbit_from_another_base_matches_the_oracle(p, k):
-    ab = _conjugated_sl2z(p, k, seed=p + k)
-    for base in (TreeVertex(p, -1, Fraction(1, p * p)), TreeVertex(p, 2, 1)):
-        res = orbit_bounded(ab, p, 4 * k + 6, base=base)
-        assert res.status == "bounded" and res.orbit[0] == base
-        assert res == orbit_oracle(ab, p, 4 * k + 6, base=base)
+def _fixing(p, j, *mats):
+    """The letters conjugated by diag(p^j, 1): those in GL(2, Z_p) fix the
+    vertex (j, 0), at distance j from v_0."""
+    m = Mat2(p**j, 0, 0, 1)
+    return tuple(m * g * m.inverse() for g in mats)
+
+
+# [[0, -1], [1, 0]] is an involution on the tree; [[0, -1], [1, -1]] has
+# order 3, [[1, -1], [1, 0]] order 6 and [[1, -1], [1, 1]] order 4 up to scalars
+_S, _R3, _R6, _R4 = Mat2(0, -1, 1, 0), Mat2(0, -1, 1, -1), Mat2(1, -1, 1, 0), Mat2(1, -1, 1, 1)
+
+# (p, alphabet, bases, sweep); None is the default base. With sweep, every
+# radius below the orbit's largest distance is checked too, each inconclusive.
+_BASE_CASES = [
+    *(pytest.param(p, _conjugated_sl2z(p, k, seed=p + k),
+                   (TreeVertex(p, -1, Fraction(1, p * p)), TreeVertex(p, 2, 1)), False, id=f"{p}-{k}")
+      for p, k in [(2, 2), (2, 3), (3, 2)]),
+    pytest.param(2, Alphabet("a", _fixing(2, 2, _S)), (None, TreeVertex(2, 2, 1)), True,
+                 id="involution"),
+    # odd v_p(det): swaps v_0 and its neighbour (1, 0)
+    pytest.param(3, Alphabet("a", (Mat2(0, 1, 3, 0),)), (None, TreeVertex(3, 2, 1)), True,
+                 id="edge-inversion"),
+    pytest.param(2, Alphabet("a", _fixing(2, 2, _R3)), (None, TreeVertex(2, 1, Fraction(1, 2))), True,
+                 id="order-3"),
+    pytest.param(3, Alphabet("a", _fixing(3, 2, _R4)), (None,), True, id="order-4"),
+    pytest.param(5, Alphabet("a", _fixing(5, 2, _R6)), (None, TreeVertex(5, 2, 1)), True,
+                 id="order-6"),
+    # [[1, 0], [1, 1]] fixes v_0 and (2, 0), so the pair is bounded
+    pytest.param(2, Alphabet("ab", (Mat2(1, 0, 1, 1),) + _fixing(2, 2, _S)), (None,), True,
+                 id="fixes-the-base"),
+    pytest.param(2, Alphabet("abc", _fixing(2, 2, _R3, _S, _R6)), (None,), True,
+                 id="three-generators"),
+]
+
+
+@pytest.mark.parametrize("p,ab,bases,sweep", _BASE_CASES)
+def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, sweep):
+    for base in bases:
+        res = orbit_bounded(ab, p, 30, base=base)
+        assert res.status == "bounded"
+        assert res.orbit[0] == (base_vertex(p) if base is None else base)
+        assert res == orbit_oracle(ab, p, 30, base=base)
+        for radius in range(1, res.radius_seen) if sweep else ():
+            short = orbit_bounded(ab, p, radius, base=base)
+            assert short.status == "inconclusive"
+            assert short == orbit_oracle(ab, p, radius, base=base)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_orbit_acts_once_per_edge(monkeypatch, seed):
+    # g v = w gives g^-1 w = v: k acts per orbit vertex for k generators, not 2k
+    from commlab.bt_tree import _act
+
+    calls = []
+
+    def counted(g, v, p):
+        calls.append(v)
+        return _act(g, v, p)
+
+    monkeypatch.setattr("commlab.bt_tree._act", counted)
+    res = orbit_bounded(_conjugated_sl2z(3, 4, seed), 3, 8)
+    assert (res.status, len(res.orbit)) == ("bounded", 108)
+    assert len(calls) == 2 * 108
 
 
 def test_orbit_base_on_another_tree_rejected():

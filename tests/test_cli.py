@@ -27,7 +27,7 @@ from commlab.cli import (
 )
 from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
-from commlab.report import dumps_canonical, to_json
+from commlab.report import DigitLimitError, dumps_canonical, frac_str, to_json
 from commlab.words import Word, format_word
 
 REPO = Path(__file__).resolve().parent.parent
@@ -711,6 +711,19 @@ def test_to_json_renders_each_report_type():
     assert to_json((Fraction(1, 2), (INFINITY,)), ab) == ["1/2", ["inf"]]
     assert to_json([m], ab) == [[["1", "-1/2"], ["0", "3"]]]
     assert to_json({2: Fraction(1, 3), "k": (1,)}, ab) == {"2": "1/3", "k": [1]}
+
+
+def test_frac_str_takes_a_fraction_as_it_is():
+    assert frac_str(INFINITY) == "inf"
+    assert frac_str(Fraction(-6, 4)) == "-3/2"
+    assert frac_str(Fraction(-4)) == "-4"
+    assert frac_str(7) == "7" and frac_str(-7) == "-7"
+    assert frac_str("-6/4") == "-3/2"  # other types still go through Fraction
+    message = f"exact entries exceed the printable digit limit ({LIMIT} digits)"
+    for x in (10**LIMIT, Fraction(10**LIMIT, 3), Fraction(3, 10**LIMIT)):
+        with pytest.raises(DigitLimitError) as err:
+            frac_str(x)
+        assert str(err.value) == message
 
 
 @dataclasses.dataclass(frozen=True)
