@@ -396,41 +396,44 @@ def _fixing(p, j, *mats):
 # order 3, [[1, -1], [1, 0]] order 6 and [[1, -1], [1, 1]] order 4 up to scalars
 _S, _R3, _R6, _R4 = Mat2(0, -1, 1, 0), Mat2(0, -1, 1, -1), Mat2(1, -1, 1, 0), Mat2(1, -1, 1, 1)
 
-# (p, alphabet, bases, sweep); None is the default base. With sweep, every
-# radius below the orbit's largest distance is checked too, each inconclusive.
+# (p, alphabet, bases, radius, sweep); None is the default base. The
+# conjugated SL(2, Z) orbits lie within 4k + 6 of either base. With sweep,
+# every radius below the orbit's largest distance is checked too, each
+# inconclusive.
 _BASE_CASES = [
     *(pytest.param(p, _conjugated_sl2z(p, k, seed=p + k),
-                   (TreeVertex(p, -1, Fraction(1, p * p)), TreeVertex(p, 2, 1)), False, id=f"{p}-{k}")
+                   (TreeVertex(p, -1, Fraction(1, p * p)), TreeVertex(p, 2, 1)), 4 * k + 6, False,
+                   id=f"{p}-{k}")
       for p, k in [(2, 2), (2, 3), (3, 2)]),
-    pytest.param(2, Alphabet("a", _fixing(2, 2, _S)), (None, TreeVertex(2, 2, 1)), True,
+    pytest.param(2, Alphabet("a", _fixing(2, 2, _S)), (None, TreeVertex(2, 2, 1)), 30, True,
                  id="involution"),
     # odd v_p(det): swaps v_0 and its neighbour (1, 0)
-    pytest.param(3, Alphabet("a", (Mat2(0, 1, 3, 0),)), (None, TreeVertex(3, 2, 1)), True,
+    pytest.param(3, Alphabet("a", (Mat2(0, 1, 3, 0),)), (None, TreeVertex(3, 2, 1)), 30, True,
                  id="edge-inversion"),
-    pytest.param(2, Alphabet("a", _fixing(2, 2, _R3)), (None, TreeVertex(2, 1, Fraction(1, 2))), True,
-                 id="order-3"),
-    pytest.param(3, Alphabet("a", _fixing(3, 2, _R4)), (None,), True, id="order-4"),
-    pytest.param(5, Alphabet("a", _fixing(5, 2, _R6)), (None, TreeVertex(5, 2, 1)), True,
+    pytest.param(2, Alphabet("a", _fixing(2, 2, _R3)), (None, TreeVertex(2, 1, Fraction(1, 2))), 30,
+                 True, id="order-3"),
+    pytest.param(3, Alphabet("a", _fixing(3, 2, _R4)), (None,), 30, True, id="order-4"),
+    pytest.param(5, Alphabet("a", _fixing(5, 2, _R6)), (None, TreeVertex(5, 2, 1)), 30, True,
                  id="order-6"),
     # [[1, 0], [1, 1]] fixes v_0 and (2, 0), so the pair is bounded
-    pytest.param(2, Alphabet("ab", (Mat2(1, 0, 1, 1),) + _fixing(2, 2, _S)), (None,), True,
+    pytest.param(2, Alphabet("ab", (Mat2(1, 0, 1, 1),) + _fixing(2, 2, _S)), (None,), 30, True,
                  id="fixes-the-base"),
-    pytest.param(2, Alphabet("abc", _fixing(2, 2, _R3, _S, _R6)), (None,), True,
+    pytest.param(2, Alphabet("abc", _fixing(2, 2, _R3, _S, _R6)), (None,), 30, True,
                  id="three-generators"),
 ]
 
 
-@pytest.mark.parametrize("p,ab,bases,sweep", _BASE_CASES)
-def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, sweep):
+@pytest.mark.parametrize("p,ab,bases,radius,sweep", _BASE_CASES)
+def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, radius, sweep):
     for base in bases:
-        res = orbit_bounded(ab, p, 30, base=base)
+        res = orbit_bounded(ab, p, radius, base=base)
         assert res.status == "bounded"
         assert res.orbit[0] == (base_vertex(p) if base is None else base)
-        assert res == orbit_oracle(ab, p, 30, base=base)
-        for radius in range(1, res.radius_seen) if sweep else ():
-            short = orbit_bounded(ab, p, radius, base=base)
+        assert res == orbit_oracle(ab, p, radius, base=base)
+        for short_radius in range(1, res.radius_seen) if sweep else ():
+            short = orbit_bounded(ab, p, short_radius, base=base)
             assert short.status == "inconclusive"
-            assert short == orbit_oracle(ab, p, radius, base=base)
+            assert short == orbit_oracle(ab, p, short_radius, base=base)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
