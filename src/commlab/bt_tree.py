@@ -16,8 +16,8 @@ The arithmetic runs on the integer chart (n, m, c) of u = c * p^m, with
 (n, 0, 0) for u = 0. A matrix acts through its integer form (its
 denominator is a homothety), valuations are taken of integers, and the
 residue c is a modular inverse, so act, vertex_of, distance and the orbit
-search do no Fraction arithmetic. A TreeVertex, with its Fraction u, is
-built only for a vertex handed back to the caller.
+search do no Fraction arithmetic. orbit_charts returns charts, and a
+TreeVertex, with its Fraction u, is built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def busemann(g, p):
 
 class OrbitResult(Record):
     status: str        # "bounded" | "unbounded" | "inconclusive"
-    orbit: tuple       # visited vertices in discovery order, None unless bounded
+    orbit: tuple       # visited vertices (or charts) in discovery order, None unless bounded
     radius_seen: int
     witness: Word      # loxodromic word certifying escape, None otherwise
     max_radius: int
@@ -238,8 +238,9 @@ def first_loxodromic(alphabet, p, max_len):
     return None
 
 
-def orbit_bounded(alphabet, p, max_radius, base=None):
-    """Decide whether the orbit of the base vertex stays within max_radius.
+def orbit_charts(alphabet, p, max_radius, base=None):
+    """Decide whether the orbit of the base vertex stays within max_radius;
+    a bounded orbit comes back as its (n, m, c) charts in discovery order.
 
     Serre's lemma (Trees, I.6.5, on the barycentric subdivision, which
     absorbs edge inversions): the group has a fixed point iff every generator
@@ -283,10 +284,14 @@ def orbit_bounded(alphabet, p, max_radius, base=None):
             radius_seen = max(radius_seen, d)
             seen.add(w)
             order.append(w)
-    del seen, images  # the largest objects go before the rows are built
-    for i, w in enumerate(order):
-        order[i] = _vertex(p, w)
+    del seen, images  # the largest objects go before the orbit tuple is built
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
+
+
+def orbit_bounded(alphabet, p, max_radius, base=None):
+    """orbit_charts with the orbit as TreeVertex rows."""
+    res = orbit_charts(alphabet, p, max_radius, base)
+    return res if res.orbit is None else res.replace(orbit=tuple(_vertex(p, w) for w in res.orbit))
 
 
 class PigeonholeResult(Record):

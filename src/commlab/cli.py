@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bt_tree import orbit_bounded, translation_length
+from .bt_tree import orbit_charts, translation_length
 from .diagnostics import (
     density_report,
     integral_trace_scan,
@@ -25,7 +25,7 @@ from .diagnostics import (
 )
 from .exact_core import Mat2, classify_padic, classify_real, is_prime
 from .lu_lab import knapp, lu_generators, pingpong, relator_search
-from .report import build_report, dumps_canonical, error_report, frac_str, to_json
+from .report import build_report, chart_str, dumps_canonical, error_report, frac_str, to_json
 from .words import evaluate, format_word, parse_word, reduce, Alphabet
 
 BUILTINS = ("long-reid",)
@@ -246,14 +246,14 @@ def tree_orbit(alphabet, p, radius):
     p = _parse_prime(p)
     if radius < 1:
         raise ParameterError("--radius must be >= 1")
-    res = orbit_bounded(alphabet, p, radius)
+    res = orbit_charts(alphabet, p, radius)
     results = [{
         "status": res.status,
         "p": p,
         "max_radius": radius,
         "radius_seen": res.radius_seen,
         "orbit_size": res.orbit and len(res.orbit),
-        "orbit": res.orbit,
+        "orbit": res.orbit and [chart_str(p, w) for w in res.orbit],
         "witness_word": res.witness,
     }]
     witnesses = [] if res.witness is None else [

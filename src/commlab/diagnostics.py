@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bt_tree import first_loxodromic, orbit_bounded, translation_length
+from .bt_tree import first_loxodromic, orbit_charts, translation_length
 from .exact_core import (
     INFINITY,
     ElementClass,
@@ -219,7 +219,7 @@ def _finite_place_status(alphabet, p, max_len, radius):
     A word of infinite order whose image (a, b, c, d)/den is p-integral with
     unit det (every entry has v_p >= v_p(den), and v_p(ad - bc) = 2 v_p(den))
     lies in the compact stabilizer of the base vertex. Failing that, when
-    orbit_bounded finds the orbit bounded, any word of infinite order is one.
+    orbit_charts finds the orbit bounded, any word of infinite order is one.
     """
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
         k = _split(den, p)[0]
@@ -230,7 +230,7 @@ def _finite_place_status(alphabet, p, max_len, radius):
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
                 "infinite order inside the base vertex stabilizer",
             )
-    orbit = orbit_bounded(alphabet, p, radius)
+    orbit = orbit_charts(alphabet, p, radius)
     if orbit.status == "bounded":
         # a bounded group has no loxodromic: infinite order is parabolic or elliptic
         for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):

@@ -24,10 +24,20 @@ def frac_str(x):
         return "inf"
     if not isinstance(x, Fraction):  # Fraction(x) of a Fraction is a slow copy
         x = Fraction(x)
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def chart_str(p, chart):
+    """The "p^n:u" form of the vertex charted (n, m, c), u = c * p^m, as
+    to_json writes a TreeVertex: c is prime to p, so c / p^-m is in lowest terms."""
+    n, m, c = chart
+    return f"{p}^{n}:{_ratio_str(c * p**m, 1) if m >= 0 else _ratio_str(c, p**-m)}"
+
+
+def _ratio_str(num, den):
+    """num/den, with "/1" omitted, for a ratio already in lowest terms."""
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise DigitLimitError(
             "exact entries exceed the printable digit limit "

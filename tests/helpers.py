@@ -244,6 +244,8 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
     _require_prime(p)
     if base is None:
         base = base_vertex(p)
+    # canonical, or the base is listed again when the search reaches its canonical form
+    base = TreeVertex(p, base.n, canonical_residue_oracle(base.u, base.n, p))
     gens = []
     for i in range(len(alphabet)):
         gens.append(alphabet.matrices[i])

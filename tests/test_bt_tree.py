@@ -27,6 +27,7 @@ from commlab.bt_tree import (
 from commlab.cli import main
 from commlab.exact_core import Mat2, vp
 from commlab.lu_lab import lu_generators
+from commlab.report import to_json
 from commlab.words import Alphabet, Word, evaluate, iter_words_with_matrices
 from helpers import (
     act_oracle,
@@ -420,6 +421,9 @@ _BASE_CASES = [
                  id="fixes-the-base"),
     pytest.param(2, Alphabet("abc", _fixing(2, 2, _R3, _S, _R6)), (None,), 30, True,
                  id="three-generators"),
+    # a non-canonical base: u = 1/2 is 0 modulo 2^-1, so the base is charted (-1, 0)
+    pytest.param(2, Alphabet("a", (Mat2(0, -4, Fraction(1, 4), 0),)),
+                 (TreeVertex(2, -1, Fraction(1, 2)),), 30, True, id="non-canonical-base"),
 ]
 
 
@@ -428,7 +432,8 @@ def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, radius, sweep)
     for base in bases:
         res = orbit_bounded(ab, p, radius, base=base)
         assert res.status == "bounded"
-        assert res.orbit[0] == (base_vertex(p) if base is None else base)
+        assert res.orbit[0] == (base_vertex(p) if base is None else
+                                TreeVertex(p, base.n, canonical_residue_oracle(base.u, base.n, p)))
         assert res == orbit_oracle(ab, p, radius, base=base)
         for short_radius in range(1, res.radius_seen) if sweep else ():
             short = orbit_bounded(ab, p, short_radius, base=base)
@@ -458,20 +463,33 @@ def test_orbit_base_on_another_tree_rejected():
         orbit_bounded(Alphabet(("a",), (Mat2(1, 0, 1, 1),)), 2, 3, base=base_vertex(3))
 
 
-@pytest.mark.parametrize("p,k", _FAMILY)
-def test_tree_orbit_cli_on_a_conjugated_sl2z(capsys, tmp_path, p, k):
-    ab = _conjugated_sl2z(p, k, seed=p * k)
+def _tree_orbit_cli(capsys, tmp_path, ab, p, radius):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"generators": [
         {"name": n, "matrix": [[str(e) for e in row] for row in m.rows()]}
         for n, m in zip(ab.names, ab.matrices)
     ]}), encoding="utf-8")
-    code = main(["tree", "orbit", "--gens", str(gens), "--p", str(p), "--radius", str(2 * k)])
-    res = json.loads(capsys.readouterr().out)["results"][0]
+    code = main(["tree", "orbit", "--gens", str(gens), "--p", str(p), "--radius", str(radius)])
     assert code == 0
+    return json.loads(capsys.readouterr().out)["results"][0]
+
+
+@pytest.mark.parametrize("p,k", _FAMILY)
+def test_tree_orbit_cli_on_a_conjugated_sl2z(capsys, tmp_path, p, k):
+    res = _tree_orbit_cli(capsys, tmp_path, _conjugated_sl2z(p, k, seed=p * k), p, 2 * k)
     assert (res["status"], res["orbit_size"], res["radius_seen"]) == (
         "bounded", (p + 1) * p ** (k - 1), 2 * k)
     assert len(set(res["orbit"])) == res["orbit_size"]
+
+
+@pytest.mark.parametrize("p,seed", [(p, seed) for p in (2, 3) for seed in (5, 6, 7)])
+def test_tree_orbit_cli_rows_match_the_oracle(capsys, tmp_path, p, seed):
+    # the rows are written from charts; the oracle's are Fraction vertices
+    ab = _conjugated_sl2z(p, 3, seed)
+    res = _tree_orbit_cli(capsys, tmp_path, ab, p, 6)
+    want = orbit_oracle(ab, p, 6)
+    assert res["orbit"] == to_json(want.orbit, None)
+    assert (res["radius_seen"], res["orbit_size"]) == (want.radius_seen, len(want.orbit))
 
 
 # ---------------------------------------------------------------- pigeonhole

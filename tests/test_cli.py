@@ -11,12 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from commlab.bt_tree import TreeVertex
+from commlab.bt_tree import TreeVertex, _chart
 from commlab.cli import (
     COMMANDS,
     GROUPS,
@@ -27,8 +27,9 @@ from commlab.cli import (
 )
 from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
-from commlab.report import DigitLimitError, dumps_canonical, frac_str, to_json
+from commlab.report import DigitLimitError, chart_str, dumps_canonical, frac_str, to_json
 from commlab.words import Word, format_word
+from helpers import canonical_residue_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -368,7 +369,7 @@ def test_pingpong_past_the_digit_limit_is_a_parameter_error(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv, stage", [
     (["diag", "irreducible", "--q", "1e4300"], "irreducibility_report"),
-    (["tree", "orbit", "--q", "1e-4300", "--p", "2", "--radius", "3"], "orbit_bounded"),
+    (["tree", "orbit", "--q", "1e-4300", "--p", "2", "--radius", "3"], "orbit_charts"),
     (["lu", "relators", "--q", "1e4300", "--max-len", "6"], "relator_search"),
     (["diag", "traces", "--q", "1e4300", "--max-len", "3"], "place_support"),
 ])
@@ -388,7 +389,7 @@ def test_an_unprintable_q_is_refused_before_the_work(capsys, monkeypatch, argv, 
 
 @pytest.mark.parametrize("argv, stage", [
     (["lu", "relators", "--max-len", "6"], "relator_search"),
-    (["tree", "orbit", "--p", "2", "--radius", "3"], "orbit_bounded"),
+    (["tree", "orbit", "--p", "2", "--radius", "3"], "orbit_charts"),
     (["tree", "length", "--p", "2", "--word", "b"], "evaluate"),
     (["diag", "places"], "place_support"),
     (["diag", "density"], "density_report"),
@@ -724,6 +725,36 @@ def test_frac_str_takes_a_fraction_as_it_is():
         with pytest.raises(DigitLimitError) as err:
             frac_str(x)
         assert str(err.value) == message
+
+
+@st.composite
+def _canonical_vertices(draw):
+    """A vertex at p in {2, 3, 5, 7} with u reduced to its canonical residue."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(-5, 5))
+    u = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 60))) * Fraction(p) ** draw(
+        st.integers(-4, 4))
+    return TreeVertex(p, n, canonical_residue_oracle(u, n, p))
+
+
+@given(v=_canonical_vertices())
+@example(v=TreeVertex(2, -3, 0))                    # u = 0 at negative n
+@example(v=TreeVertex(3, 2, Fraction(5, 9)))        # m < 0
+@example(v=TreeVertex(7, -1, Fraction(3, 49)))      # m < 0 at negative n
+@example(v=TreeVertex(5, 3, 10))                    # m >= 0
+@settings(derandomize=True, max_examples=300, deadline=None, phases=(Phase.explicit, Phase.generate))
+def test_chart_str_writes_what_to_json_writes(v):
+    assert chart_str(v.p, _chart(v)) == to_json(v, None)
+
+
+def test_chart_str_refuses_a_residue_past_the_digit_limit():
+    with pytest.raises(DigitLimitError) as want:
+        frac_str(10**LIMIT)
+    # 10^LIMIT is prime to 3; (n, m, c) with m = 0, m < 0 and m > 0
+    for chart in ((3 * LIMIT, 0, 10**LIMIT), (3 * LIMIT, -2, 10**LIMIT), (3 * LIMIT, 2, 10**LIMIT)):
+        with pytest.raises(DigitLimitError) as err:
+            chart_str(3, chart)
+        assert str(err.value) == str(want.value)
 
 
 @dataclasses.dataclass(frozen=True)
