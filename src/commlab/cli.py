@@ -348,16 +348,15 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
     return {"primes": primes, "max_len": max_len, "csv": csv_path}, results, []
 
 
-@command("diag", "irreducible", Option("--max-len", int, default=6),
-         Option("--radius", int, default=3))
-def diag_irreducible(alphabet, max_len, radius):
+@command("diag", "irreducible", Option("--max-len", int, default=6))
+def diag_irreducible(alphabet, max_len):
     """Per-place indiscreteness witnesses plus the product-level summary."""
-    if max_len < 1 or radius < 1:
-        raise ParameterError("--max-len and --radius must be >= 1")
-    rep = irreducibility_report(alphabet, max_len=max_len, radius=radius)
+    if max_len < 1:
+        raise ParameterError("--max-len must be >= 1")
+    rep = irreducibility_report(alphabet, max_len=max_len)
     witnesses = [_witness(st.word, alphabet, lambda m: st.classification)
                  for st in rep.places if st.word is not None]
-    return {"max_len": max_len, "radius": radius}, [rep], witnesses
+    return {"max_len": max_len}, [rep], witnesses
 
 
 @command("diag", "probe", Option("--p", int, required=True),

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bt_tree import first_loxodromic, orbit_charts, translation_length
+from .bt_tree import first_loxodromic, translation_length
 from .exact_core import (
     INFINITY,
     ElementClass,
@@ -189,7 +189,8 @@ def integral_trace_scan(alphabet, primes, max_len):
 
 class PlaceStatus(Record):
     place: str            # "real" or the prime as a string
-    status: str           # "indiscrete-witness" | "bounded-orbit" | "inconclusive"
+    status: str           # "indiscrete-witness" | "bounded-orbit" | "inconclusive",
+                          # which at a prime always carries a loxodromic word
     word: Word            # witness word, None otherwise
     classification: ElementClass
     note: str = None
@@ -213,46 +214,44 @@ def _real_place_status(alphabet, max_len):
     )
 
 
-def _finite_place_status(alphabet, p, max_len, radius):
+def _finite_place_status(alphabet, p, max_len):
     """Indiscreteness at p from words of length <= max_len, on integer forms.
 
     A word of infinite order whose image (a, b, c, d)/den is p-integral with
     unit det (every entry has v_p >= v_p(den), and v_p(ad - bc) = 2 v_p(den))
-    lies in the compact stabilizer of the base vertex. Failing that, when
-    orbit_charts finds the orbit bounded, any word of infinite order is one.
+    lies in the compact stabilizer of the base vertex. Failing that, Serre's
+    lemma (Trees, I.6.5) decides: the group is bounded iff no word of length
+    <= 2 is loxodromic, and then any word of infinite order is a witness.
     """
+    first_infinite = None
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
+        if not _infinite_order(a, b, c, d):
+            continue
+        if first_infinite is None:
+            first_infinite = codes
         k = _split(den, p)[0]
-        if (_infinite_order(a, b, c, d) and not any(x % p**k for x in (a, b, c, d))
-                and _split(a * d - b * c, p)[0] == 2 * k):
+        if not any(x % p**k for x in (a, b, c, d)) and _split(a * d - b * c, p)[0] == 2 * k:
             word = Word(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
                 "infinite order inside the base vertex stabilizer",
             )
-    orbit = orbit_charts(alphabet, p, radius)
-    if orbit.status == "bounded":
-        # a bounded group has no loxodromic: infinite order is parabolic or elliptic
-        for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
-            if _infinite_order(a, b, c, d):
-                word = Word(codes)
-                cls = classify_padic(evaluate(word, alphabet), p)
-                return PlaceStatus(
-                    str(p), "indiscrete-witness", word, cls,
-                    f"infinite order with the whole orbit inside radius {orbit.radius_seen}",
-                )
+    loxodromic = first_loxodromic(alphabet, p, 2)
+    if loxodromic is not None:
         return PlaceStatus(
-            str(p), "bounded-orbit", None, None,
-            f"orbit closed within radius {orbit.radius_seen}; no infinite-order word of length <= {max_len}",
+            str(p), "inconclusive", loxodromic, None,
+            f"loxodromic witness, so the group is unbounded; no integrality witness of length <= {max_len}",
         )
-    if orbit.status == "unbounded":
+    if first_infinite is not None:
+        # a bounded group has no loxodromic: infinite order is parabolic or elliptic
+        word = Word(first_infinite)
         return PlaceStatus(
-            str(p), "inconclusive", orbit.witness, None,
-            f"orbit escapes radius {radius} with loxodromic witness; no integrality witness of length <= {max_len}",
+            str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
+            "infinite order in a bounded group: no word of length <= 2 is loxodromic",
         )
     return PlaceStatus(
-        str(p), "inconclusive", None, None,
-        f"orbit escapes radius {radius} without a loxodromic witness at this depth",
+        str(p), "bounded-orbit", None, None,
+        f"bounded: no word of length <= 2 is loxodromic; no infinite-order word of length <= {max_len}",
     )
 
 
@@ -276,11 +275,12 @@ class IrreducibilityReport(Record):
     conditional_notes: tuple
 
 
-def irreducibility_report(alphabet, max_len=6, radius=3):
+def irreducibility_report(alphabet, max_len=6):
     """Per-place indiscreteness diagnostics and the product-level summary.
 
-    Each finite place in the support is probed for an indiscreteness
-    witness; the real place is scanned for elliptic elements of infinite
+    Each finite place in the support gets an integral-unit witness or a
+    verdict by Serre's lemma, so it is inconclusive only with a loxodromic
+    word; the real place is scanned for elliptic elements of infinite
     order. The diagonal image in the product over the full support is
     always discrete (S-integer matrices of bounded denominator form a
     discrete set), which is what makes per-place indiscreteness evidence
@@ -299,7 +299,7 @@ def irreducibility_report(alphabet, max_len=6, radius=3):
         real = real.replace(note=real.note + "; " + note)
     places = [real]
     for p in support.primes:
-        places.append(_finite_place_status(alphabet, p, max_len, radius))
+        places.append(_finite_place_status(alphabet, p, max_len))
     density = density_report(alphabet)
     notes = []
     finite = places[1:]

@@ -99,7 +99,7 @@ def trace_scan_oracle(alphabet, primes, max_len):
 
 
 # Reference word scans: the Mat2 walks the library ran before its scans moved
-# to integer forms, kept verbatim (the finite place calls orbit_oracle).
+# to integer forms (the finite place decides boundedness by Serre's lemma).
 
 _TORSION_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -125,7 +125,7 @@ def real_place_oracle(alphabet, max_len):
     )
 
 
-def finite_place_oracle(alphabet, p, max_len, radius):
+def finite_place_oracle(alphabet, p, max_len):
     # direct witness: a p-integral unit-determinant word of infinite order
     # lives in the stabilizer of the base vertex, a compact group
     for word, m in iter_words_with_matrices(alphabet, max_len):
@@ -141,29 +141,25 @@ def finite_place_oracle(alphabet, p, max_len, radius):
             str(p), "indiscrete-witness", word, classify_padic(m, p),
             "infinite order inside the base vertex stabilizer",
         )
-    orbit = orbit_oracle(alphabet, p, radius)
-    if orbit.status == "bounded":
-        for word, m in iter_words_with_matrices(alphabet, max_len):
-            if len(word) == 0:
-                continue
-            cls = classify_padic(m, p)
-            if cls.kind in ("parabolic", "elliptic-infinite-order"):
-                return PlaceStatus(
-                    str(p), "indiscrete-witness", word, cls,
-                    f"infinite order with the whole orbit inside radius {orbit.radius_seen}",
-                )
-        return PlaceStatus(
-            str(p), "bounded-orbit", None, None,
-            f"orbit closed within radius {orbit.radius_seen}; no infinite-order word of length <= {max_len}",
-        )
-    if orbit.status == "unbounded":
-        return PlaceStatus(
-            str(p), "inconclusive", orbit.witness, None,
-            f"orbit escapes radius {radius} with loxodromic witness; no integrality witness of length <= {max_len}",
-        )
+    # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
+    for word, m in iter_words_with_matrices(alphabet, 2):
+        if len(word) and classify_padic(m, p).kind == "loxodromic":
+            return PlaceStatus(
+                str(p), "inconclusive", word, None,
+                f"loxodromic witness, so the group is unbounded; no integrality witness of length <= {max_len}",
+            )
+    for word, m in iter_words_with_matrices(alphabet, max_len):
+        if len(word) == 0:
+            continue
+        cls = classify_padic(m, p)
+        if cls.kind in ("parabolic", "elliptic-infinite-order"):
+            return PlaceStatus(
+                str(p), "indiscrete-witness", word, cls,
+                "infinite order in a bounded group: no word of length <= 2 is loxodromic",
+            )
     return PlaceStatus(
-        str(p), "inconclusive", None, None,
-        f"orbit escapes radius {radius} without a loxodromic witness at this depth",
+        str(p), "bounded-orbit", None, None,
+        f"bounded: no word of length <= 2 is loxodromic; no infinite-order word of length <= {max_len}",
     )
 
 

@@ -235,7 +235,7 @@ def _with_files(argv, tmp_path):
      "--primes must be a prime, got 4"),
     (["diag", "traces", "--q", "1", "--max-len", "3"],
      "generators are integral; pass --primes explicitly"),
-    (["diag", "irreducible", "--q", "1/2", "--radius", "0"], "--max-len and --radius must be >= 1"),
+    (["diag", "irreducible", "--q", "1/2", "--max-len", "0"], "--max-len must be >= 1"),
     (["diag", "probe", "--gens", "{three}", "--p", "2"], "probe needs exactly two generators"),
     (["diag", "probe", "--q", "1/2", "--p", "2", "--iterations", "0"], "--iterations must be >= 1"),
     (["diag", "probe", "--builtin", "long-reid", "--p", "2"],
@@ -597,6 +597,25 @@ def test_probe_without_decisive_pass(capsys):
     assert res["message"] is None
 
 
+def test_irreducible_decides_a_bounded_place_without_a_radius(capsys, tmp_path):
+    # no word of length <= 2 is loxodromic at 3, so the group is bounded
+    # there (Serre) and a, of infinite order, witnesses indiscreteness; a
+    # radius-3 orbit search left this place inconclusive
+    gens = tmp_path / "conjugated_orbit.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["1", "1/6561"], ["0", "1"]]},
+        {"name": "b", "matrix": [["10", "-1/81"], ["6561", "-8"]]},
+    ]}), encoding="utf-8")
+    code, out, _ = run(capsys, ["diag", "irreducible", "--gens", str(gens)])
+    assert code == 0
+    doc = check_schema(out)
+    assert doc["params"]["max_len"] == 6 and "radius" not in doc["params"]
+    real, p3 = doc["results"][0]["places"]
+    assert (p3["place"], p3["status"], p3["word"]) == ("3", "indiscrete-witness", "a")
+    assert p3["classification"]["kind"] == "parabolic"
+    assert "radius" not in p3["note"]
+
+
 def test_irreducible_exits_zero_even_when_inconclusive(capsys):
     # q = 1: discrete everywhere relevant, no witnesses; still a clean report
     code, out, _ = run(capsys, ["diag", "irreducible", "--q", "1", "--max-len", "4"])
@@ -658,6 +677,7 @@ def test_help_at_each_level(capsys, argv, expect):
      "--radius must be an integer, got '1e3'"),
     (["diag", "places", "--builtin", "foo"], "--builtin must be one of long-reid, got 'foo'"),
     (["lu", "knapp", "--q", "2", "extra"], "unexpected argument 'extra'"),
+    (["diag", "irreducible", "--q", "1/2", "--radius", "3"], "no such option '--radius'"),
 ])
 def test_usage_errors_name_the_token(capsys, argv, message):
     code, out, _ = run(capsys, argv)

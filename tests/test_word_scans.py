@@ -22,11 +22,12 @@ from commlab.diagnostics import (
 )
 from commlab.exact_core import Mat2, denominator_primes
 from commlab.lu_lab import lu_generators
-from commlab.words import Alphabet
+from commlab.words import Alphabet, Word
 from helpers import finite_place_oracle, orbit_oracle, probe_check4_oracle, real_place_oracle
 
 DENS = (2, 3, 4, 6, 8, 9, 27)
 MAX_LEN, RADIUS, PRIMES = 5, 2, (2, 3)
+INTEGRAL_NOTE = "infinite order inside the base vertex stabilizer"
 
 
 def _shear_product(rng, dens):
@@ -95,7 +96,31 @@ def test_real_place_status_matches_mat2_walk(ab):
 @pytest.mark.parametrize("ab", SETS)
 def test_finite_place_status_matches_mat2_walk(ab):
     for p in PRIMES:
-        assert _finite_place_status(ab, p, MAX_LEN, RADIUS) == finite_place_oracle(ab, p, MAX_LEN, RADIUS)
+        assert _finite_place_status(ab, p, MAX_LEN) == finite_place_oracle(ab, p, MAX_LEN)
+
+
+@pytest.mark.parametrize("ab", SETS)
+def test_finite_place_status_agrees_with_every_decided_orbit(ab):
+    # Serre's lemma changes only the notes wherever the orbit search decided
+    for p in PRIMES:
+        st = _finite_place_status(ab, p, MAX_LEN)
+        for radius in (2, 6):
+            orbit = orbit_bounded(ab, p, radius)
+            if orbit.status == "bounded":
+                assert st.status in ("indiscrete-witness", "bounded-orbit")
+            elif orbit.status == "unbounded" and st.note != INTEGRAL_NOTE:
+                assert (st.status, st.word) == ("inconclusive", orbit.witness)
+
+
+def test_a_bounded_place_past_the_old_radius_is_decided():
+    # the tree-orbit family conjugated by [[1, 3^-6], [0, 1]]: bounded at 3,
+    # with the base vertex's orbit wider than radius 3
+    f = Alphabet("ab", (Mat2(1, Fraction(1, 6561), 0, 1), Mat2(10, Fraction(-1, 81), 6561, -8)))
+    assert orbit_bounded(f, 3, 3).status == "inconclusive"
+    st = _finite_place_status(f, 3, 6)
+    assert (st.status, st.word) == ("indiscrete-witness", Word((0,)))
+    assert st.classification.kind == "parabolic"
+    assert st == finite_place_oracle(f, 3, 6)
 
 
 @pytest.mark.parametrize("ab", SETS)
@@ -126,10 +151,10 @@ def test_each_branch_is_reached():
     # the comparisons above would pass vacuously if every set took one branch
     real = {_real_place_status(ab, MAX_LEN).status for ab in SETS}
     finite = {re.sub(r"\d+", "N", st.note)
-              for ab in SETS for st in (_finite_place_status(ab, p, MAX_LEN, RADIUS) for p in PRIMES)}
+              for ab in SETS for st in (_finite_place_status(ab, p, MAX_LEN) for p in PRIMES)}
     orbits = {orbit_bounded(ab, p, RADIUS).status for ab in SETS for p in PRIMES}
     applies = sum(_probe_applies(ab, p) for ab in SETS for p in PRIMES)
     assert real == {"indiscrete-witness", "inconclusive"}
-    assert len(finite) == 5  # two witnesses, the bounded orbit, two inconclusive
+    assert len(finite) == 4  # two witnesses, the bounded orbit, the loxodromic
     assert {"bounded", "unbounded", "inconclusive"} == orbits
     assert applies >= 10
