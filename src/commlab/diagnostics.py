@@ -16,14 +16,13 @@ from .exact_core import (
     _require_prime,
     _split,
     classify_padic,
-    classify_real,
     commutator,
     denominator_primes,
     vp,
 )
 from .lu_lab import knapp
 from .report import frac_str
-from .words import Alphabet, Word, evaluate, format_word, is_necklace_form, iter_forms
+from .words import Alphabet, Word, evaluate, format_word, iter_forms
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -156,16 +155,16 @@ class TraceScanResult(Record):
 def integral_trace_scan(alphabet, primes, max_len):
     """Conjugacy-class scan for words whose trace is integral at every prime.
 
-    Walks reduced words of length 1..max_len in canonical order, keeps one
-    representative per necklace class (the word equal to its own canonical
-    form), and records those whose trace has nonnegative valuation at every
-    listed prime. The identity (length 0) is integral trivially and skipped.
+    Walks one representative per necklace class (the word equal to its own
+    canonical form) of length 1..max_len in canonical order, and records
+    those whose trace has nonnegative valuation at every listed prime. The
+    identity (length 0) is integral trivially and skipped.
 
-    The walk (iter_forms with necklaces) visits only prefixes that can still
-    become a class representative, and carries letter codes and integer
-    forms. The trace of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den),
-    INFINITY for a zero trace, taken on the integers; only a hit gets its
-    trace as a Fraction and its Word.
+    The walk (iter_forms with necklaces) yields exactly the class
+    representatives, and carries letter codes and integer forms. The trace
+    of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den), INFINITY for a zero
+    trace, taken on the integers; only a hit gets its trace as a Fraction
+    and its Word.
     """
     for p in primes:
         _require_prime(p)
@@ -173,8 +172,6 @@ def integral_trace_scan(alphabet, primes, max_len):
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
     for codes, a, _, _, d, den in iter_forms(alphabet, max_len, necklaces=True):
-        if not is_necklace_form(codes):
-            continue
         classes_per_length[len(codes)] += 1
         t = a + d
         if t:
@@ -197,16 +194,11 @@ class PlaceStatus(Record):
 
 
 def _real_place_status(alphabet, max_len):
-    for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
+    for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
         det = a * d - b * c
         if det > 0 and (a + d) ** 2 < 4 * det and _infinite_order(a, b, c, d):
-            word = Word(codes)
-            m = evaluate(word, alphabet)
-            if m.det() == 1:
-                cls = classify_real(m)
-            else:
-                cls = ElementClass("elliptic-infinite-order", note="class from tr^2/det")
-            return PlaceStatus("real", "indiscrete-witness", word, cls,
+            cls = ElementClass("elliptic-infinite-order", note=None if det == den * den else "class from tr^2/det")
+            return PlaceStatus("real", "indiscrete-witness", Word(codes), cls,
                                "elliptic of infinite order: orbits accumulate")
     return PlaceStatus(
         "real", "inconclusive", None, None,

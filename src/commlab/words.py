@@ -63,32 +63,6 @@ def is_reduced(letters):
     return all(letters[i] ^ 1 != letters[i + 1] for i in range(len(letters) - 1))
 
 
-def is_necklace_form(codes):
-    """Whether a code tuple is its own necklace_canonical form: no greater
-    than any rotation of itself or of its inverse, and cyclically reduced.
-    Exits at the first failing test; most words fail on a letter smaller
-    than their first."""
-    if not codes:
-        return True
-    first = codes[0]
-    # an inverse first letter puts its generator, a smaller letter, in the
-    # inverse word
-    if first & 1 or min(codes) < first:
-        return False
-    for r, c in enumerate(codes):
-        if c == first and codes[r:] + codes[:r] < codes:
-            return False
-    # no inverse letter is below first now, and one equal to it, where a
-    # rotation could start, is the inverse of a letter first ^ 1
-    if first ^ 1 in codes:
-        inverse = invert_letters(codes)
-        for r, c in enumerate(inverse):
-            if c == first and inverse[r:] + inverse[:r] < codes:
-                return False
-    # i = 0 compares the first code with the last, its cyclic neighbour
-    return all(codes[i] ^ 1 != codes[i - 1] for i in range(len(codes)))
-
-
 def necklace_canonical(w):
     """Canonical representative of the conjugacy class of w and w^-1.
 
@@ -182,9 +156,9 @@ def iter_forms(alphabet, max_len, necklaces=False):
     the product of the letters' integer forms (no gcd taken) over the product
     of their denominators. The walk builds no Fraction and no Word.
 
-    With necklaces, the walk visits only prefixes that can still extend to
-    a word passing is_necklace_form, and yields only words that may pass
-    it; callers still apply it to each word yielded. Every cut is exact:
+    With necklaces, the walk yields exactly the class representatives, the
+    words equal to their necklace_canonical form. It visits only prefixes
+    that can still extend to one; every cut is exact:
 
     - the first letter is a generator, not an inverse: otherwise the
       inverse word holds the generator, a letter below the first;
@@ -193,9 +167,14 @@ def iter_forms(alphabet, max_len, necklaces=False):
       (Ruskey, Savage and Wang, Generating necklaces, J. Algorithms 1992):
       appending c to a prefix of length n is cut if c < codes[n - per],
       and sets per = n + 1 if c is greater. This also cuts any letter
-      below the first;
-    - a word of length n is yielded only if per divides n, the FKM test
-      for a prenecklace to be no greater than its own rotations.
+      below the first.
+
+    A word of length n is then yielded if per divides n, the FKM test for
+    it to be no greater than its own rotations, if it is cyclically reduced
+    (its last letter is not the inverse of its first), and if no rotation
+    of its inverse is smaller. Every letter of the inverse is at least the
+    first letter, and equal to it only as the inverse of a letter first ^ 1,
+    so only those rotations are compared, and only if first ^ 1 occurs.
     """
     forms = [integer_form(m) for m in alphabet.letter_matrices]
 
@@ -215,8 +194,16 @@ def iter_forms(alphabet, max_len, necklaces=False):
 
     for n in range(1, max_len + 1):
         for codes, per, a, b, c, d, den in iter_level_carrying(len(alphabet), n, ((), 1, 1, 0, 0, 1, 1), step):
-            if not n % per:
-                yield codes, a, b, c, d, den
+            if n % per:
+                continue
+            # both tests can fail only on a word holding the letter first ^ 1
+            if necklaces and (first := codes[0]) ^ 1 in codes:
+                if codes[-1] == first ^ 1:
+                    continue
+                inverse = invert_letters(codes)
+                if any(x == first and inverse[r:] + inverse[:r] < codes for r, x in enumerate(inverse)):
+                    continue
+            yield codes, a, b, c, d, den
 
 
 def _append_code(codes, code):
