@@ -305,13 +305,6 @@ def projective_key(m):
     return _primitive(*integer_form(m)[0])
 
 
-def key_mul(k, l):
-    """Key of the product of two matrices, from their keys."""
-    a, b, c, d = k
-    e, f, g, h = l
-    return _primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def commutator(g, h):
     """[g, h] = g h g^-1 h^-1."""
     return g * h * g.inverse() * h.inverse()

@@ -8,12 +8,10 @@ relator searches by meet-in-the-middle over projective images.
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 
-from .exact_core import Mat2, Record, key_mul, projective_key
+from .exact_core import Mat2, Record, projective_key
 from .report import frac_str
 from .words import Alphabet, Word, evaluate, invert_letters, necklace_canonical, reduce_letters
 
@@ -111,21 +109,47 @@ def _entry_cost(key, word_len):
 
 
 _IDENTITY_KEY = (1, 0, 0, 1)
+_FIRST_LEVELS = 16  # levels the first key width holds; past them it doubles
 
 
-@contextmanager
-def _gc_paused():
-    # The search allocates hundreds of thousands of tuples and ints but no
-    # reference cycles, so refcounting frees everything it drops. Cyclic
-    # collections would only rescan the growing table (about a tenth of a
-    # max-len 18 search, all of it memory-bound); pause them for the search.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def _key_width(code_keys, levels):
+    """Bits per entry that hold the key of any word of at most levels letters.
+
+    With M the largest |entry| of a letter key and b = (2M).bit_length(), so
+    M < 2^(b-1), each product entry is a sum of two products, and every
+    entry x of a level-L key has |x| <= 2^(L-1) M^L < 2^(L b - 1).
+    """
+    m = max(abs(x) for key in code_keys for x in key)
+    return levels * (2 * m).bit_length()
+
+
+def _pack_key(key, width):
+    """A key as one int: its entries (|x| < 2^(width-1)) as the signed digits
+    of base 2^width, first entry highest. The int has the sign of the first
+    nonzero entry, so a key packs to a positive int, and equal ints mean
+    equal keys."""
+    a, b, c, d = key
+    return (((a << width) + b << width) + c << width) + d
+
+
+def _offset(width):
+    """2^(width-1) in each of the four fields: added to a packed key, it
+    makes every field its entry plus 2^(width-1), in [1, 2^width)."""
+    return (1 << width - 1) * (1 + (1 << width) + (1 << 2 * width) + (1 << 3 * width))
+
+
+def _unpack_key(packed, width):
+    """The key that _pack_key packed into packed at this width."""
+    half = 1 << width - 1
+    mask = (1 << width) - 1
+    packed += _offset(width)
+    return ((packed >> 3 * width) - half, (packed >> 2 * width & mask) - half,
+            (packed >> width & mask) - half, (packed & mask) - half)
+
+
+def _widen(packed, width):
+    """A packed key repacked at twice the width."""
+    return _pack_key(_unpack_key(packed, width), 2 * width)
 
 
 def _unpack_codes(packed, bits):
@@ -135,23 +159,58 @@ def _unpack_codes(packed, bits):
     return tuple((packed >> shift) & mask for shift in range(packed.bit_length() - 1 - bits, -1, -bits))
 
 
-def _extend_level(keys, words, code_keys, bits):
+def _extend_level(keys, words, code_keys, bits, width):
     """The reduced words one letter longer than a level's, as parallel lists
-    of keys and packed words, in the lexicographic order of
-    words.iter_level_carrying: each parent in list order, then each letter
-    code c except the inverse of its last letter. One key_mul per word, by
-    code_keys[c], the projective key of letter c."""
+    of packed keys (_pack_key at width, which must hold the new level) and
+    packed words, in the lexicographic order of words.iter_level_carrying:
+    each parent in list order, then each letter code c except the inverse of
+    its last letter. Each parent key is unpacked once and multiplied in
+    integers by code_keys[c], the projective key of letter c; the product is
+    made primitive with its first nonzero entry positive, then packed.
+
+    A letter key L of det +-1 needs no gcd: K L adj(L) = det(L) K, so the
+    content of K L divides det L when K is primitive. Packing is linear, so
+    the packed K L is a A + b B + c C + d D for the parent's entries a, b,
+    c, d and four packed constants of L; its sign is the sign of the first
+    nonzero entry, the only thing left to fix.
+    """
     mask = (1 << bits) - 1
-    codes = tuple(enumerate(code_keys))
+    w2, w3 = 2 * width, 3 * width
+    half = 1 << width - 1
+    fields = (1 << width) - 1
+    offset = _offset(width)
+    letters = []  # (code, |det L| or 0 for no gcd, the entries of L or A, B, C, D)
+    for code, (e, f, g, h) in enumerate(code_keys):
+        det = e * h - f * g
+        if det in (1, -1):
+            letters.append((code, 0, (e << w3) + (f << w2), (g << w3) + (h << w2),
+                            (e << width) + f, (g << width) + h))
+        else:
+            letters.append((code, abs(det), e, f, g, h))
+    gcd = math.gcd
     new_keys, new_words = [], []
     add_key, add_word = new_keys.append, new_words.append
     for key, packed in zip(keys, words):
         back = (packed & mask) ^ 1 if packed > 1 else -1  # packed == 1: the empty word
         packed <<= bits
-        for c, code_key in codes:
-            if c != back:
-                add_key(key_mul(key, code_key))
-                add_word(packed | c)
+        key += offset
+        a, b = (key >> w3) - half, (key >> w2 & fields) - half
+        c, d = (key >> width & fields) - half, (key & fields) - half
+        for code, det, e, f, g, h in letters:
+            if code == back:
+                continue
+            if not det:
+                x = a * e + b * f + c * g + d * h
+                add_key(x if x > 0 else -x)
+            else:
+                x, y, z, t = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+                n = gcd(det, x, y, z, t)
+                if (x or y or z or t) < 0:
+                    n = -n
+                if n != 1:
+                    x, y, z, t = x // n, y // n, z // n, t // n
+                add_key((((x << width) + y << width) + z << width) + t)
+            add_word(packed | code)
     return new_keys, new_words
 
 
@@ -160,11 +219,14 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
 
     Builds all reduced words of length <= ceil(max_len/2) keyed by their
     projective image, an exact_core.projective_key: the primitive integer
-    quadruple of the class in PGL(2, Q). Each level is built from the one
-    before (_extend_level), multiplying each kept key by each letter's key,
-    so no Fraction matrix is built. Equal keys mean equal
-    projective_normalize forms, so collisions are exactly those of the
-    rational normal form.
+    quadruple of the class in PGL(2, Q), packed into one int (_pack_key).
+    Each level is built from the one before (_extend_level), multiplying each
+    kept key by each letter's key, so no Fraction matrix is built. The key
+    width is taken from the levels built, never from max_len (_key_width):
+    it holds _FIRST_LEVELS levels, and doubles, repacking the table and the
+    level, when a level needs more. Equal packed keys mean equal keys, and
+    equal keys mean equal projective_normalize forms, so collisions are
+    exactly those of the rational normal form.
 
     The table maps a key to the first word with that image, first in
     lexicographic order. A word x whose key is already stored, for the word
@@ -185,19 +247,20 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     (_entry_cost), priced only when a cap is given; a breached cap yields
     status "inconclusive" unless a relator was already certified at a
     completed level; words_per_length and images_per_length then cover the
-    completed levels only, not the level that breached the cap. Cyclic
-    garbage collection is paused while the levels are built and restored,
-    as found, on every return.
+    completed levels only, not the level that breached the cap. The model
+    prices the unpacked key.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     half = (max_len + 1) // 2
-    table = {_IDENTITY_KEY: 1}
+    code_keys = [projective_key(m) for m in alphabet.letter_matrices]
+    width = _key_width(code_keys, min(half, _FIRST_LEVELS))
+    keys, words = [_pack_key(_IDENTITY_KEY, width)], [1]
+    table = dict(zip(keys, words))
     cost = 0 if mem_cap is None else _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
     bits = (2 * len(alphabet) - 1).bit_length()
-    code_keys = [projective_key(m) for m in alphabet.letter_matrices]
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -211,50 +274,52 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             images_per_length,
         )
 
-    with _gc_paused():
-        keys, words = [_IDENTITY_KEY], [1]
-        for level in range(1, half + 1):
-            keys, words = _extend_level(keys, words, code_keys, bits)
-            # images = new keys + keys first met at an earlier level, whose
-            # stored word is shorter: below this level's sentinel bit
-            floor = 1 << bits * level
-            new = 0
-            earlier = set()
-            capped = False
-            candidates = []
-            for key, packed in zip(keys, words):
-                first = table.get(key)
-                if first is None:
-                    new += 1
-                    if mem_cap is not None:
-                        cost += _entry_cost(key, level)
-                        if cost > mem_cap:
-                            capped = True
-                            break
-                    table[key] = packed
-                    continue
-                if first < floor:
-                    earlier.add(key)
-                # first and packed share an image, so first packed^-1 is scalar
-                rel = reduce_letters(_unpack_codes(first, bits) + invert_letters(_unpack_codes(packed, bits)))
-                if len(rel) <= max_len:
-                    candidates.append(Word(rel))
-            if capped:
-                return finish("inconclusive", completed=min(2 * (level - 1), max_len))
-            words_per_length[level] = len(keys)
-            images_per_length[level] = new + len(earlier)
-            if progress is not None:
-                progress(level, len(keys), len(table))
-            if candidates:
-                best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
-                relator = necklace_canonical(best)
-                image = evaluate(relator, alphabet)
-                if not image.is_scalar():
-                    raise AssertionError("collision produced a non-scalar image")
-                return finish(
-                    "relator-found",
-                    relator=relator,
-                    scalar=image.a,
-                    completed=min(2 * level, max_len),
-                )
-        return finish("none-found", completed=max_len)
+    for level in range(1, half + 1):
+        if _key_width(code_keys, level) > width:  # double the width, repack
+            table = {_widen(key, width): first for key, first in table.items()}
+            keys = [_widen(key, width) for key in keys]
+            width *= 2
+        keys, words = _extend_level(keys, words, code_keys, bits, width)
+        # images = new keys + keys first met at an earlier level, whose
+        # stored word is shorter: below this level's sentinel bit
+        floor = 1 << bits * level
+        new = 0
+        earlier = set()
+        capped = False
+        candidates = []
+        for key, packed in zip(keys, words):
+            first = table.get(key)
+            if first is None:
+                new += 1
+                if mem_cap is not None:
+                    cost += _entry_cost(_unpack_key(key, width), level)
+                    if cost > mem_cap:
+                        capped = True
+                        break
+                table[key] = packed
+                continue
+            if first < floor:
+                earlier.add(key)
+            # first and packed share an image, so first packed^-1 is scalar
+            rel = reduce_letters(_unpack_codes(first, bits) + invert_letters(_unpack_codes(packed, bits)))
+            if len(rel) <= max_len:
+                candidates.append(Word(rel))
+        if capped:
+            return finish("inconclusive", completed=min(2 * (level - 1), max_len))
+        words_per_length[level] = len(keys)
+        images_per_length[level] = new + len(earlier)
+        if progress is not None:
+            progress(level, len(keys), len(table))
+        if candidates:
+            best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
+            relator = necklace_canonical(best)
+            image = evaluate(relator, alphabet)
+            if not image.is_scalar():
+                raise AssertionError("collision produced a non-scalar image")
+            return finish(
+                "relator-found",
+                relator=relator,
+                scalar=image.a,
+                completed=min(2 * level, max_len),
+            )
+    return finish("none-found", completed=max_len)

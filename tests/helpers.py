@@ -16,6 +16,7 @@ from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
     Mat2,
+    _primitive,
     _require_prime,
     classify_padic,
     classify_real,
@@ -273,6 +274,14 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
         if translation_length(m, p) > 0:
             return OrbitResult("unbounded", None, max_radius, word, max_radius)
     return OrbitResult("inconclusive", None, max_radius, None, max_radius)
+
+
+def key_mul(k, l):
+    """Key of the product of two matrices, from their keys: the tuple oracle
+    for the packed keys that lu_lab._extend_level builds."""
+    a, b, c, d = k
+    e, f, g, h = l
+    return _primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def naive_relator_search(alphabet, max_len):

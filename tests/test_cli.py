@@ -114,6 +114,23 @@ def test_relators_inconclusive_exits_3(capsys):
     assert doc["results"][0]["relator"] is None
 
 
+def test_relators_huge_max_len_under_a_cap_exits_3_at_once(capsys):
+    # The key width follows the levels built, not --max-len: sized from
+    # 10^9 it would pack the identity into an int of gigabytes before level 1.
+    started = time.monotonic()
+    code, out, err = run(capsys, ["lu", "relators", "--q", "11/2", "--max-len", "1000000000",
+                                  "--mem-cap", "100000"])
+    assert time.monotonic() - started < 0.5
+    assert code == 3
+    counts = {str(n): 1 if n == 0 else 4 * 3 ** (n - 1) for n in range(6)}
+    assert check_schema(out)["results"] == [{
+        "completed_length": 10, "images_per_length": counts, "max_len": 1000000000,
+        "relator": None, "relator_length": None, "scalar": None, "sl2_note": None,
+        "status": "inconclusive", "strategy": "meet-in-the-middle", "words_per_length": counts,
+    }]
+    assert err.splitlines()[-1] == "level 5: 324 words, table 485"
+
+
 def test_orbit_inconclusive_exits_3(capsys, tmp_path):
     gens = tmp_path / "b_only.json"
     gens.write_text(

@@ -26,7 +26,6 @@ from commlab.exact_core import (
     denominator_primes,
     integer_form,
     is_prime,
-    key_mul,
     prime_factors,
     projective_key,
     projective_normalize,
@@ -34,7 +33,7 @@ from commlab.exact_core import (
 )
 from commlab.lu_lab import KnappVerdict, _entry_cost
 from commlab.words import Word
-from helpers import rand_frac, rand_sl2
+from helpers import key_mul, rand_frac, rand_sl2
 
 
 # ---------------------------------------------------------------- oracles

@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 from commlab.diagnostics import long_reid_pair
 from commlab.exact_core import Mat2
 from commlab import lu_lab
-from commlab.exact_core import key_mul, projective_key
+from commlab.exact_core import projective_key
 from commlab.lu_lab import (
     _extend_level,
+    _key_width,
+    _pack_key,
     _unpack_codes,
+    _unpack_key,
+    _widen,
     knapp,
     lu_generators,
     pingpong,
@@ -30,7 +35,7 @@ from commlab.words import (
     iter_level_carrying,
     parse_word,
 )
-from helpers import naive_relator_search
+from helpers import key_mul, naive_relator_search
 
 A = 0
 Ai = 1
@@ -391,8 +396,9 @@ def test_mem_cap_cases_meet_keys_of_earlier_levels():
 
 
 def test_table_memory_per_entry():
-    # The table and a level hold packed ints, not Words: the traced peak of a
-    # max-len 14 search (4373 table entries) is near 270 bytes per entry.
+    # The table and a level hold packed ints, keys as well as words: the
+    # traced peak of a max-len 14 search (4373 table entries) is near 140
+    # bytes per entry.
     sizes = []
     tracemalloc.start()
     try:
@@ -402,7 +408,7 @@ def test_table_memory_per_entry():
     finally:
         tracemalloc.stop()
     assert sizes[-1] == 4373
-    assert peak <= 350 * sizes[-1]
+    assert peak <= 200 * sizes[-1]
 
 
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
@@ -427,21 +433,96 @@ _LEVEL_ALPHABETS = {
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
     # _extend_level must give the walker's lexicographic order: the table
-    # keeps the first word per key.
+    # keeps the first word per key. Its packed keys unpack to the keys the
+    # key_mul oracle gives along the walk.
     ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
+    code_keys = [projective_key(m) for m in ab.letter_matrices]
+    width = _key_width(code_keys, 6)
+
+    def step(value, c):
+        key, packed = value
+        return key_mul(key, code_keys[c]), packed << bits | c
+
+    keys, words = [_pack_key((1, 0, 0, 1), width)], [1]
+    for n in range(7):
+        if n:
+            keys, words = _extend_level(keys, words, code_keys, bits, width)
+        walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
+        assert words == [packed for _, packed in walked]
+        assert [_unpack_key(key, width) for key in keys] == [key for key, _ in walked]
+
+
+# Signed, lopsided entries: small ones next to numerators and denominators of
+# up to 40 bits, so one letter key mixes entries of very different sizes.
+# Integer matrices of det 1 take _extend_level's path without a gcd.
+_BIG = st.integers(-(1 << 40), 1 << 40)
+_LOPSIDED = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, _BIG, st.integers(1, 1 << 40)),
+)
+_LOPSIDED_MATS = st.one_of(
+    st.builds(Mat2, _LOPSIDED, _LOPSIDED, _LOPSIDED, _LOPSIDED).filter(lambda m: m.det() != 0),
+    st.builds(lambda n, m: Mat2(1, n, 0, 1) * Mat2(1, 0, m, 1), _BIG, st.integers(-3, 3)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(_LOPSIDED_MATS, min_size=1, max_size=3))
+def test_packed_keys_unpack_to_the_key_mul_oracle_at_every_level(matrices):
+    # The width starts at one level's bound, so it doubles before levels 2
+    # and 3 (and 5, for one or two generators), as relator_search doubles
+    # it past _FIRST_LEVELS.
+    num_gens = len(matrices)
+    bits = (2 * num_gens - 1).bit_length()
+    ab = Alphabet([f"g{i}" for i in range(num_gens)], matrices)
     code_keys = [projective_key(m) for m in ab.letter_matrices]
 
     def step(value, c):
         key, packed = value
         return key_mul(key, code_keys[c]), packed << bits | c
 
-    keys, words = [(1, 0, 0, 1)], [1]
-    for n in range(7):
-        if n:
-            keys, words = _extend_level(keys, words, code_keys, bits)
-        walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
-        assert words == [packed for _, packed in walked]
-        assert keys == [key for key, _ in walked]
+    width = _key_width(code_keys, 1)
+    widths = [width]
+    keys, words = [_pack_key((1, 0, 0, 1), width)], [1]
+    for level in range(1, 7 - num_gens):
+        if _key_width(code_keys, level) > width:
+            keys = [_widen(key, width) for key in keys]
+            width *= 2
+            widths.append(width)
+        keys, words = _extend_level(keys, words, code_keys, bits, width)
+        oracle = [key for key, _ in iter_level_carrying(num_gens, level, ((1, 0, 0, 1), 1), step)]
+        assert [_unpack_key(key, width) for key in keys] == oracle
+        assert all(abs(x) < 1 << width - 1 for key in oracle for x in key)
+        assert all(key > 0 for key in keys) and len(set(keys)) == len(set(oracle))
+        extreme = (1 << width - 1) - 1
+        for key in itertools.product((extreme, -extreme, 0, 1), repeat=4):
+            assert _unpack_key(_pack_key(key, width), width) == key
+    assert len(widths) > 1
+
+
+@pytest.mark.parametrize("name", sorted(MEM_CAP_THRESHOLDS))
+def test_capped_searches_with_the_width_doubling_at_levels_2_3_5_are_frozen(name):
+    # Keys of levels 1, 2 and 4 are repacked and then extended, and the
+    # byte model prices unpacked keys of every level.
+    make, max_len, rows = MEM_CAP_THRESHOLDS[name]
+    ab = make()
+    with mock.patch.object(lu_lab, "_FIRST_LEVELS", 1):
+        for cap, status, completed, words, images in rows:
+            res = relator_search(ab, max_len, mem_cap=cap)
+            assert (res.status, res.completed_length) == (status, completed), cap
+            assert res.words_per_length == dict(enumerate(words)), cap
+            assert res.images_per_length == dict(enumerate(images)), cap
+        assert relator_search(ab, max_len) == relator_search(ab, max_len, mem_cap=rows[-1][0])
+
+
+def test_search_past_the_first_width_matches_the_naive_search():
+    # Half of max-len 40 is 20 levels: the width doubles at level 17.
+    ab = Alphabet(["g"], [Mat2(2, 1, 1, 1)])
+    fast = relator_search(ab, 40)
+    slow = naive_relator_search(ab, 40)
+    assert fast.status == slow.status == "none-found"
+    assert fast.words_per_length == {n: slow.words_per_length[n] for n in range(21)}
+    assert fast.images_per_length == {n: slow.images_per_length[n] for n in range(21)}
 
 
 def _count_calls(monkeypatch, name):
@@ -457,10 +538,19 @@ def _count_calls(monkeypatch, name):
 
 
 def test_search_work_counts_on_a_free_group(monkeypatch):
-    # One key_mul per word of lengths 1..6; on a free group no word meets a
-    # stored key as it is inserted, so none is decoded; the byte model is
-    # priced only under a cap.
-    products = _count_calls(monkeypatch, "key_mul")
+    # One key product per word of lengths 1..6, each a child that
+    # _extend_level returns; on a free group no word meets a stored key as
+    # it is inserted, so none is decoded; the byte model is priced only
+    # under a cap.
+    products = []
+    extend = lu_lab._extend_level
+
+    def counted(*args):
+        keys, words = extend(*args)
+        products.extend([None] * len(keys))
+        return keys, words
+
+    monkeypatch.setattr(lu_lab, "_extend_level", counted)
     decoded = _count_calls(monkeypatch, "_unpack_codes")
     priced = _count_calls(monkeypatch, "_entry_cost")
     res = relator_search(lu_generators(Fraction(9, 2)), 12)
@@ -480,7 +570,9 @@ def test_mem_cap_generous_still_finds():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_search_leaves_gc_state_as_found(enabled):
-    # The search pauses cyclic collection; every exit path must restore it.
+    # The search leaves cyclic collection alone: its keys and words are
+    # ints, which the collector does not track. Every exit path must leave
+    # it as found.
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
