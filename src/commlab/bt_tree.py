@@ -301,7 +301,7 @@ class PigeonholeResult(Record):
     z: Mat2            # x y^k x^-1 y^-k, fixes v
     radius: int        # common distance of the orbit points from v
     steps: int         # orbit points computed up to the collision
-    ball_bound: int    # same-parity ball count + 1, an a priori pigeonhole bound
+    ball_bound: int    # _pigeonhole_bound(p, radius), an a priori bound on steps
 
 
 class PigeonholeBudgetError(RuntimeError):
@@ -313,27 +313,30 @@ class PigeonholeBudgetError(RuntimeError):
         self.ball_bound = ball_bound
 
 
-def commutator_pigeonhole(x, y, v, p=None, n_max=None):
+def _pigeonhole_bound(p, R):
+    """One more than the number of vertices within R of a vertex whose
+    distance from it has the parity of R. In the (p + 1)-regular tree there
+    is 1 vertex at d = 0 and (p + 1) p^(d - 1) at each d >= 1."""
+    return 1 + sum((p + 1) * p ** (d - 1) if d else 1 for d in range(R % 2, R + 1, 2))
+
+
+def commutator_pigeonhole(x, y, v, n_max=None):
     """Produce z = [x, y^k] fixing v by pigeonholing the y-orbit of x^-1 v.
 
     Requires y v = v. The points w_j = y^j x^-1 v all lie at the fixed
     distance R = d(v, x^-1 v) from v because y is an isometry fixing v, and
-    vertices at distance R from v with the parity of R are finitely many, so
-    two indices collide and z = x y^(n1-n2) x^-1 y^(n2-n1) fixes v. The
-    reported bound is that same-parity ball count plus one; the loop never
-    needs more steps, and a smaller n_max raises PigeonholeBudgetError.
+    vertices at distance R from v are finitely many, so two indices collide
+    and z = x y^(n1-n2) x^-1 y^(n2-n1) fixes v. The reported bound,
+    _pigeonhole_bound(p, R), counts by formula the vertices within R of v
+    at a distance of R's parity, plus one; the loop never needs more steps,
+    and a smaller n_max raises PigeonholeBudgetError.
     """
-    if p is None:
-        p = v.p
-    if p != v.p:
-        raise ValueError("p disagrees with the vertex")
-    v = _vertex(p, _chart(v))  # act returns canonical charts; compare like with like
+    v = _vertex(v.p, _chart(v))  # act returns canonical charts; compare like with like
     if act(y, v) != v:
         raise ValueError("y must fix v")
     w = act(x.inverse(), v)
     R = distance(v, w)
-    sphere = ball(v, R)
-    ball_bound = sum(1 for d in sphere.values() if d % 2 == R % 2) + 1
+    ball_bound = _pigeonhole_bound(v.p, R)
     limit = ball_bound if n_max is None else n_max
     seen = {w: 0}
     wj = w

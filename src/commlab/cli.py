@@ -111,14 +111,6 @@ def load_generator_file(path):
         raise ParameterError(f"bad generator set: {e}")
 
 
-def dump_generator_file(alphabet):
-    """Inverse of load_generator_file, up to canonical fraction strings."""
-    return dumps_canonical(to_json(
-        {"generators": [{"name": n, "matrix": m} for n, m in zip(alphabet.names, alphabet.matrices)]},
-        alphabet,
-    ))
-
-
 class Option:
     """`--flag VALUE`: an int or a str (one of choices), the command's dest argument."""
 

@@ -50,19 +50,6 @@ def reduce(w):
     return Word(reduce_letters(w.letters))
 
 
-def invert(w):
-    return Word(invert_letters(w.letters))
-
-
-def multiply(u, v):
-    """Concatenate and reduce."""
-    return Word(reduce_letters(u.letters + v.letters))
-
-
-def is_reduced(letters):
-    return all(letters[i] ^ 1 != letters[i + 1] for i in range(len(letters) - 1))
-
-
 def necklace_canonical(w):
     """Canonical representative of the conjugacy class of w and w^-1.
 

@@ -24,6 +24,7 @@ from commlab.exact_core import (
     vp,
 )
 from commlab.lu_lab import RelatorResult
+from commlab.report import dumps_canonical, to_json
 from commlab.words import (
     Word,
     evaluate,
@@ -63,6 +64,27 @@ def rand_reduced_word(rng, num_gens, length):
         out.append(c)
     assert reduce_letters(tuple(out)) == tuple(out)
     return Word(tuple(out))
+
+
+def invert(w):
+    return Word(invert_letters(w.letters))
+
+
+def multiply(u, v):
+    """Concatenate and reduce."""
+    return Word(reduce_letters(u.letters + v.letters))
+
+
+def is_reduced(letters):
+    return all(letters[i] ^ 1 != letters[i + 1] for i in range(len(letters) - 1))
+
+
+def dump_generator_file(alphabet):
+    """Inverse of cli.load_generator_file, up to canonical fraction strings."""
+    return dumps_canonical(to_json(
+        {"generators": [{"name": n, "matrix": m} for n, m in zip(alphabet.names, alphabet.matrices)]},
+        alphabet,
+    ))
 
 
 def necklace_oracle(w):

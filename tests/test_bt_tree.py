@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from commlab.bt_tree import (
     PigeonholeBudgetError,
     TreeVertex,
+    _pigeonhole_bound,
     act,
     ball,
     base_vertex,
@@ -498,6 +499,13 @@ def fixed_vertex_of_b():
     return TreeVertex(2, -1, 0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pigeonhole_bound_counts_the_same_parity_ball(p):
+    sphere = ball(base_vertex(p), 6)
+    for R in range(7):
+        assert _pigeonhole_bound(p, R) == sum(1 for d in sphere.values() if d <= R and d % 2 == R % 2) + 1
+
+
 def test_pigeonhole_frozen():
     x = Mat2(1, 0, 1, 1)
     y = Mat2(1, Fraction(1, 2), 0, 1)
@@ -527,8 +535,6 @@ def test_pigeonhole_requires_fixed_vertex():
     y = Mat2(1, Fraction(1, 2), 0, 1)
     with pytest.raises(ValueError):
         commutator_pigeonhole(x, y, base_vertex(2))  # y moves v_0
-    with pytest.raises(ValueError):
-        commutator_pigeonhole(x, y, fixed_vertex_of_b(), p=3)
 
 
 def test_pigeonhole_at_a_non_canonical_vertex():

@@ -21,7 +21,6 @@ from commlab.cli import (
     COMMANDS,
     GROUPS,
     _parse_fraction,
-    dump_generator_file,
     load_generator_file,
     main,
 )
@@ -29,7 +28,7 @@ from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
 from commlab.report import DigitLimitError, chart_str, dumps_canonical, frac_str, to_json
 from commlab.words import Word, format_word
-from helpers import canonical_residue_oracle
+from helpers import canonical_residue_oracle, dump_generator_file
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -933,6 +932,16 @@ def test_the_module_entry_point_runs_without_click():
                        cwd=REPO, env=env, capture_output=True, text=True)
     assert (r.returncode, r.stderr) == (0, "")
     assert normalize(r.stdout) == (GOLDEN / "knapp_q2.json").read_text(encoding="utf-8")
+
+
+def test_the_package_is_only_a_namespace():
+    # the modules are the API: a bare `import commlab` loads no submodule and re-exports nothing
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = ("import json, sys, commlab; print(json.dumps([sorted(m for m in sys.modules "
+             "if m.startswith('commlab.')), [n for n in vars(commlab) if not n.startswith('__')]]))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert json.loads(loaded) == [[], []]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():

@@ -31,11 +31,10 @@ from commlab.words import (
     Alphabet,
     Word,
     evaluate,
-    is_reduced,
     iter_level_carrying,
     parse_word,
 )
-from helpers import key_mul, naive_relator_search
+from helpers import is_reduced, key_mul, naive_relator_search
 
 A = 0
 Ai = 1

@@ -16,19 +16,16 @@ from commlab.words import (
     Word,
     evaluate,
     format_word,
-    invert,
-    is_reduced,
     iter_forms,
     iter_level,
     iter_level_carrying,
     iter_level_with_matrices,
     iter_words,
-    multiply,
     necklace_canonical,
     parse_word,
     reduce,
 )
-from helpers import necklace_oracle, rand_reduced_word
+from helpers import invert, is_reduced, multiply, necklace_oracle, rand_reduced_word
 
 A = 0
 Ai = 1
