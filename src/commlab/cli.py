@@ -84,6 +84,9 @@ def load_generator_file(path):
             f"malformed JSON in generator file: {e.msg}",
             {"line": e.lineno, "column": e.colno},
         )
+    except ValueError:  # only an integer literal past the int-to-str digit limit
+        raise ParameterError("generator file has an integer literal past the "
+                             f"{sys.get_int_max_str_digits()}-digit limit")
     if not isinstance(doc, dict) or "generators" not in doc:
         raise ParameterError('generator file needs a top-level "generators" list')
     gens = doc["generators"]

@@ -5,6 +5,7 @@ indiscreteness witnesses, and a two-generator probe.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .bt_tree import first_loxodromic, translation_length
@@ -18,11 +19,12 @@ from .exact_core import (
     classify_padic,
     commutator,
     denominator_primes,
+    integer_form,
     vp,
 )
 from .lu_lab import knapp
 from .report import frac_str
-from .words import Alphabet, Word, evaluate, format_word, iter_forms
+from .words import Alphabet, Word, evaluate, iter_forms
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
@@ -61,87 +63,60 @@ def place_support(alphabet):
 
 
 class DensityResult(Record):
-    verdict: str      # "dense" | "not-dense" | "unknown"
-    reason: str       # "reducible" | "monomial" | "finite" | None
-    traces: dict      # labelled exact traces backing the verdict
-    pair: tuple = None  # words tested, as formatted strings, when relevant
+    verdict: str      # "dense" | "not-dense"
+    dimension: int    # of the span of Ad(G) in End(sl_2); 9 exactly when dense
+    words: tuple      # Words whose Ad images are the echelon basis of that span
 
 
-def zariski_dense(g, h):
-    """Zariski density of <g, h> in SL_2, decided by exact trace conditions.
+def _adjoint(a, b, c, d):
+    """X -> M X adj(M) on sl_2 for M = (a, b, c, d), row-major in the basis
+    e, f, h: Ad of M up to the nonzero scalar det M, in integers."""
+    return (a * a, -b * b, -2 * a * b, -c * c, d * d, 2 * c * d, -a * c, b * d, a * d + b * c)
 
-    Requires det 1. tr[g, h] = 2 is equivalent to a common eigenvector over
-    an extension (reducible). Otherwise the only way to miss density is to
-    preserve an unordered pair of lines (monomial up to conjugacy): with
-    both squares noncentral that is detected by tr[g^2, h^2] = 2; when a
-    generator s has trace 0 (central square) the pair of lines test becomes
-    tr([t, s t s^-1]) = 2 for the other generator t. Finite image cannot
-    occur for det-1 matrices over Q beyond the cases already covered.
-    """
-    if g.det() != 1 or h.det() != 1:
-        raise ValueError("zariski_dense needs det 1")
-    c = commutator(g, h).trace()
-    traces = {"tr_commutator": c}
-    if c == 2:
-        return DensityResult("not-dense", "reducible", traces)
-    g2, h2 = g * g, h * h
-    if not g2.is_scalar() and not h2.is_scalar():
-        c2 = commutator(g2, h2).trace()
-        traces["tr_commutator_squares"] = c2
-        if c2 == 2:
-            return DensityResult("not-dense", "monomial", traces)
-        return DensityResult("dense", None, traces)
-    # a central square means that generator has trace 0
-    if g.trace() == 0 and h.trace() == 0:
-        traces["tr_g"] = g.trace()
-        traces["tr_h"] = h.trace()
-        return DensityResult("not-dense", "monomial", traces)
-    s, t = (g, h) if g.trace() == 0 else (h, g)
-    cc = commutator(t, s * t * s.inverse()).trace()
-    traces["tr_line_pair_test"] = cc
-    if cc == 2:
-        return DensityResult("not-dense", "monomial", traces)
-    return DensityResult("dense", None, traces)
+
+def _primitive_row(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def density_report(alphabet):
-    """Density verdict for the whole generating set.
+    """Zariski density of the image of the generated group in PGL(2), decided
+    by the span of its adjoint images.
 
-    One generator is never dense. For two, the pair decides the group. For
-    more, pairs of generators and two-letter products are tried until one is
-    dense; failing that the verdict stays unknown (pair certificates cannot
-    rule density out).
+    Ad(g) is conjugation by g on sl_2; for the integer form M of g it is
+    _adjoint(M) up to a scalar, so the Q-span S of Ad(G) in End(sl_2) = M_3(Q)
+    is computed on integers. S is span{I} closed under right multiplication by
+    each Ad(g_i) (an algebra holding Ad(g) holds Ad(g)^-1), so a breadth-first
+    walk over words keeps at most 9 of them and makes at most 9 k products.
+    The image is dense exactly when dim S = 9: a dense image acts absolutely
+    irreducibly on sl_2, and Burnside's theorem gives all of M_3. Otherwise its
+    Zariski closure lies in a Borel subgroup, a torus normalizer or a finite
+    subgroup of PGL(2, Q), which is cyclic or dihedral, and each of these fixes
+    a line of sl_2. For generators of any nonzero det the verdict is about the
+    image in PGL(2). words, the empty word first, are those whose Ad images
+    form the echelon basis of S: 9 independent words when dense, else a basis
+    of a subspace that holds I and is closed under every Ad(g_i).
     """
-    k = len(alphabet)
-    if k == 1:
-        return DensityResult(
-            "not-dense", "reducible", {}, (alphabet.names[0],)
-        )
-    candidates = [Word((2 * i,)) for i in range(k)]
-    if k > 2:
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    candidates.append(Word((2 * i, 2 * j)))
-    # zariski_dense needs det 1; each candidate is evaluated once, not once per pair
-    candidates = [(w, m) for w in candidates if (m := evaluate(w, alphabet)).det() == 1]
-    best = None
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            (u, g), (v, h) = candidates[i], candidates[j]
-            r = zariski_dense(g, h)
-            named = DensityResult(
-                r.verdict, r.reason, r.traces,
-                (format_word(u, alphabet), format_word(v, alphabet)),
-            )
-            if r.verdict == "dense":
-                return named
-            if best is None:
-                best = named
-    if k == 2 and best is not None:
-        # the pair is the whole group, so its verdict is exact
-        return best
-    return DensityResult("unknown", None, {}, None)
+    ads = [_adjoint(*integer_form(m)[0]) for m in alphabet.matrices]
+    echelon, words = [], []  # echelon rows as (pivot, row)
+    queue = [((), (1, 0, 0, 0, 1, 0, 0, 0, 1))]
+    for codes, x in queue:  # grows while it is read: breadth first
+        v = x
+        for j, row in echelon:
+            if v[j]:
+                v = tuple(row[j] * s - v[j] * t for s, t in zip(v, row))
+        if not any(v):
+            continue
+        v = _primitive_row(v)
+        echelon.append((next(j for j, s in enumerate(v) if s), v))
+        words.append(Word(codes))
+        if len(words) == 9:
+            break
+        for i, ad in enumerate(ads):
+            queue.append((codes + (2 * i,), _primitive_row(
+                [sum(x[r + k] * ad[3 * k + c] for k in range(3)) for r in (0, 3, 6) for c in range(3)])))
+    verdict = "dense" if len(words) == 9 else "not-dense"
+    return DensityResult(verdict, len(words), tuple(words))
 
 
 class TraceScanResult(Record):
@@ -336,7 +311,8 @@ def _delta_from_identity(m):
 def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
     """Four quick exact checks on a candidate irreducible pair at {real, p}.
 
-    (1) g is loxodromic over R; (2) <g, h> is Zariski dense; (3) iterated
+    (1) g is loxodromic over R; (2) <g, h> is Zariski dense, by
+    density_report, whose words certify the verdict; (3) iterated
     commutators c_0 = h, c_(k+1) = [c_k, g] stay nontrivial while their
     max-entry distance from I strictly decreases, reported as evidence and
     never as proof; (4) some word of length <= max_word_len is loxodromic on
@@ -355,9 +331,11 @@ def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
     t = g.trace()
     check1 = ProbeCheck("real-loxodromic-generator", t * t > 4, {"trace": t})
 
-    density = zariski_dense(g, h)
+    alphabet = Alphabet(("g", "h"), (g, h))
+    density = density_report(alphabet)
     check2 = ProbeCheck("zariski-dense-pair", density.verdict == "dense",
-                        {"verdict": density.verdict, "traces": density.traces})
+                        {"verdict": density.verdict, "dimension": density.dimension,
+                         "words": density.words})
 
     deltas = []
     nonidentity = True
@@ -384,7 +362,6 @@ def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
         },
     )
 
-    alphabet = Alphabet(("g", "h"), (g, h))
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
     word = first_loxodromic(alphabet, p, max_word_len)
     if word is not None:

@@ -252,7 +252,8 @@ def parse_word(text, alphabet):
     mixed-case token names only a generator spelled that way. The
     result is not reduced; callers reduce when they need to. Raises
     ValueError for words of more than MAX_WORD_LETTERS letters, counted from
-    the exponents before any letter is expanded.
+    the exponents before any letter is expanded, and for an exponent with
+    more digits than MAX_WORD_LETTERS, before it is read as an int.
     """
     index = {n: 2 * i for i, n in enumerate(alphabet.names)}
     tokens = []
@@ -266,6 +267,9 @@ def parse_word(text, alphabet):
         if code is None:
             raise ValueError(f"unknown generator {name!r}")
         exp = m.group("exp")
+        if exp is not None and (digits := len(exp.lstrip("-0"))) > len(str(MAX_WORD_LETTERS)):
+            raise ValueError(f"exponent of {name!r} has {digits} digits, so the word has "
+                             f"more than the limit {MAX_WORD_LETTERS} letters")
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise ValueError(f"zero exponent in token {tok!r}")

@@ -16,10 +16,12 @@ from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
     Mat2,
+    Record,
     _primitive,
     _require_prime,
     classify_padic,
     classify_real,
+    commutator,
     projective_normalize,
     vp,
 )
@@ -342,3 +344,85 @@ def naive_relator_search(alphabet, max_len):
     return RelatorResult(
         "none-found", None, None, "naive", max_len, max_len, words_per_length, images_per_length
     )
+
+
+# Zariski density oracles: the pair test the library ran before the adjoint
+# span, kept verbatim but for its result type, and a brute-force rank.
+
+class PairDensity(Record):
+    verdict: str      # "dense" | "not-dense"
+    reason: str       # "reducible" | "monomial" | None
+    traces: dict      # labelled exact traces backing the verdict
+
+
+def zariski_dense(g, h):
+    """Zariski density of <g, h> in SL_2, decided by exact trace conditions.
+
+    Requires det 1. tr[g, h] = 2 is equivalent to a common eigenvector over
+    an extension (reducible). Otherwise the only way to miss density is to
+    preserve an unordered pair of lines (monomial up to conjugacy): with
+    both squares noncentral that is detected by tr[g^2, h^2] = 2; when a
+    generator s has trace 0 (central square) the pair of lines test becomes
+    tr([t, s t s^-1]) = 2 for the other generator t. Finite image cannot
+    occur for det-1 matrices over Q beyond the cases already covered.
+    """
+    if g.det() != 1 or h.det() != 1:
+        raise ValueError("zariski_dense needs det 1")
+    c = commutator(g, h).trace()
+    traces = {"tr_commutator": c}
+    if c == 2:
+        return PairDensity("not-dense", "reducible", traces)
+    g2, h2 = g * g, h * h
+    if not g2.is_scalar() and not h2.is_scalar():
+        c2 = commutator(g2, h2).trace()
+        traces["tr_commutator_squares"] = c2
+        if c2 == 2:
+            return PairDensity("not-dense", "monomial", traces)
+        return PairDensity("dense", None, traces)
+    # a central square means that generator has trace 0
+    if g.trace() == 0 and h.trace() == 0:
+        traces["tr_g"] = g.trace()
+        traces["tr_h"] = h.trace()
+        return PairDensity("not-dense", "monomial", traces)
+    s, t = (g, h) if g.trace() == 0 else (h, g)
+    cc = commutator(t, s * t * s.inverse()).trace()
+    traces["tr_line_pair_test"] = cc
+    if cc == 2:
+        return PairDensity("not-dense", "monomial", traces)
+    return PairDensity("dense", None, traces)
+
+
+SL2_BASIS = (Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(1, 0, 0, -1))
+
+
+def rank(rows, full=None):
+    """Rank of equal-length Fraction vectors, by Gaussian elimination; it
+    stops reading rows once the rank reaches full."""
+    echelon, seen = [], set()  # echelon rows as (pivot, row with 1 at the pivot)
+    for v in rows:
+        if len(echelon) == full:
+            break
+        if v in seen:
+            continue
+        seen.add(v)
+        for j, r in echelon:
+            if v[j]:
+                v = [x - v[j] * y if y else x for x, y in zip(v, r)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, [x / v[pivot] for x in v]))
+    return len(echelon)
+
+
+def conjugation_row(w):
+    """The map X -> W X W^-1 on sl_2, as the 9 Fraction coordinates of the
+    images of e, f, h in that basis."""
+    w_inv = w.inverse()
+    return tuple(c for x in SL2_BASIS for y in (w * x * w_inv,) for c in (y.b, y.c, y.a))
+
+
+def adjoint_rank_oracle(alphabet, max_len=8):
+    """Dimension of the span of the conjugation maps of all reduced words of
+    length <= max_len. Words up to length 8 reach the whole span of the
+    group: each length adds a dimension until the span stops growing."""
+    return rank((conjugation_row(w) for _, w in iter_words_with_matrices(alphabet, max_len)), full=9)

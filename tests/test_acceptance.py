@@ -195,7 +195,7 @@ def test_criterion_7_probe():
         rep = two_gen_probe(g, h, 2, iterations=5)
         c1, c2, c3, c4 = rep.checks
         assert c1.passed and c1.data["trace"] == 3
-        assert c2.passed and c2.data["traces"]["tr_commutator"] != 2
+        assert c2.passed and c2.data["dimension"] == 9
         assert c4.passed and c4.data["valuation"] == -3
         assert c4.data["word"] == Word((A, B))  # g h itself
         # check (3) reports its sequence as evidence, pass or fail

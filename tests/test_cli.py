@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from commlab.cli import (
 from commlab.diagnostics import PlaceSupport, long_reid_pair
 from commlab.exact_core import INFINITY, ElementClass, Mat2
 from commlab.report import DigitLimitError, chart_str, dumps_canonical, frac_str, to_json
-from commlab.words import Word, format_word
+from commlab.words import Alphabet, Word, format_word
 from helpers import canonical_residue_oracle, dump_generator_file
 
 REPO = Path(__file__).resolve().parent.parent
@@ -313,6 +314,19 @@ def test_singular_generator_rejected(capsys, tmp_path):
     assert "singular" in doc["error"]["message"]
 
 
+def test_an_overlong_integer_literal_in_a_generator_file_is_a_parameter_error(capsys, tmp_path):
+    # json.loads refuses to read an integer literal past the digit limit
+    gens = tmp_path / "long_literal.json"
+    gens.write_text('{"generators": [{"name": "a", "matrix": [[1, %s], [0, 1]]}]}' % ("7" * 5000),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, ["diag", "places", "--gens", str(gens)])
+    assert code == 2
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": f"generator file has an integer literal past the {LIMIT}-digit limit",
+    }
+
+
 def test_generator_file_round_trip(tmp_path):
     ab = long_reid_pair()
     path = tmp_path / "lr.json"
@@ -465,6 +479,38 @@ def test_probe_iterations_stop_at_the_digit_limit(capsys):
         f"exact entries exceed the printable digit limit ({LIMIT} digits)")
 
 
+@pytest.mark.parametrize("argv, density", [
+    (["diag", "density"], lambda res: res),
+    (["diag", "irreducible"], lambda res: res["density"]),
+    # check 3's second delta would pass the digit limit
+    (["diag", "probe", "--p", "2", "--iterations", "1"], lambda res: res["checks"][1]["data"]),
+])
+def test_density_is_decided_for_generators_near_the_digit_limit(capsys, tmp_path, argv, density):
+    # g = [[n, n + 1], [n - 1, n]] has 1501-digit entries, printable, but tr[g^2, h^2] is not
+    n = 10**1500 + 1
+    gens = tmp_path / "near_limit.json"
+    gens.write_text(dump_generator_file(Alphabet("gh", [Mat2(n, n + 1, n - 1, n), Mat2(3, 1, 2, 1)])),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, argv + ["--gens", str(gens)])
+    assert code == 0
+    (res,) = check_schema(out)["results"]
+    assert density(res) == {"verdict": "dense", "dimension": 9, "words": [
+        "", "g", "h", "g g", "g h", "h g", "h h", "g g h", "g h h"]}
+
+
+def test_density_of_forty_commuting_shears_is_decided_at_once(capsys, tmp_path):
+    gens = tmp_path / "shears.json"
+    gens.write_text(dump_generator_file(Alphabet([f"s{i}" for i in range(1, 41)],
+                                                 [Mat2(1, i, 0, 1) for i in range(1, 41)])),
+                    encoding="utf-8")
+    started = time.monotonic()
+    code, out, _ = run(capsys, ["diag", "density", "--gens", str(gens)])
+    assert time.monotonic() - started < 1
+    assert code == 0
+    assert check_schema(out)["results"] == [
+        {"verdict": "not-dense", "dimension": 3, "words": ["", "s1", "s2"]}]
+
+
 def test_tree_length_long_word_below_the_digit_limit(capsys):
     code, out, _ = run(
         capsys, ["tree", "length", "--builtin", "long-reid", "--p", "3", "--word", "b^2000"]
@@ -484,6 +530,15 @@ def test_tree_length_huge_exponent_is_rejected_before_expansion(capsys):
     doc = check_schema(out)
     assert doc["error"]["code"] == "parameter"
     assert "more than the limit" in doc["error"]["message"]
+
+
+def test_tree_length_exponent_past_the_digit_limit_is_refused_before_it_is_read(capsys):
+    code, out, _ = run(capsys, ["tree", "length", "--q", "1/2", "--p", "2", "--word", "a^" + "9" * 5000])
+    assert code == 2
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": "exponent of 'a' has 5000 digits, so the word has more than the limit 4096 letters",
+    }
 
 
 def test_tree_length_bad_word(capsys):
@@ -857,7 +912,7 @@ def _fuzz_values():
         "--gens": [str(data / "long_reid.json"), str(data / "probe_pair.json"), str(data),
                    str(REPO / "missing.json")],
         "--p": ["2", "3", "5", "-3", "4", prime, str(10**30)],
-        "--word": ["a", "a b^2 A", "b^-1 a", "c", "a^0", "b^300000000", "-a"],
+        "--word": ["a", "a b^2 A", "b^-1 a", "c", "a^0", "b^300000000", "-a", "a^" + "7" * 5000],
         "--primes": ["2", "2,3", "3,2", "4", "2,2", prime],
         "--max-len": small, "--radius": small[:6], "--iterations": small[:6],
         "--max-word-len": small, "--mem-cap": ["1", "600", "0", "-1", huge],
@@ -914,6 +969,44 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, argv):
         doc = check_schema(out)
         # a digit-limit overflow is reported in the project's words
         assert "set_int_max_str_digits" not in doc.get("error", {}).get("message", "")
+
+
+@st.composite
+def probe_argv(draw):
+    """A prime p, and two det-1 matrices in SL(2, Z[1/p]), each a product of
+    one to four shears by x / p^k and diagonals diag(p^k, p^-k), with some
+    of the optional probe options."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    x, k = st.integers(-3, 3), st.integers(0, 2)
+    letter = st.one_of(
+        st.builds(lambda x, k: Mat2(1, Fraction(x, p**k), 0, 1), x, k),
+        st.builds(lambda x, k: Mat2(1, 0, Fraction(x, p**k), 1), x, k),
+        st.builds(lambda k: Mat2(p**k, 0, 0, Fraction(1, p**k)), k))
+    pair = [functools.reduce(Mat2.__mul__, draw(st.lists(letter, min_size=1, max_size=4)))
+            for _ in "gh"]
+    options = []
+    for flag, values in (("--iterations", st.integers(1, 5)), ("--max-word-len", st.integers(1, 6))):
+        if draw(st.booleans()):
+            options += [flag, str(draw(values))]
+    return pair, ["diag", "probe", "--p", str(p)] + options
+
+
+@given(case=probe_argv())
+@settings(derandomize=True, max_examples=60, deadline=None, phases=(Phase.generate,),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_probe_fuzz(capsys, tmp_path, case):
+    pair, argv = case
+    gens = tmp_path / "pair.json"
+    gens.write_text(dump_generator_file(Alphabet("gh", pair)), encoding="utf-8")
+    code, out, _ = run(capsys, argv + ["--gens", str(gens)])
+    assert code == 0
+    (res,) = check_schema(out)["results"]
+    assert [c["name"] for c in res["checks"]] == [
+        "real-loxodromic-generator", "zariski-dense-pair", "iterated-commutator-contraction",
+        "loxodromic-word-at-p"]
+    density = res["checks"][1]["data"]
+    assert (density["verdict"] == "dense") == (density["dimension"] == 9) == res["checks"][1]["passed"]
+    assert res["decisive_pass"] == all(res["checks"][i]["passed"] for i in (0, 1, 3))
 
 
 # ---------------------------------------------------------------- entry point

@@ -1,5 +1,6 @@
 """Diagnostics: support, density, trace scans, per-place status, the probe."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from commlab.diagnostics import (
     long_reid_pair,
     place_support,
     two_gen_probe,
-    zariski_dense,
 )
 from commlab.exact_core import Mat2, vp
 from commlab.lu_lab import lu_generators
@@ -24,9 +24,17 @@ from commlab.words import (
     Alphabet,
     Word,
     evaluate,
+    format_word,
     iter_words_with_matrices,
 )
-from helpers import necklace_oracle, trace_scan_oracle
+from helpers import (
+    adjoint_rank_oracle,
+    conjugation_row,
+    necklace_oracle,
+    rank,
+    trace_scan_oracle,
+    zariski_dense,
+)
 
 A = 0
 B = 2
@@ -70,6 +78,9 @@ def test_place_support_sees_inverses():
 
 # ---------------------------------------------------------------- density
 
+# zariski_dense is the pair test density_report replaced; these tests keep it
+# honest as an oracle.
+
 def test_zariski_dense_frozen():
     ab = lu_generators(Fraction(1, 2))
     r = zariski_dense(ab.matrices[0], ab.matrices[1])
@@ -105,18 +116,24 @@ def test_zariski_requires_det_one():
         zariski_dense(Mat2(2, 0, 0, 1), Mat2(1, 1, 0, 1))
 
 
+def _words(r, ab):
+    return [format_word(w, ab) for w in r.words]
+
+
 def test_density_report_single_generator():
-    r = density_report(Alphabet(("a",), (Mat2(1, 1, 0, 1),)))
-    assert (r.verdict, r.reason) == ("not-dense", "reducible")
+    # one generator: polynomials in Ad(g), at most I, Ad(g), Ad(g)^2
+    ab = Alphabet(("a",), (Mat2(1, 1, 0, 1),))
+    r = density_report(ab)
+    assert (r.verdict, r.dimension, _words(r, ab)) == ("not-dense", 3, ["", "a", "a a"])
 
 
 def test_density_report_pair_is_exact():
-    dense = density_report(lu_generators(1))
-    assert dense.verdict == "dense"
-    assert dense.pair == ("a", "b")
+    ab = lu_generators(1)
+    dense = density_report(ab)
+    assert (dense.verdict, dense.dimension) == ("dense", 9)
+    assert _words(dense, ab) == ["", "a", "b", "a a", "a b", "b a", "b b", "a a b", "a b b"]
     thin = density_report(Alphabet(("b1", "b2"), (Mat2(1, 1, 0, 1), Mat2(1, 2, 0, 1))))
-    assert (thin.verdict, thin.reason) == ("not-dense", "reducible")
-    assert thin.pair == ("b1", "b2")
+    assert (thin.verdict, thin.dimension) == ("not-dense", 3)
 
 
 def test_density_report_three_generators_finds_a_dense_pair():
@@ -125,19 +142,84 @@ def test_density_report_three_generators_finds_a_dense_pair():
         (Mat2(1, 1, 0, 1), Mat2(1, 2, 0, 1), Mat2(1, 0, 1, 1)),
     )
     r = density_report(ab)
-    assert r.verdict == "dense"
-    assert r.pair is not None
+    assert (r.verdict, r.dimension) == ("dense", 9)
+    assert len(set(r.words)) == 9
 
 
-def test_density_report_three_generators_unknown():
-    # three shared-eigenvector generators: pair tests cannot certify either way
+def test_density_report_three_generators_not_dense():
+    # three shared-eigenvector generators: no pair of them is dense, and the
+    # span of I, Ad(u), Ad(v) certifies that the whole group is not
     ab = Alphabet(
         ("u", "v", "w"),
         (Mat2(1, 1, 0, 1), Mat2(1, 2, 0, 1), Mat2(1, 3, 0, 1)),
     )
     r = density_report(ab)
-    assert r.verdict == "unknown"
-    assert r.pair is None
+    assert (r.verdict, r.dimension, _words(r, ab)) == ("not-dense", 3, ["", "u", "v"])
+
+
+# One hand case per way to miss density, and two dense pairs, one of det != 1; the
+# dimension is checked against the brute-force rank over all words of length <= 8.
+@pytest.mark.parametrize("mats, verdict, dimension", [
+    ((Mat2(2, 1, 0, 1), Mat2(1, 1, 0, 1)), "not-dense", 6),           # Borel
+    ((Mat2(2, 0, 0, 1), Mat2(0, 1, 1, 0)), "not-dense", 5),           # torus normalizer
+    ((Mat2(0, -1, 1, 1),), "not-dense", 3),                           # cyclic of order 3 in PGL(2)
+    ((Mat2(0, -1, 1, 1), Mat2(0, 1, 1, 0)), "not-dense", 5),          # dihedral of order 6
+    ((Mat2(2, 0, 0, 1), Mat2(1, 1, 1, 0)), "dense", 9),               # det 2 and det -1
+    ((Mat2(2, 0, 0, 2),), "not-dense", 1),                            # a scalar: trivial image
+    ((Mat2(1, 0, 1, 1), Mat2(1, Fraction(1, 2), 0, 1)), "dense", 9),  # Delta_1/2
+])
+def test_density_report_hand_cases_match_the_brute_force_rank(mats, verdict, dimension):
+    ab = Alphabet("ab"[: len(mats)], mats)
+    r = density_report(ab)
+    assert (r.verdict, r.dimension) == (verdict, dimension)
+    assert adjoint_rank_oracle(ab) == dimension
+    assert r.words[0] == Word(()) and len(r.words) == dimension
+    # the certificate: the words' Ad images are independent, and their span
+    # is closed under every generator
+    words = list(r.words)
+    assert rank([conjugation_row(evaluate(w, ab)) for w in words]) == dimension
+    words += [Word(w.letters + (2 * i,)) for w in r.words for i in range(len(mats))]
+    assert rank([conjugation_row(evaluate(w, ab)) for w in words]) == dimension
+
+
+def _conjugate(m, mats):
+    m_inv = m.inverse()
+    return [m * x * m_inv for x in mats]
+
+
+_SMALL = st.integers(-4, 4)
+_NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
+_SL2Z = st.lists(st.tuples(st.booleans(), _SMALL), min_size=1, max_size=4).map(
+    lambda steps: functools.reduce(
+        Mat2.__mul__, [Mat2(1, x, 0, 1) if up else Mat2(1, 0, x, 1) for up, x in steps]))
+_DIAGONAL = _NONZERO.map(lambda x: Mat2(x, 0, 0, Fraction(1, x)))
+_TRACE_ZERO = _NONZERO.map(lambda x: Mat2(0, x, Fraction(-1, x), 0))
+# det-1 pairs from each branch of zariski_dense, conjugated by an SL(2, Z)
+# element: upper triangulars (reducible), a trace-0 antidiagonal next to a
+# diagonal or another one (monomial) or next to anything (mostly dense), and
+# two SL(2, Z) elements (mostly dense by the squares). Its monomial verdict by
+# tr[g^2, h^2] = 2 cannot occur: with both squares noncentral, g and h are
+# polynomials in them and would share their eigenvector.
+_PAIRS = st.builds(_conjugate, _SL2Z, st.one_of(
+    st.builds(lambda x, y, s, t: [Mat2(x, s, 0, Fraction(1, x)), Mat2(y, t, 0, Fraction(1, y))],
+              _NONZERO, _NONZERO, _SMALL, _SMALL),
+    st.one_of(_DIAGONAL, _TRACE_ZERO).map(lambda m: [Mat2(0, 1, -1, 0), m]),
+    st.tuples(_TRACE_ZERO, _SL2Z).map(list),
+    st.lists(_SL2Z, min_size=2, max_size=2)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_PAIRS)
+@example([Mat2(1, 1, 0, 1), Mat2(1, 2, 0, 1)])                         # reducible
+@example([Mat2(0, 1, -1, 0), Mat2(2, 0, 0, Fraction(1, 2))])           # trace-0 monomial
+@example([Mat2(0, 1, -1, 0), Mat2(0, 2, Fraction(-1, 2), 0)])          # both traces 0
+@example([Mat2(0, 1, -1, 0), Mat2(1, 1, 0, 1)])                         # dense by the line pair test
+@example([Mat2(1, Fraction(1, 2), 0, 1), Mat2(1, 0, 1, 1)])            # dense
+def test_density_report_matches_the_pair_oracle(pair):
+    g, h = pair
+    r = density_report(Alphabet("gh", pair))
+    assert r.verdict == zariski_dense(g, h).verdict
+    assert (r.dimension == 9) == (r.verdict == "dense")
 
 
 # ---------------------------------------------------------------- trace scan
@@ -293,6 +375,7 @@ def test_probe_canonical_pair():
     assert c1.name == "real-loxodromic-generator" and c1.passed
     assert c1.data["trace"] == 3
     assert c2.name == "zariski-dense-pair" and c2.passed
+    assert (c2.data["verdict"], c2.data["dimension"], len(c2.data["words"])) == ("dense", 9, 9)
     assert c3.name == "iterated-commutator-contraction" and not c3.passed
     assert c3.data["deltas"][0] == Fraction(13, 32)
     assert c3.data["deltas"][1] == Fraction(4947, 2048)
