@@ -226,13 +226,17 @@ class OrbitResult(Record):
     max_radius: int
 
 
-def first_loxodromic(alphabet, p, max_len):
-    """The first word of length 1..max_len in canonical order that is
-    loxodromic at p, or None. On an integer form (a, b, c, d)/den, tr^2/det
-    is (a + d)^2/(ad - bc), so the translation length is v_p(ad - bc) -
-    2 v_p(a + d) when that is positive."""
+def first_loxodromic(alphabet, p):
+    """The first word in canonical order, over all lengths, that is loxodromic
+    at p; None means that no word is, so the group is bounded at p.
+
+    Serre's lemma (Trees, I.6.5, on the barycentric subdivision, which absorbs
+    edge inversions): the group fixes a point iff every generator and every
+    product of two does, so some word is loxodromic iff one of length <= 2 is,
+    and only those are walked. On (a, b, c, d)/den, tr^2/det = (a + d)^2/(ad - bc),
+    so the translation length is v_p(ad - bc) - 2 v_p(a + d) when positive."""
     _require_prime(p)
-    for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
+    for codes, a, b, c, d, _ in iter_forms(alphabet, 2):
         if a + d and _split(a * d - b * c, p)[0] > 2 * _split(a + d, p)[0]:
             return Word(codes)
     return None
@@ -242,12 +246,10 @@ def orbit_charts(alphabet, p, max_radius, base=None):
     """Decide whether the orbit of the base vertex stays within max_radius;
     a bounded orbit comes back as its (n, m, c) charts in discovery order.
 
-    Serre's lemma (Trees, I.6.5, on the barycentric subdivision, which
-    absorbs edge inversions): the group has a fixed point iff every generator
-    and every product of two has one. So the first loxodromic word of length
-    <= 2 certifies every orbit unbounded; without one the group is bounded,
-    and {base} is closed under generators and inverses breadth-first: the
-    orbit if the closure ends inside the radius, inconclusive if it leaves.
+    first_loxodromic decides boundedness: its word certifies every orbit
+    unbounded; without one the group is bounded, and {base} is closed under
+    generators and inverses breadth-first: the orbit if the closure ends
+    inside the radius, inconclusive if it leaves.
 
     Each Schreier-graph edge is acted on once: g v = w gives g^-1 w = v, so
     the act of letter c on v stores v as w's image under letter c ^ 1, and
@@ -261,7 +263,7 @@ def orbit_charts(alphabet, p, max_radius, base=None):
         base = base_vertex(p)
     if base.p != p:
         raise ValueError("base vertex lives on a different tree")
-    witness = first_loxodromic(alphabet, p, 2)
+    witness = first_loxodromic(alphabet, p)
     if witness is not None:
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
     letters = [_letter(g, p) for g in alphabet.letter_matrices]

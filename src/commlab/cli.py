@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bt_tree import orbit_charts, translation_length
+from .bt_tree import orbit_charts
 from .diagnostics import (
     density_report,
     integral_trace_scan,
@@ -87,6 +87,8 @@ def load_generator_file(path):
     except ValueError:  # only an integer literal past the int-to-str digit limit
         raise ParameterError("generator file has an integer literal past the "
                              f"{sys.get_int_max_str_digits()}-digit limit")
+    except RecursionError:
+        raise ParameterError("generator file nests JSON arrays or objects too deeply to read")
     if not isinstance(doc, dict) or "generators" not in doc:
         raise ParameterError('generator file needs a top-level "generators" list')
     gens = doc["generators"]
@@ -265,15 +267,16 @@ def tree_length(alphabet, p, word_text):
     w = parse_word(word_text, alphabet)
     m = evaluate(w, alphabet)  # nonsingular: the alphabet rejects singular generators
     cls = classify_padic(m, p)
+    reduced = reduce(w)
     results = [{
         "p": p,
         "word": word_text,
-        "reduced": reduce(w),
+        "reduced": reduced,
         "trace": m.trace(),
-        "translation_length": translation_length(m, p),
+        "translation_length": cls.translation_length or 0,
         "classification": cls,
     }]
-    witness = {"word": reduce(w), "matrix": m, "classification": cls}
+    witness = {"word": reduced, "matrix": m, "classification": cls}
     return {"p": p, "word": word_text}, results, [witness]
 
 
@@ -354,23 +357,19 @@ def diag_irreducible(alphabet, max_len):
     return {"max_len": max_len}, [rep], witnesses
 
 
-@command("diag", "probe", Option("--p", int, required=True),
-         Option("--iterations", int, default=5), Option("--max-word-len", int, default=6))
-def diag_probe(alphabet, p, iterations, max_word_len):
+@command("diag", "probe", Option("--p", int, required=True), Option("--iterations", int, default=5))
+def diag_probe(alphabet, p, iterations):
     """Four-check probe of a candidate irreducible two-generator pair."""
     p = _parse_prime(p)
     if len(alphabet) != 2:
         raise ParameterError("probe needs exactly two generators")
     if iterations < 1:
         raise ParameterError("--iterations must be >= 1")
-    if max_word_len < 1:
-        raise ParameterError("--max-word-len must be >= 1")
     g, h = alphabet.matrices
-    rep = two_gen_probe(g, h, p, iterations=iterations, max_word_len=max_word_len)
+    rep = two_gen_probe(g, h, p, iterations=iterations)
     witnesses = [_witness(ck.data["word"], alphabet, lambda m: classify_padic(m, p))
                  for ck in rep.checks if ck.name == "loxodromic-word-at-p" and ck.passed]
-    params = {"p": p, "iterations": iterations, "max_word_len": max_word_len}
-    return params, [rep], witnesses
+    return {"p": p, "iterations": iterations}, [rep], witnesses
 
 
 def main(argv=None):

@@ -18,8 +18,8 @@ from .exact_core import (
     _split,
     classify_padic,
     commutator,
-    denominator_primes,
     integer_form,
+    prime_factors,
     vp,
 )
 from .lu_lab import knapp
@@ -54,12 +54,10 @@ class PlaceSupport(Record):
 
 
 def place_support(alphabet):
-    """Primes appearing in any denominator of a generator or its inverse."""
-    primes = set()
-    for m in alphabet.letter_matrices:
-        for e in m.entries():
-            primes.update(denominator_primes(e))
-    return PlaceSupport(tuple(sorted(primes)), True)
+    """Primes appearing in any denominator of a generator or its inverse;
+    each distinct denominator is factored once."""
+    dens = {e.denominator for m in alphabet.letter_matrices for e in m.entries()} - {1}
+    return PlaceSupport(tuple(sorted({q for n in dens for q in prime_factors(n)})), True)
 
 
 class DensityResult(Record):
@@ -186,9 +184,9 @@ def _finite_place_status(alphabet, p, max_len):
 
     A word of infinite order whose image (a, b, c, d)/den is p-integral with
     unit det (every entry has v_p >= v_p(den), and v_p(ad - bc) = 2 v_p(den))
-    lies in the compact stabilizer of the base vertex. Failing that, Serre's
-    lemma (Trees, I.6.5) decides: the group is bounded iff no word of length
-    <= 2 is loxodromic, and then any word of infinite order is a witness.
+    lies in the compact stabilizer of the base vertex. Failing that,
+    first_loxodromic decides by Serre's lemma: without a loxodromic word the
+    group is bounded, and then any word of infinite order is a witness.
     """
     first_infinite = None
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
@@ -203,7 +201,7 @@ def _finite_place_status(alphabet, p, max_len):
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
                 "infinite order inside the base vertex stabilizer",
             )
-    loxodromic = first_loxodromic(alphabet, p, 2)
+    loxodromic = first_loxodromic(alphabet, p)
     if loxodromic is not None:
         return PlaceStatus(
             str(p), "inconclusive", loxodromic, None,
@@ -308,25 +306,25 @@ def _delta_from_identity(m):
     return max(abs(m.a - 1), abs(m.b), abs(m.c), abs(m.d - 1))
 
 
-def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
+def two_gen_probe(g, h, p, iterations=5):
     """Four quick exact checks on a candidate irreducible pair at {real, p}.
 
     (1) g is loxodromic over R; (2) <g, h> is Zariski dense, by
     density_report, whose words certify the verdict; (3) iterated
     commutators c_0 = h, c_(k+1) = [c_k, g] stay nontrivial while their
     max-entry distance from I strictly decreases, reported as evidence and
-    never as proof; (4) some word of length <= max_word_len is loxodromic on
-    the tree at p. Entries must lie in Z[1/p] with det 1. The first delta
-    too long for the report to print stops the probe with DigitLimitError.
+    never as proof; (4) first_loxodromic finds a loxodromic word at p (a
+    fail means bounded at p). Entries must lie in Z[1/p] with det 1. The
+    first delta too long to print stops the probe with DigitLimitError.
     """
+    _require_prime(p)
     for m in (g, h):
         if m.det() != 1:
             raise ValueError("probe needs det 1")
         for e in m.entries():
-            extra = [q for q in denominator_primes(e) if q != p]
-            if extra:
-                raise ValueError(f"entries outside Z[1/{p}]: denominator prime {extra[0]}")
-    _require_prime(p)
+            rest = _split(e.denominator, p)[1]
+            if rest > 1:
+                raise ValueError(f"entries outside Z[1/{p}]: denominator prime {prime_factors(rest)[0]}")
 
     t = g.trace()
     check1 = ProbeCheck("real-loxodromic-generator", t * t > 4, {"trace": t})
@@ -363,8 +361,7 @@ def two_gen_probe(g, h, p, iterations=5, max_word_len=6):
     )
 
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
-    word = first_loxodromic(alphabet, p, max_word_len)
-    if word is not None:
+    if (word := first_loxodromic(alphabet, p)) is not None:
         m = evaluate(word, alphabet)
         check4 = ProbeCheck(
             "loxodromic-word-at-p", True,

@@ -227,11 +227,15 @@ HUGE_EXPONENTS = [
 
 
 def _with_files(argv, tmp_path):
-    """argv with {huge} replaced by a generator file whose entry is 1e100000000."""
+    """argv with {huge} replaced by a generator file whose entry is 1e100000000,
+    and {nested} by one whose generators hold arrays 100 000 deep."""
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"generators": [
         {"name": "a", "matrix": [["1e100000000", "0"], ["0", "1"]]}]}), encoding="utf-8")
-    return [str(huge) if a == "{huge}" else a for a in argv]
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"generators": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    files = {"{huge}": str(huge), "{nested}": str(nested)}
+    return [files.get(a, a) for a in argv]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -257,8 +261,9 @@ def _with_files(argv, tmp_path):
     (["diag", "probe", "--q", "1/2", "--p", "2", "--iterations", "0"], "--iterations must be >= 1"),
     (["diag", "probe", "--builtin", "long-reid", "--p", "2"],
      "entries outside Z[1/2]: denominator prime 3"),
-    (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "0"], "--max-word-len must be >= 1"),
-    (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "-1"], "--max-word-len must be >= 1"),
+    (["diag", "places", "--gens", "{nested}"],
+     "generator file nests JSON arrays or objects too deeply to read"),
+    (["diag", "probe", "--q", "1/60", "--p", "2"], "entries outside Z[1/2]: denominator prime 3"),
     (["diag", "traces", "--q", "1/2", "--primes", "2,2", "--max-len", "2"], "--primes repeats 2"),
     (["diag", "traces", "--builtin", "long-reid", "--primes", "3,2,5,2", "--max-len", "2"],
      "--primes repeats 2"),
@@ -723,7 +728,7 @@ def test_a_repeated_option_keeps_its_last_value(capsys, monkeypatch):
               "knapp ", "pingpong ", "relators "]),
     (["diag", "probe", "--p", "2"], ["Usage: commlab diag probe [OPTIONS]",
                                      "--builtin long-reid", "--p INTEGER [required]",
-                                     "--iterations INTEGER --max-word-len INTEGER --help"]),
+                                     "--iterations INTEGER --help"]),
 ])
 def test_help_at_each_level(capsys, argv, expect):
     code, out, _ = run(capsys, argv + ["--help"])
@@ -749,6 +754,8 @@ def test_help_at_each_level(capsys, argv, expect):
     (["diag", "places", "--builtin", "foo"], "--builtin must be one of long-reid, got 'foo'"),
     (["lu", "knapp", "--q", "2", "extra"], "unexpected argument 'extra'"),
     (["diag", "irreducible", "--q", "1/2", "--radius", "3"], "no such option '--radius'"),
+    (["diag", "probe", "--q", "1/2", "--p", "2", "--max-word-len", "6"],
+     "no such option '--max-word-len'"),
 ])
 def test_usage_errors_name_the_token(capsys, argv, message):
     code, out, _ = run(capsys, argv)
@@ -915,7 +922,7 @@ def _fuzz_values():
         "--word": ["a", "a b^2 A", "b^-1 a", "c", "a^0", "b^300000000", "-a", "a^" + "7" * 5000],
         "--primes": ["2", "2,3", "3,2", "4", "2,2", prime],
         "--max-len": small, "--radius": small[:6], "--iterations": small[:6],
-        "--max-word-len": small, "--mem-cap": ["1", "600", "0", "-1", huge],
+        "--mem-cap": ["1", "600", "0", "-1", huge],
         "--csv": ["hits.csv", str(REPO / "tests"), str(REPO / "missing" / "x.csv")],
     }
 
@@ -974,8 +981,8 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, argv):
 @st.composite
 def probe_argv(draw):
     """A prime p, and two det-1 matrices in SL(2, Z[1/p]), each a product of
-    one to four shears by x / p^k and diagonals diag(p^k, p^-k), with some
-    of the optional probe options."""
+    one to four shears by x / p^k and diagonals diag(p^k, p^-k), with
+    or without --iterations."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     x, k = st.integers(-3, 3), st.integers(0, 2)
     letter = st.one_of(
@@ -984,10 +991,7 @@ def probe_argv(draw):
         st.builds(lambda k: Mat2(p**k, 0, 0, Fraction(1, p**k)), k))
     pair = [functools.reduce(Mat2.__mul__, draw(st.lists(letter, min_size=1, max_size=4)))
             for _ in "gh"]
-    options = []
-    for flag, values in (("--iterations", st.integers(1, 5)), ("--max-word-len", st.integers(1, 6))):
-        if draw(st.booleans()):
-            options += [flag, str(draw(values))]
+    options = ["--iterations", str(draw(st.integers(1, 5)))] if draw(st.booleans()) else []
     return pair, ["diag", "probe", "--p", str(p)] + options
 
 

@@ -18,7 +18,7 @@ from commlab.diagnostics import (
     place_support,
     two_gen_probe,
 )
-from commlab.exact_core import Mat2, vp
+from commlab.exact_core import Mat2, denominator_primes, prime_factors, vp
 from commlab.lu_lab import lu_generators
 from commlab.words import (
     Alphabet,
@@ -74,6 +74,39 @@ def test_place_support_sees_inverses():
     assert place_support(Alphabet(("g",), (m,))).primes == ()
     n = Mat2(5, 0, 0, 1)
     assert place_support(Alphabet(("g",), (n,))).primes == (5,)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr("commlab.diagnostics.prime_factors", counting)
+    return calls
+
+
+def test_place_support_factors_each_denominator_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    # six entries of the letters have a denominator, only two distinct ones
+    ab = Alphabet(("a", "b"), (Mat2(1, Fraction(1, 35), 0, 1), Mat2(Fraction(1, 6), Fraction(5, 6), 0, 6)))
+    dens = [e.denominator for m in ab.letter_matrices for e in m.entries() if e.denominator > 1]
+    assert len(dens) == 6
+    primes = place_support(ab).primes
+    assert sorted(calls) == sorted(set(dens)) == [6, 35]
+    oracle = {q for m in ab.letter_matrices for e in m.entries() for q in denominator_primes(e)}
+    assert primes == tuple(sorted(oracle)) == (2, 3, 5, 7)
+
+
+def test_probe_factors_only_denominators_off_p(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    g, h = probe_pair()
+    two_gen_probe(g, h, 2)  # denominators 8: powers of 2
+    assert calls == []
+    with pytest.raises(ValueError, match=r"^entries outside Z\[1/2\]: denominator prime 3$"):
+        two_gen_probe(g, Mat2(1, Fraction(1, 24), 0, 1), 2)
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------- density

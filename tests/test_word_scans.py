@@ -140,10 +140,10 @@ def _probe_applies(ab, p):
 def test_probe_check_4_matches_mat2_walk(ab):
     for p in PRIMES:
         expected = probe_check4_oracle(ab, p, MAX_LEN)
-        assert first_loxodromic(ab, p, MAX_LEN) == expected.data.get("word")
+        assert first_loxodromic(ab, p) == expected.data.get("word")
         if _probe_applies(ab, p):
             g, h = ab.matrices
-            rep = two_gen_probe(g, h, p, max_word_len=MAX_LEN)
+            rep = two_gen_probe(g, h, p)
             assert rep.checks[3] == expected
 
 
