@@ -226,6 +226,13 @@ class OrbitResult(Record):
     max_radius: int
 
 
+def _loxodromic(a, b, c, d, p):
+    """Whether (a, b, c, d)/den is loxodromic at p, for any den: on the
+    integer form tr^2/det = (a + d)^2/(ad - bc), so the translation length
+    is v_p(ad - bc) - 2 v_p(a + d) when positive."""
+    return bool(a + d) and _split(a * d - b * c, p)[0] > 2 * _split(a + d, p)[0]
+
+
 def first_loxodromic(alphabet, p):
     """The first word in canonical order, over all lengths, that is loxodromic
     at p; None means that no word is, so the group is bounded at p.
@@ -233,11 +240,10 @@ def first_loxodromic(alphabet, p):
     Serre's lemma (Trees, I.6.5, on the barycentric subdivision, which absorbs
     edge inversions): the group fixes a point iff every generator and every
     product of two does, so some word is loxodromic iff one of length <= 2 is,
-    and only those are walked. On (a, b, c, d)/den, tr^2/det = (a + d)^2/(ad - bc),
-    so the translation length is v_p(ad - bc) - 2 v_p(a + d) when positive."""
+    and only the class representatives of those (iter_forms) are walked."""
     _require_prime(p)
     for codes, a, b, c, d, _ in iter_forms(alphabet, 2):
-        if a + d and _split(a * d - b * c, p)[0] > 2 * _split(a + d, p)[0]:
+        if _loxodromic(a, b, c, d, p):
             return Word(codes)
     return None
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bt_tree import first_loxodromic, translation_length
+from .bt_tree import _loxodromic, first_loxodromic, translation_length
 from .exact_core import (
     INFINITY,
     ElementClass,
@@ -128,23 +128,20 @@ class TraceScanResult(Record):
 def integral_trace_scan(alphabet, primes, max_len):
     """Conjugacy-class scan for words whose trace is integral at every prime.
 
-    Walks one representative per necklace class (the word equal to its own
-    canonical form) of length 1..max_len in canonical order, and records
-    those whose trace has nonnegative valuation at every listed prime. The
-    identity (length 0) is integral trivially and skipped.
-
-    The walk (iter_forms with necklaces) yields exactly the class
-    representatives, and carries letter codes and integer forms. The trace
-    of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den), INFINITY for a zero
-    trace, taken on the integers; only a hit gets its trace as a Fraction
-    and its Word.
+    Walks iter_forms, one representative per necklace class (the word equal
+    to its own canonical form) of length 1..max_len in canonical order, and
+    records those whose trace has nonnegative valuation at every listed
+    prime. The identity (length 0) is integral trivially and skipped. The
+    trace of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den), INFINITY for
+    a zero trace, taken on the integers; only a hit gets its trace as a
+    Fraction and its Word.
     """
     for p in primes:
         _require_prime(p)
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
-    for codes, a, _, _, d, den in iter_forms(alphabet, max_len, necklaces=True):
+    for codes, a, _, _, d, den in iter_forms(alphabet, max_len):
         classes_per_length[len(codes)] += 1
         t = a + d
         if t:
@@ -180,39 +177,27 @@ def _real_place_status(alphabet, max_len):
 
 
 def _finite_place_status(alphabet, p, max_len):
-    """Indiscreteness at p from words of length <= max_len, on integer forms.
+    """Indiscreteness at p from one class walk of length <= max_len, on
+    integer forms.
 
-    A word of infinite order whose image (a, b, c, d)/den is p-integral with
-    unit det (every entry has v_p >= v_p(den), and v_p(ad - bc) = 2 v_p(den))
-    lies in the compact stabilizer of the base vertex. Failing that,
-    first_loxodromic decides by Serre's lemma: without a loxodromic word the
-    group is bounded, and then any word of infinite order is a witness.
+    A word of infinite order that is not loxodromic fixes a point of the tree
+    (Serre, Trees, I.6), so its powers accumulate in a compact stabilizer:
+    the first such word is the witness. Failing that, first_loxodromic
+    decides by Serre's lemma: a loxodromic word leaves the place
+    inconclusive, and without one the group is bounded.
     """
-    first_infinite = None
-    for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
-        if not _infinite_order(a, b, c, d):
-            continue
-        if first_infinite is None:
-            first_infinite = codes
-        k = _split(den, p)[0]
-        if not any(x % p**k for x in (a, b, c, d)) and _split(a * d - b * c, p)[0] == 2 * k:
+    for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
+        if _infinite_order(a, b, c, d) and not _loxodromic(a, b, c, d, p):
             word = Word(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
-                "infinite order inside the base vertex stabilizer",
+                "infinite order and not loxodromic: its powers accumulate in a compact stabilizer",
             )
     loxodromic = first_loxodromic(alphabet, p)
     if loxodromic is not None:
         return PlaceStatus(
             str(p), "inconclusive", loxodromic, None,
-            f"loxodromic witness, so the group is unbounded; no integrality witness of length <= {max_len}",
-        )
-    if first_infinite is not None:
-        # a bounded group has no loxodromic: infinite order is parabolic or elliptic
-        word = Word(first_infinite)
-        return PlaceStatus(
-            str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
-            "infinite order in a bounded group: no word of length <= 2 is loxodromic",
+            f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
         )
     return PlaceStatus(
         str(p), "bounded-orbit", None, None,
@@ -243,7 +228,8 @@ class IrreducibilityReport(Record):
 def irreducibility_report(alphabet, max_len=6):
     """Per-place indiscreteness diagnostics and the product-level summary.
 
-    Each finite place in the support gets an integral-unit witness or a
+    Each place is one walk over conjugacy classes. A finite place in the
+    support gets a witness of infinite order that is not loxodromic, or a
     verdict by Serre's lemma, so it is inconclusive only with a loxodromic
     word; the real place is scanned for elliptic elements of infinite
     order. The diagonal image in the product over the full support is

@@ -181,14 +181,6 @@ def vp(x, p):
     return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
 
 
-def denominator_primes(x):
-    """Primes at which the rational x fails to be integral."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return ()
-    return tuple(prime_factors(x.denominator))
-
-
 class Mat2(Record):
     """Immutable 2x2 matrix with Fraction entries, row-major a b / c d."""
 

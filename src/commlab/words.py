@@ -137,15 +137,19 @@ def iter_level_carrying(num_gens, length, start, step):
                     push((child, c, remaining))
 
 
-def iter_forms(alphabet, max_len, necklaces=False):
-    """Reduced words of length 1..max_len in canonical order, each as
+def iter_forms(alphabet, max_len):
+    """One word per class: the reduced words of length 1..max_len equal to
+    their necklace_canonical form, in canonical order, each as
     (codes, a, b, c, d, den): its letter codes and its image (a, b, c, d)/den,
     the product of the letters' integer forms (no gcd taken) over the product
     of their denominators. The walk builds no Fraction and no Word.
 
-    With necklaces, the walk yields exactly the class representatives, the
-    words equal to their necklace_canonical form. It visits only prefixes
-    that can still extend to one; every cut is exact:
+    For a property kept by conjugation and inversion, the first word with it
+    in canonical order is its own necklace form, so a scan for that first
+    word loses nothing by walking only these.
+
+    The walk visits only prefixes that can still extend to a class
+    representative; every cut is exact:
 
     - the first letter is a generator, not an inverse: otherwise the
       inverse word holds the generator, a letter below the first;
@@ -167,15 +171,14 @@ def iter_forms(alphabet, max_len, necklaces=False):
 
     def step(value, code):
         codes, per, a, b, c, d, den = value
-        if necklaces:
-            n = len(codes)
-            if not n:
-                if code & 1:
-                    return None
-            elif code != (prev := codes[n - per]):
-                if code < prev:
-                    return None
-                per = n + 1
+        n = len(codes)
+        if not n:
+            if code & 1:
+                return None
+        elif code != (prev := codes[n - per]):
+            if code < prev:
+                return None
+            per = n + 1
         (e, f, g, h), k = forms[code]
         return (codes + (code,), per, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
 
@@ -184,7 +187,7 @@ def iter_forms(alphabet, max_len, necklaces=False):
             if n % per:
                 continue
             # both tests can fail only on a word holding the letter first ^ 1
-            if necklaces and (first := codes[0]) ^ 1 in codes:
+            if (first := codes[0]) ^ 1 in codes:
                 if codes[-1] == first ^ 1:
                     continue
                 inverse = invert_letters(codes)

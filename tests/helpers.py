@@ -22,6 +22,7 @@ from commlab.exact_core import (
     classify_padic,
     classify_real,
     commutator,
+    prime_factors,
     projective_normalize,
     vp,
 )
@@ -89,6 +90,14 @@ def dump_generator_file(alphabet):
     ))
 
 
+def denominator_primes(x):
+    """Primes at which the rational x fails to be integral."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return ()
+    return tuple(prime_factors(x.denominator))
+
+
 def necklace_oracle(w):
     """Reference necklace form: cyclically reduce, then the least rotation
     of the word and of its inverse as a letter code tuple."""
@@ -123,8 +132,9 @@ def trace_scan_oracle(alphabet, primes, max_len):
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes, hit_counts)
 
 
-# Reference word scans: the Mat2 walks the library ran before its scans moved
-# to integer forms (the finite place decides boundedness by Serre's lemma).
+# Reference word scans: Mat2 walks over every word, where the library walks
+# integer forms of one word per class (the finite place decides boundedness
+# by Serre's lemma).
 
 _TORSION_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -151,28 +161,9 @@ def real_place_oracle(alphabet, max_len):
 
 
 def finite_place_oracle(alphabet, p, max_len):
-    # direct witness: a p-integral unit-determinant word of infinite order
-    # lives in the stabilizer of the base vertex, a compact group
-    for word, m in iter_words_with_matrices(alphabet, max_len):
-        if len(word) == 0 or m.is_scalar():
-            continue
-        if any(vp(e, p) < 0 for e in m.entries()):
-            continue
-        if vp(m.det(), p) != 0:
-            continue
-        if m.trace() ** 2 / m.det() in _TORSION_R:
-            continue
-        return PlaceStatus(
-            str(p), "indiscrete-witness", word, classify_padic(m, p),
-            "infinite order inside the base vertex stabilizer",
-        )
-    # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
-    for word, m in iter_words_with_matrices(alphabet, 2):
-        if len(word) and classify_padic(m, p).kind == "loxodromic":
-            return PlaceStatus(
-                str(p), "inconclusive", word, None,
-                f"loxodromic witness, so the group is unbounded; no integrality witness of length <= {max_len}",
-            )
+    # witness: the first word of infinite order that is not loxodromic, over
+    # every word, not one per class; it fixes a point of the tree, so its
+    # powers stay in a compact stabilizer
     for word, m in iter_words_with_matrices(alphabet, max_len):
         if len(word) == 0:
             continue
@@ -180,7 +171,14 @@ def finite_place_oracle(alphabet, p, max_len):
         if cls.kind in ("parabolic", "elliptic-infinite-order"):
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, cls,
-                "infinite order in a bounded group: no word of length <= 2 is loxodromic",
+                "infinite order and not loxodromic: its powers accumulate in a compact stabilizer",
+            )
+    # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
+    for word, m in iter_words_with_matrices(alphabet, 2):
+        if len(word) and classify_padic(m, p).kind == "loxodromic":
+            return PlaceStatus(
+                str(p), "inconclusive", word, None,
+                f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
             )
     return PlaceStatus(
         str(p), "bounded-orbit", None, None,

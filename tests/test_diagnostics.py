@@ -18,7 +18,7 @@ from commlab.diagnostics import (
     place_support,
     two_gen_probe,
 )
-from commlab.exact_core import Mat2, denominator_primes, prime_factors, vp
+from commlab.exact_core import Mat2, prime_factors, vp
 from commlab.lu_lab import lu_generators
 from commlab.words import (
     Alphabet,
@@ -30,6 +30,7 @@ from commlab.words import (
 from helpers import (
     adjoint_rank_oracle,
     conjugation_row,
+    denominator_primes,
     necklace_oracle,
     rank,
     trace_scan_oracle,

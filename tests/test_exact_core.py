@@ -23,7 +23,6 @@ from commlab.exact_core import (
     classify_padic,
     classify_real,
     commutator,
-    denominator_primes,
     integer_form,
     is_prime,
     prime_factors,
@@ -33,7 +32,7 @@ from commlab.exact_core import (
 )
 from commlab.lu_lab import KnappVerdict, _entry_cost
 from commlab.words import Word
-from helpers import key_mul, rand_frac, rand_sl2
+from helpers import denominator_primes, key_mul, rand_frac, rand_sl2
 
 
 # ---------------------------------------------------------------- oracles

@@ -4,7 +4,9 @@ Each library scan (the real and finite place status, the probe's check 4,
 the orbit's witness search) is compared with its reference copy in helpers on
 seeded generator sets: 1 to 3 generators of det 1, of any det and of negative
 det, with denominators 2, 3, 4, 6, 8, 9 and 27, plus long-reid, Delta_q and a
-few sets chosen for one branch each.
+few sets chosen for one branch each. Every scan decides a property of
+conjugacy classes, so each set also gives the same reports as a seeded
+conjugate of it.
 """
 
 import random
@@ -17,17 +19,17 @@ from commlab.bt_tree import first_loxodromic, orbit_bounded
 from commlab.diagnostics import (
     _finite_place_status,
     _real_place_status,
+    integral_trace_scan,
     long_reid_pair,
     two_gen_probe,
 )
-from commlab.exact_core import Mat2, denominator_primes
+from commlab.exact_core import Mat2
 from commlab.lu_lab import lu_generators
 from commlab.words import Alphabet, Word
-from helpers import finite_place_oracle, orbit_oracle, probe_check4_oracle, real_place_oracle
+from helpers import denominator_primes, finite_place_oracle, orbit_oracle, probe_check4_oracle, real_place_oracle
 
 DENS = (2, 3, 4, 6, 8, 9, 27)
 MAX_LEN, RADIUS, PRIMES = 5, 2, (2, 3)
-INTEGRAL_NOTE = "infinite order inside the base vertex stabilizer"
 
 
 def _shear_product(rng, dens):
@@ -101,14 +103,14 @@ def test_finite_place_status_matches_mat2_walk(ab):
 
 @pytest.mark.parametrize("ab", SETS)
 def test_finite_place_status_agrees_with_every_decided_orbit(ab):
-    # Serre's lemma changes only the notes wherever the orbit search decided
+    # where the orbit search decided, a status other than a witness matches it
     for p in PRIMES:
         st = _finite_place_status(ab, p, MAX_LEN)
         for radius in (2, 6):
             orbit = orbit_bounded(ab, p, radius)
             if orbit.status == "bounded":
                 assert st.status in ("indiscrete-witness", "bounded-orbit")
-            elif orbit.status == "unbounded" and st.note != INTEGRAL_NOTE:
+            elif orbit.status == "unbounded" and st.status != "indiscrete-witness":
                 assert (st.status, st.word) == ("inconclusive", orbit.witness)
 
 
@@ -121,6 +123,52 @@ def test_a_bounded_place_past_the_old_radius_is_decided():
     assert (st.status, st.word) == ("indiscrete-witness", Word((0,)))
     assert st.classification.kind == "parabolic"
     assert st == finite_place_oracle(f, 3, 6)
+
+
+def _conjugate(ab, c):
+    c_inv = c.inverse()
+    return Alphabet(ab.names, [c * m * c_inv for m in ab.matrices])
+
+
+def _seeded_conjugator(seed):
+    rng = random.Random(seed)
+    while True:
+        c = Mat2(*(Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)), rng.choice((2, 3, 4, 9))) for _ in range(4)))
+        if c.det():
+            return c
+
+
+@pytest.mark.parametrize("seed", range(len(SETS)))
+def test_every_word_scan_is_invariant_under_conjugation(seed):
+    # each scan decides a property of conjugacy classes, so C G C^-1 and G
+    # give the same report, words included
+    ab = SETS[seed]
+    conj = _conjugate(ab, _seeded_conjugator(seed))
+    assert _real_place_status(conj, MAX_LEN) == _real_place_status(ab, MAX_LEN)
+    for p in PRIMES:
+        assert _finite_place_status(conj, p, MAX_LEN) == _finite_place_status(ab, p, MAX_LEN)
+    assert integral_trace_scan(conj, PRIMES, MAX_LEN) == integral_trace_scan(ab, PRIMES, MAX_LEN)
+
+
+def test_a_witness_does_not_depend_on_the_base_vertex():
+    # Delta_{1/2} has the parabolic a = [[1, 0], [1, 1]]; conjugated by
+    # diag(2, 1) it is [[1, 0], [1/2, 1]], not 2-integral, and still the witness
+    d = lu_generators(Fraction(1, 2))
+    conj = _conjugate(d, Mat2(2, 0, 0, 1))
+    assert conj.matrices[0] == Mat2(1, 0, Fraction(1, 2), 1)
+    assert _finite_place_status(conj, 2, 6) == _finite_place_status(d, 2, 6)
+    assert _finite_place_status(d, 2, 6).word == Word((0,))
+
+
+@pytest.mark.parametrize("max_len", (5, 8))
+def test_a_parabolic_off_the_base_vertex_is_a_witness(max_len):
+    # a = [[28/27, -1], [1/729, 26/27]] is parabolic, so it fixes a vertex
+    # of the tree at 3, though not the base vertex: no multiple of it is
+    # 3-integral with unit det
+    ab = SETS[38]
+    assert ab.matrices[0].c == Fraction(1, 729)
+    st = _finite_place_status(ab, 3, max_len)
+    assert (st.status, st.word, st.classification.kind) == ("indiscrete-witness", Word((0,)), "parabolic")
 
 
 @pytest.mark.parametrize("ab", SETS)
@@ -155,6 +203,6 @@ def test_each_branch_is_reached():
     orbits = {orbit_bounded(ab, p, RADIUS).status for ab in SETS for p in PRIMES}
     applies = sum(_probe_applies(ab, p) for ab in SETS for p in PRIMES)
     assert real == {"indiscrete-witness", "inconclusive"}
-    assert len(finite) == 4  # two witnesses, the bounded orbit, the loxodromic
+    assert len(finite) == 3  # the witness, the bounded orbit, the loxodromic
     assert {"bounded", "unbounded", "inconclusive"} == orbits
     assert applies >= 10

@@ -8,6 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from commlab import words
+from commlab.diagnostics import _real_place_status, long_reid_pair
 from commlab.exact_core import Mat2
 from commlab.words import (
     EMPTY_WORD,
@@ -149,8 +150,12 @@ _FORM_MATS = st.builds(
 def test_necklace_walk_keeps_exactly_the_necklace_forms(case):
     mats, max_len = case
     ab = Alphabet("abcd"[: len(mats)], mats)
-    necklaces = list(iter_forms(ab, max_len, necklaces=True))
-    assert necklaces == [form for form in iter_forms(ab, max_len) if necklace_oracle(Word(form[0])).letters == form[0]]
+    forms = list(iter_forms(ab, max_len))
+    assert [form[0] for form in forms] == [
+        w.letters for w in iter_words(len(ab), max_len) if len(w) and necklace_oracle(w) == w
+    ]
+    for codes, a, b, c, d, den in forms:
+        assert Mat2(*(Fraction(x, den) for x in (a, b, c, d))) == evaluate(Word(codes), ab)
 
 
 def test_necklace_walk_work_counts(monkeypatch):
@@ -164,9 +169,13 @@ def test_necklace_walk_work_counts(monkeypatch):
             yield value
 
     monkeypatch.setattr(words, "iter_level_carrying", counted)
-    forms = list(iter_forms(two_gen_alphabet(), 9, necklaces=True))
+    forms = list(iter_forms(two_gen_alphabet(), 9))
     assert len(leaves) == 6283  # of the 39364 reduced words
     assert len(forms) == 1791
+    # the real place walks the same classes: 13120 leaves over every word
+    leaves.clear()
+    assert _real_place_status(long_reid_pair(), 8).status == "inconclusive"
+    assert len(leaves) == 2266
 
 
 # ---------------------------------------------------------------- evaluation
