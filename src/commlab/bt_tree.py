@@ -16,8 +16,9 @@ The arithmetic runs on the integer chart (n, m, c) of u = c * p^m, with
 (n, 0, 0) for u = 0. A matrix acts through its integer form (its
 denominator is a homothety), valuations are taken of integers, and the
 residue c is a modular inverse, so act, vertex_of, distance and the orbit
-search do no Fraction arithmetic. orbit_charts returns charts, and a
-TreeVertex, with its Fraction u, is built only where a caller asks for one.
+search do no Fraction arithmetic. A TreeVertex carries its chart (v.chart);
+orbit_charts returns bare charts, and a TreeVertex, with its Fraction u, is
+built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -25,27 +26,43 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .exact_core import Mat2, Record, classify_padic, integer_form, vp, _require_prime, _set, _split
+from .exact_core import Mat2, Record, form_translation_length, integer_form, vp, _require_prime, _set, _split
 from .words import Word, iter_forms
 
 
 class TreeVertex(Record):
+    """The vertex charted (n, u) on the tree at the prime p. The constructor
+    checks p and reduces u to its canonical residue once, keeping the integer
+    chart (n, m, c) as v.chart (not a field), so equal vertices are equal
+    records."""
+
     p: int
     n: int
     u: Fraction
 
     def __init__(self, p, n, u):
-        _set(self, "p", p)
-        _set(self, "n", n)
-        _set(self, "u", u if isinstance(u, Fraction) else Fraction(u))
+        _require_prime(p)
+        u = u if isinstance(u, Fraction) else Fraction(u)
+        _vertex(p, _chart_of(n, u.numerator, *_split(u.denominator, p), p), self)
 
     def __repr__(self):
         return f"TreeVertex({self.p}^{self.n}:{self.u})"
 
 
+def _vertex(p, chart, v=None):
+    """The TreeVertex (v, if given) of a chart that _chart_of made
+    canonical, built without checking p or reducing u again."""
+    v = object.__new__(TreeVertex) if v is None else v
+    n, m, c = chart
+    _set(v, "p", p)
+    _set(v, "n", n)
+    _set(v, "u", Fraction(c * p**m) if m >= 0 else Fraction(c, p**-m))
+    _set(v, "chart", chart)
+    return v
+
+
 def base_vertex(p):
-    _require_prime(p)
-    return TreeVertex(p, 0, Fraction(0))
+    return TreeVertex(p, 0, 0)
 
 
 def _chart_of(n, b, vd, ud, p):
@@ -114,26 +131,9 @@ def _distance(v, w, p):
     return abs(dn - 2 * least)
 
 
-def _chart(v):
-    """The (n, m, c) chart of a vertex, its u reduced to the canonical residue."""
-    return _chart_of(v.n, v.u.numerator, *_split(v.u.denominator, v.p), v.p)
-
-
-def _u(m, c, p):
-    return Fraction(c * p**m) if m >= 0 else Fraction(c, p**-m)
-
-
-def _vertex(p, chart):
-    n, m, c = chart
-    return TreeVertex(p, n, _u(m, c, p))
-
-
 def canonical_residue(u, n, p):
     """The canonical representative of u + p^n Z_(p)."""
-    _require_prime(p)
-    u = Fraction(u)
-    _, m, c = _chart_of(n, u.numerator, *_split(u.denominator, p), p)
-    return _u(m, c, p)
+    return TreeVertex(p, n, u).u
 
 
 def rep_matrix(v):
@@ -155,8 +155,7 @@ def vertex_of(m, p):
 
 def act(g, v):
     """Image vertex of v under g in GL(2, Q)."""
-    _require_prime(v.p)
-    return _vertex(v.p, _act(_letter(g, v.p), _chart(v), v.p))
+    return _vertex(v.p, _act(_letter(g, v.p), v.chart, v.p))
 
 
 def distance(v, w):
@@ -164,8 +163,7 @@ def distance(v, w):
     transition matrix between representative lattices."""
     if v.p != w.p:
         raise ValueError("vertices live on different trees")
-    _require_prime(v.p)
-    return _distance(_chart(v), _chart(w), v.p)
+    return _distance(v.chart, w.chart, v.p)
 
 
 def neighbors(v):
@@ -179,9 +177,7 @@ def neighbors(v):
 
 
 def ball(center, radius):
-    """Vertices within the radius, as a dict vertex -> distance, BFS order.
-    The center is keyed by its canonical chart, as every neighbor is."""
-    center = _vertex(center.p, _chart(center))
+    """Vertices within the radius, as a dict vertex -> distance, BFS order."""
     out = {center: 0}
     frontier = deque([center])
     while frontier:
@@ -196,12 +192,14 @@ def ball(center, radius):
 
 
 def translation_length(g, p):
-    """min over vertices of d(v, g v), from the trace: max(0, -v_p(tr^2/det)).
+    """min over vertices of d(v, g v), from the trace: max(0, -v_p(tr^2/det)),
+    by exact_core.form_translation_length on the integer form of g.
 
     Bounded elements with odd v_p(det) invert an edge and fix no vertex; for
     them the vertex minimum is 1 while the translation length is 0.
     """
-    return classify_padic(g, p).translation_length or 0
+    _require_prime(p)
+    return form_translation_length(*integer_form(g)[0], p)
 
 
 def busemann(g, p):
@@ -226,13 +224,6 @@ class OrbitResult(Record):
     max_radius: int
 
 
-def _loxodromic(a, b, c, d, p):
-    """Whether (a, b, c, d)/den is loxodromic at p, for any den: on the
-    integer form tr^2/det = (a + d)^2/(ad - bc), so the translation length
-    is v_p(ad - bc) - 2 v_p(a + d) when positive."""
-    return bool(a + d) and _split(a * d - b * c, p)[0] > 2 * _split(a + d, p)[0]
-
-
 def first_loxodromic(alphabet, p):
     """The first word in canonical order, over all lengths, that is loxodromic
     at p; None means that no word is, so the group is bounded at p.
@@ -243,7 +234,7 @@ def first_loxodromic(alphabet, p):
     and only the class representatives of those (iter_forms) are walked."""
     _require_prime(p)
     for codes, a, b, c, d, _ in iter_forms(alphabet, 2):
-        if _loxodromic(a, b, c, d, p):
+        if form_translation_length(a, b, c, d, p):
             return Word(codes)
     return None
 
@@ -264,7 +255,6 @@ def orbit_charts(alphabet, p, max_radius, base=None):
     skipped: the letters, the seen test and the distance check run as
     before, so the discovery order and radius_seen do not change.
     """
-    _require_prime(p)
     if base is None:
         base = base_vertex(p)
     if base.p != p:
@@ -274,7 +264,7 @@ def orbit_charts(alphabet, p, max_radius, base=None):
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
     letters = [_letter(g, p) for g in alphabet.letter_matrices]
     images = [{} for _ in letters]  # images[c][w] = v once letter c ^ 1 took v to w
-    start = _chart(base)
+    start = base.chart
     seen = {start}
     order = [start]
     radius_seen = 0
@@ -339,7 +329,6 @@ def commutator_pigeonhole(x, y, v, n_max=None):
     at a distance of R's parity, plus one; the loop never needs more steps,
     and a smaller n_max raises PigeonholeBudgetError.
     """
-    v = _vertex(v.p, _chart(v))  # act returns canonical charts; compare like with like
     if act(y, v) != v:
         raise ValueError("y must fix v")
     w = act(x.inverse(), v)

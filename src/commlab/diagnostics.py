@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bt_tree import _loxodromic, first_loxodromic, translation_length
+from .bt_tree import first_loxodromic, translation_length
 from .exact_core import (
     INFINITY,
     ElementClass,
@@ -18,6 +18,8 @@ from .exact_core import (
     _split,
     classify_padic,
     commutator,
+    form_order,
+    form_translation_length,
     integer_form,
     prime_factors,
     vp,
@@ -32,13 +34,6 @@ PROBE_MESSAGE = (
     "candidate irreducible pair: finite index in an arithmetic lattice "
     "would follow, " + GS_TAG
 )
-
-
-def _infinite_order(a, b, c, d):
-    """Whether (a, b, c, d)/den has infinite order in PGL(2): not scalar, and
-    tr^2/det = (a + d)^2/(ad - bc) is not a torsion value 0, 1, 2 or 3."""
-    det = a * d - b * c
-    return not (b == c == 0 and a == d) and (a + d) ** 2 not in (0, det, 2 * det, 3 * det)
 
 
 def long_reid_pair():
@@ -166,7 +161,7 @@ class PlaceStatus(Record):
 def _real_place_status(alphabet, max_len):
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
         det = a * d - b * c
-        if det > 0 and (a + d) ** 2 < 4 * det and _infinite_order(a, b, c, d):
+        if det > 0 and (a + d) ** 2 < 4 * det and form_order(a, b, c, d) is None:
             cls = ElementClass("elliptic-infinite-order", note=None if det == den * den else "class from tr^2/det")
             return PlaceStatus("real", "indiscrete-witness", Word(codes), cls,
                                "elliptic of infinite order: orbits accumulate")
@@ -187,7 +182,7 @@ def _finite_place_status(alphabet, p, max_len):
     inconclusive, and without one the group is bounded.
     """
     for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
-        if _infinite_order(a, b, c, d) and not _loxodromic(a, b, c, d, p):
+        if form_order(a, b, c, d) is None and not form_translation_length(a, b, c, d, p):
             word = Word(codes)
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
@@ -308,9 +303,8 @@ def two_gen_probe(g, h, p, iterations=5):
         if m.det() != 1:
             raise ValueError("probe needs det 1")
         for e in m.entries():
-            rest = _split(e.denominator, p)[1]
-            if rest > 1:
-                raise ValueError(f"entries outside Z[1/{p}]: denominator prime {prime_factors(rest)[0]}")
+            if _split(e.denominator, p)[1] > 1:
+                raise ValueError(f"entries outside Z[1/{p}]: denominator {e.denominator} is not a power of {p}")
 
     t = g.trace()
     check1 = ProbeCheck("real-loxodromic-generator", t * t > 4, {"trace": t})

@@ -322,11 +322,6 @@ class ElementClass(Record):
 # 0, +-1, +-2. The value is the order in SL(2, R), smallest k with m^k = I.
 _SL2_TORSION_ORDER = {Fraction(0): 4, Fraction(1): 6, Fraction(-1): 3}
 
-# PGL(2, Q_p) torsion detected by r = tr^2/det: r = 2 + 2cos(2*pi/n) is
-# rational only for n in {1, 2, 3, 4, 6}, i.e. r in {4, 0, 1, 2, 3}. r = 4 is
-# the parabolic/identity line; the rest give the order in PGL(2, Q_p).
-_PGL2_TORSION_ORDER = {Fraction(0): 2, Fraction(1): 3, Fraction(2): 4, Fraction(3): 6}
-
 
 def classify_real(m):
     """Classify m in SL(2, R) by its trace. Requires det(m) = 1.
@@ -348,33 +343,51 @@ def classify_real(m):
     return ElementClass("loxodromic")
 
 
+def form_order(a, b, c, d):
+    """The order in PGL(2) of the nonsingular (a, b, c, d)/den, any den, or
+    None when infinite. Scalars have order 1. For the rest, r = tr^2/det =
+    (a + d)^2/(ad - bc) = 2 + 2cos(2 pi/n) is rational only for n in
+    {1, 2, 3, 4, 6}: r = 4 is the parabolic line, and r = 0, 1, 2, 3 give
+    the orders 2, 3, 4, 6."""
+    if b == c == 0 and a == d:
+        return 1
+    t2, det = (a + d) ** 2, a * d - b * c
+    for r, order in ((0, 2), (1, 3), (2, 4), (3, 6)):
+        if t2 == r * det:
+            return order
+    return None
+
+
+def form_translation_length(a, b, c, d, p):
+    """The translation length at the prime p (unchecked) of (a, b, c, d)/den, any den:
+    -v_p(tr^2/det) = v_p(ad - bc) - 2 v_p(a + d) when positive, else 0.
+    Raises ValueError for a singular matrix, whose det has no valuation."""
+    det = a * d - b * c
+    if not det:
+        raise ValueError("singular matrix")
+    return max(0, _split(det, p)[0] - 2 * _split(a + d, p)[0]) if a + d else 0
+
+
 def classify_padic(m, p):
     """Classify the action of m on the Bruhat-Tits tree of PGL(2, Q_p).
 
-    det(m) may be any nonzero rational; every test is invariant under
-    scaling. Loxodromic means v_p(tr^2/det) < 0, with translation length
-    -v_p(tr^2/det). Orders are orders in PGL(2, Q_p). Bounded elements with
-    odd v_p(det) fix no vertex (only an edge midpoint); the note records
-    that.
+    det(m) may be any nonzero rational; both rules (form_translation_length,
+    form_order) read the integer form, so every test is invariant under
+    scaling. Orders are orders in PGL(2, Q_p). Bounded elements with odd
+    v_p(det) fix no vertex (only an edge midpoint); the note records that.
     """
     _require_prime(p)
-    det = m.det()
-    if det == 0:
-        raise ValueError("singular matrix")
-    if m.is_scalar():
+    (a, b, c, d), _ = integer_form(m)
+    length = form_translation_length(a, b, c, d, p)
+    if length:
+        return ElementClass("loxodromic", translation_length=length)
+    order = form_order(a, b, c, d)
+    if order == 1:
         return ElementClass("identity")
-    t = m.trace()
-    r = t * t / det
-    if t != 0:
-        v = vp(r, p)
-        if v < 0:
-            return ElementClass("loxodromic", translation_length=-v)
-    note = None
-    if vp(det, p) % 2 == 1:
-        note = "bounded (vertex or edge midpoint)"
-    if r == 4:
+    det = a * d - b * c
+    note = "bounded (vertex or edge midpoint)" if _split(det, p)[0] % 2 else None
+    if (a + d) ** 2 == 4 * det:
         return ElementClass("parabolic", note=note)
-    order = _PGL2_TORSION_ORDER.get(r)
     if order is not None:
         return ElementClass("elliptic-finite-order", order=order, note=note)
     return ElementClass("elliptic-infinite-order", note=note)

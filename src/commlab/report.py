@@ -50,7 +50,7 @@ def to_json(obj, alphabet):
 
     None, bools, ints and strings stay as they are. Fractions and INFINITY
     become frac_str strings, a Word its format_word text, a Mat2 its rows, a
-    TreeVertex "p^n:u", and any other object whose type has __match_args__
+    TreeVertex its chart_str, and any other object whose type has __match_args__
     (a Record such as ElementClass or a result row, or a dataclass) an object
     of those fields. Tuples and lists become lists, dicts objects with string
     keys, item by item. Anything else, floats too, is a TypeError.
@@ -64,7 +64,7 @@ def to_json(obj, alphabet):
     if isinstance(obj, Mat2):
         return to_json(obj.rows(), alphabet)
     if isinstance(obj, TreeVertex):
-        return f"{obj.p}^{obj.n}:{frac_str(obj.u)}"
+        return chart_str(obj.p, obj.chart)
     if isinstance(obj, (tuple, list)):
         return [to_json(x, alphabet) for x in obj]
     if isinstance(obj, dict):

@@ -5,13 +5,7 @@ from fractions import Fraction
 
 from collections import deque
 
-from commlab.bt_tree import (
-    OrbitResult,
-    TreeVertex,
-    base_vertex,
-    rep_matrix,
-    translation_length,
-)
+from commlab.bt_tree import OrbitResult, TreeVertex, base_vertex, rep_matrix
 from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
@@ -19,7 +13,6 @@ from commlab.exact_core import (
     Record,
     _primitive,
     _require_prime,
-    classify_padic,
     classify_real,
     commutator,
     prime_factors,
@@ -132,11 +125,56 @@ def trace_scan_oracle(alphabet, primes, max_len):
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes, hit_counts)
 
 
+# PGL(2, Q_p) torsion detected by r = tr^2/det: r = 2 + 2cos(2*pi/n) is
+# rational only for n in {1, 2, 3, 4, 6}, i.e. r in {4, 0, 1, 2, 3}. r = 4 is
+# the parabolic/identity line; the rest give the order in PGL(2, Q_p).
+_PGL2_TORSION_ORDER = {Fraction(0): 2, Fraction(1): 3, Fraction(2): 4, Fraction(3): 6}
+
+
+def classify_padic_oracle(m, p):
+    """Reference classify_padic: the Fraction body the library ran before its
+    rule moved to integer forms, kept verbatim but for the name.
+
+    Classify the action of m on the Bruhat-Tits tree of PGL(2, Q_p).
+
+    det(m) may be any nonzero rational; every test is invariant under
+    scaling. Loxodromic means v_p(tr^2/det) < 0, with translation length
+    -v_p(tr^2/det). Orders are orders in PGL(2, Q_p). Bounded elements with
+    odd v_p(det) fix no vertex (only an edge midpoint); the note records
+    that.
+    """
+    _require_prime(p)
+    det = m.det()
+    if det == 0:
+        raise ValueError("singular matrix")
+    if m.is_scalar():
+        return ElementClass("identity")
+    t = m.trace()
+    r = t * t / det
+    if t != 0:
+        v = vp(r, p)
+        if v < 0:
+            return ElementClass("loxodromic", translation_length=-v)
+    note = None
+    if vp(det, p) % 2 == 1:
+        note = "bounded (vertex or edge midpoint)"
+    if r == 4:
+        return ElementClass("parabolic", note=note)
+    order = _PGL2_TORSION_ORDER.get(r)
+    if order is not None:
+        return ElementClass("elliptic-finite-order", order=order, note=note)
+    return ElementClass("elliptic-infinite-order", note=note)
+
+
+def translation_length_oracle(m, p):
+    return classify_padic_oracle(m, p).translation_length or 0
+
+
 # Reference word scans: Mat2 walks over every word, where the library walks
 # integer forms of one word per class (the finite place decides boundedness
 # by Serre's lemma).
 
-_TORSION_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+_TORSION_R = tuple(_PGL2_TORSION_ORDER)
 
 
 def real_place_oracle(alphabet, max_len):
@@ -167,7 +205,7 @@ def finite_place_oracle(alphabet, p, max_len):
     for word, m in iter_words_with_matrices(alphabet, max_len):
         if len(word) == 0:
             continue
-        cls = classify_padic(m, p)
+        cls = classify_padic_oracle(m, p)
         if cls.kind in ("parabolic", "elliptic-infinite-order"):
             return PlaceStatus(
                 str(p), "indiscrete-witness", word, cls,
@@ -175,7 +213,7 @@ def finite_place_oracle(alphabet, p, max_len):
             )
     # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
     for word, m in iter_words_with_matrices(alphabet, 2):
-        if len(word) and classify_padic(m, p).kind == "loxodromic":
+        if len(word) and classify_padic_oracle(m, p).kind == "loxodromic":
             return PlaceStatus(
                 str(p), "inconclusive", word, None,
                 f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
@@ -191,7 +229,7 @@ def probe_check4_oracle(alphabet, p, max_word_len):
     for word, m in iter_words_with_matrices(alphabet, max_word_len):
         if len(word) == 0:
             continue
-        ell = translation_length(m, p)
+        ell = translation_length_oracle(m, p)
         if ell > 0:
             check4 = ProbeCheck(
                 "loxodromic-word-at-p", True,
@@ -293,7 +331,7 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
     for word, m in iter_words_with_matrices(alphabet, 2 * max_radius):
         if len(word) == 0:
             continue
-        if translation_length(m, p) > 0:
+        if translation_length_oracle(m, p) > 0:
             return OrbitResult("unbounded", None, max_radius, word, max_radius)
     return OrbitResult("inconclusive", None, max_radius, None, max_radius)
 

@@ -278,10 +278,22 @@ def test_ball_sizes(p, sizes):
 def test_ball_of_a_non_canonical_center():
     # u = 3 and u = 1 chart one vertex at n = 1, p = 2
     v, canon = TreeVertex(2, 1, 3), TreeVertex(2, 1, 1)
-    assert v != canon and distance(v, canon) == 0
+    assert v == canon and distance(v, canon) == 0
     for r in range(4):
         assert ball(v, r) == ball(canon, r)
     assert len(ball(v, 2)) == 10
+
+
+def test_a_vertex_is_built_as_its_canonical_chart():
+    # u = 2 is 0 modulo 2^1: the record equals the one act and ball return
+    v = TreeVertex(2, 1, 2)
+    assert v == TreeVertex(2, 1, 0) and v.u == 0 and v.chart == (1, 0, 0)
+    assert act(Mat2.identity(), v) == v
+    assert v in ball(v, 1)
+    w = TreeVertex(3, -2, Fraction(7, 27))  # 7 = 1 modulo 3^(n - m) = 3
+    assert w.u == Fraction(1, 27) and w.chart == (-2, -3, 1)
+    with pytest.raises(ValueError, match="p must be a prime integer, got 4"):
+        TreeVertex(4, 0, 0)
 
 
 # ------------------------------------------------------- translation lengths

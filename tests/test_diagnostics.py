@@ -100,14 +100,16 @@ def test_place_support_factors_each_denominator_once(monkeypatch):
     assert primes == tuple(sorted(oracle)) == (2, 3, 5, 7)
 
 
-def test_probe_factors_only_denominators_off_p(monkeypatch):
+def test_probe_refuses_a_denominator_without_factoring(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     g, h = probe_pair()
     two_gen_probe(g, h, 2)  # denominators 8: powers of 2
-    assert calls == []
-    with pytest.raises(ValueError, match=r"^entries outside Z\[1/2\]: denominator prime 3$"):
+    with pytest.raises(ValueError, match=r"^entries outside Z\[1/2\]: denominator 24 is not a power of 2$"):
         two_gen_probe(g, Mat2(1, Fraction(1, 24), 0, 1), 2)
-    assert calls == [3]
+    big = 10**81 + 7  # its part prime to 2 is past PRIME_TEST_BOUND
+    with pytest.raises(ValueError, match=rf"^entries outside Z\[1/2\]: denominator {big} is not a power of 2$"):
+        two_gen_probe(Mat2(2, 0, 0, Fraction(1, 2)), Mat2(1, Fraction(1, big), 0, 1), 2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- density

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.bt_tree import TreeVertex
+from commlab.bt_tree import TreeVertex, translation_length
 from commlab.exact_core import (
     INFINITY,
     PRIME_TEST_BOUND,
@@ -32,7 +32,14 @@ from commlab.exact_core import (
 )
 from commlab.lu_lab import KnappVerdict, _entry_cost
 from commlab.words import Word
-from helpers import denominator_primes, key_mul, rand_frac, rand_sl2
+from helpers import (
+    classify_padic_oracle,
+    denominator_primes,
+    key_mul,
+    rand_frac,
+    rand_sl2,
+    translation_length_oracle,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -312,7 +319,7 @@ def test_record_repr_has_the_dataclass_format():
     assert repr(Word((0, 3))) == "Word(letters=(0, 3))"
     assert repr(KnappVerdict("discrete", 4, Fraction(2))) == (
         "KnappVerdict(verdict='discrete', n=4, q=Fraction(2, 1))")
-    assert repr(TreeVertex(3, -2, Fraction(5, 9))) == "TreeVertex(3^-2:5/9)"
+    assert repr(TreeVertex(3, -2, Fraction(5, 9))) == "TreeVertex(3^-2:0)"  # 5/9 is 0 mod 3^-2
     assert repr(Mat2(1, Fraction(1, 2), 0, 1)) == "Mat2[[1, 1/2], [0, 1]]"
 
 
@@ -550,6 +557,46 @@ def test_classify_padic_scale_invariant():
                     base.order,
                     base.translation_length,
                 )
+
+
+def _typed_matrix(rng, p):
+    """A seeded matrix of nonzero det: a scalar, or the companion matrix
+    [[0, -det], [1, t]] with r = t^2/det in {0, 1, 2, 3, 4} or arbitrary,
+    conjugated by a random C in GL(2, Q) and scaled. det carries a random
+    power of p, so v_p(det) is odd about half the time."""
+    s = rand_frac(rng, nonzero=True) * Fraction(p) ** rng.randint(-3, 3)
+    r = rng.choice(("scalar", "any", 0, 1, 2, 3, 4))
+    if r == "scalar":
+        return Mat2(s, 0, 0, s)
+    if r == "any":
+        t, det = rand_frac(rng), s * rand_frac(rng, nonzero=True)
+    else:
+        t, det = (r * s, r * s * s) if r else (0, s)
+    while (c := Mat2(*(rand_frac(rng, bound=6) for _ in range(4)))).det() == 0:
+        pass
+    return (c * Mat2(0, -det, 1, t) * c.inverse()).scale(rand_frac(rng, nonzero=True))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_element_type_matches_the_fraction_oracle(p):
+    rng = random.Random(7000 + p)
+    kinds, notes = set(), set()
+    for _ in range(400):
+        m = _typed_matrix(rng, p)
+        want = classify_padic_oracle(m, p)
+        assert classify_padic(m, p) == want, m
+        assert translation_length(m, p) == translation_length_oracle(m, p), m
+        kinds.add(want.kind)
+        notes.add(want.note)
+    assert kinds == {"identity", "elliptic-finite-order", "elliptic-infinite-order",
+                     "parabolic", "loxodromic"}
+    assert None in notes and len(notes) == 2  # odd v_p(det) is reached
+    # the integer rule never sees det = 0, where v_p would not end
+    for m in (Mat2(1, 2, 2, 4), Mat2(0, 1, 0, 0), Mat2(0, 0, 0, 0), Mat2(p, 1, 0, 0)):
+        with pytest.raises(ValueError, match="singular matrix"):
+            classify_padic(m, p)
+        with pytest.raises(ValueError, match="singular matrix"):
+            translation_length(m, p)
 
 
 def test_classify_padic_parabolic_iff_r_is_four():
