@@ -127,8 +127,11 @@ def integral_trace_scan(alphabet, primes, max_len):
     to its own canonical form) of length 1..max_len in canonical order, and
     records those whose trace has nonnegative valuation at every listed
     prime. The identity (length 0) is integral trivially and skipped. The
-    trace of (a, b, c, d)/den has v_p = v_p(a + d) - v_p(den), INFINITY for
-    a zero trace, taken on the integers; only a hit gets its trace as a
+    trace (a + d)/den of (a, b, c, d)/den is integral at p exactly when p
+    does not divide den / gcd(a + d, den), its reduced denominator (1 for a
+    zero trace), so one gcd of that with the product of the primes decides
+    every prime at once. Only a hit gets its valuations
+    v_p(a + d) - v_p(den) (INFINITY for a zero trace), its trace as a
     Fraction and its Word.
     """
     for p in primes:
@@ -136,15 +139,13 @@ def integral_trace_scan(alphabet, primes, max_len):
     classes_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits_per_length = {n: 0 for n in range(1, max_len + 1)}
     hits = []
+    prime_product = math.prod(primes)
     for codes, a, _, _, d, den in iter_forms(alphabet, max_len):
         classes_per_length[len(codes)] += 1
         t = a + d
-        if t:
-            vals = {p: _split(t, p)[0] - _split(den, p)[0] for p in primes}
-        else:
-            vals = dict.fromkeys(primes, INFINITY)
-        if all(v >= 0 for v in vals.values()):
+        if math.gcd(den // math.gcd(t, den), prime_product) == 1:
             hits_per_length[len(codes)] += 1
+            vals = {p: _split(t, p)[0] - _split(den, p)[0] for p in primes} if t else dict.fromkeys(primes, INFINITY)
             hits.append((Word(codes), Fraction(t, den), vals))
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 

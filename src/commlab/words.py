@@ -165,9 +165,15 @@ def iter_forms(alphabet, max_len):
     (its last letter is not the inverse of its first), and if no rotation
     of its inverse is smaller. Every letter of the inverse is at least the
     first letter, and equal to it only as the inverse of a letter first ^ 1,
-    so only those rotations are compared, and only if first ^ 1 occurs.
+    so only the rotations starting at those positions, found by index in
+    the doubled inverse, are compared, and only if first ^ 1 occurs.
+
+    A leaf's step carries its parent's form, and the product with the last
+    letter is taken only for a word that is yielded: on two generators at
+    max-len 9, 1 791 leaf products in place of 6 283.
     """
     forms = [integer_form(m) for m in alphabet.letter_matrices]
+    flip = [c ^ 1 for c in range(len(forms))].__getitem__  # inverts a letter
 
     def step(value, code):
         codes, per, a, b, c, d, den = value
@@ -179,10 +185,13 @@ def iter_forms(alphabet, max_len):
             if code < prev:
                 return None
             per = n + 1
+        if n == last:  # a leaf keeps its parent's form until it is yielded
+            return (codes + (code,), per, a, b, c, d, den)
         (e, f, g, h), k = forms[code]
         return (codes + (code,), per, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k)
 
     for n in range(1, max_len + 1):
+        last = n - 1
         for codes, per, a, b, c, d, den in iter_level_carrying(len(alphabet), n, ((), 1, 1, 0, 0, 1, 1), step):
             if n % per:
                 continue
@@ -190,10 +199,14 @@ def iter_forms(alphabet, max_len):
             if (first := codes[0]) ^ 1 in codes:
                 if codes[-1] == first ^ 1:
                     continue
-                inverse = invert_letters(codes)
-                if any(x == first and inverse[r:] + inverse[:r] < codes for r, x in enumerate(inverse)):
+                doubled = (*map(flip, reversed(codes)),) * 2
+                r = doubled.index(first)  # first recurs at r + n: index never fails
+                while r < n and doubled[r:r + n] >= codes:
+                    r = doubled.index(first, r + 1)
+                if r < n:
                     continue
-            yield codes, a, b, c, d, den
+            (e, f, g, h), k = forms[codes[-1]]
+            yield codes, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, den * k
 
 
 def _append_code(codes, code):

@@ -1,6 +1,7 @@
 """Diagnostics: support, density, trace scans, per-place status, the probe."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from commlab import diagnostics
 from commlab.diagnostics import (
     GS_TAG,
     PROBE_MESSAGE,
@@ -353,6 +355,71 @@ def test_integral_trace_scan_conjugation_invariant():
         conj = Alphabet(ab.names, [m * g * m.inverse() for g in ab.matrices])
         assert conj.matrices != ab.matrices
         assert integral_trace_scan(conj, (2, 3), 7) == expected
+
+
+# Denominators unit * 2^e2 * 3^e3 * 5^e5 with exponents up to 60, and prime
+# lists that may hold primes not dividing den.
+_UNITS = st.sampled_from((1, 7, 11, 77, 143))
+_DENS = st.builds(lambda u, e2, e3, e5: u * 2**e2 * 3**e3 * 5**e5, _UNITS, *[st.integers(0, 60)] * 3)
+_PRIME_LISTS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=4, unique=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(-(10**40), 10**40), _DENS, _PRIME_LISTS)
+@example(0, 2**45 * 3**45, [2, 3])
+@example(-2, 2**60 * 7, [2, 3, 5])
+@example(-(2**45) * 3**44 * 11, 2**45 * 3**45, [3, 2])
+@example(6, 1, [13])
+@example(0, 1, [2])
+def test_integral_trace_scan_gcd_test_matches_the_valuation_rule(t, den, primes):
+    # A one-letter scan whose trace is t/den over the integer form's den:
+    # the letter (1/den, 1; c, (t - 1)/den) has integer form
+    # (1, den, c den, t - 1) over den, and c = +-1 keeps it nonsingular.
+    g = Mat2(Fraction(1, den), 1, 1 if t - 1 == -den * den else -1, Fraction(t - 1, den))
+    vals = {p: vp(Fraction(t, den), p) for p in primes}
+    for p in primes:
+        assert (den // math.gcd(t, den) % p != 0) == (vals[p] >= 0)
+    expected = ((Word((0,)), Fraction(t, den), vals),) if all(v >= 0 for v in vals.values()) else ()
+    assert integral_trace_scan(Alphabet("a", (g,)), tuple(primes), 1).hits == expected
+
+
+def _s_integral(rng):
+    # an SL(2, Z) word conjugated by diag(s, 1), s a {2, 3, 5}-unit
+    m = Mat2.identity()
+    for i in range(3):
+        x = rng.choice((-2, -1, 1, 2))
+        m = m * (Mat2(1, x, 0, 1) if i % 2 else Mat2(1, 0, x, 1))
+    s = Mat2(2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 1), 0, 0, 1)
+    return s * m * s.inverse()
+
+
+def test_integral_trace_scan_matches_the_oracle_on_s_integral_pairs():
+    zero_traces = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        ab = Alphabet("ab", (_s_integral(rng), _s_integral(rng)))
+        res = integral_trace_scan(ab, (2, 3, 5), 6)
+        assert res == trace_scan_oracle(ab, (2, 3, 5), 6)
+        assert 0 < len(res.hits) < sum(res.classes_per_length.values())
+        zero_traces += sum(1 for _, t, _ in res.hits if t == 0)
+    assert zero_traces
+
+
+def test_integral_trace_scan_takes_valuations_only_for_hits(monkeypatch):
+    # The long-reid scan has two hits among 1 791 classes: the trace -2 hit
+    # takes one _split of t and one of den per prime, the trace 0 hit none.
+    calls = []
+    split = diagnostics._split
+
+    def counted(x, p):
+        calls.append((x, p))
+        return split(x, p)
+
+    monkeypatch.setattr(diagnostics, "_split", counted)
+    res = integral_trace_scan(long_reid_pair(), (2, 3), 9)
+    assert [t for _, t, _ in res.hits] == [0, -2]
+    assert sum(res.classes_per_length.values()) == 1791
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------- per place

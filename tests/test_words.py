@@ -178,6 +178,20 @@ def test_necklace_walk_work_counts(monkeypatch):
     assert len(leaves) == 2266
 
 
+def test_necklace_walk_takes_more_than_128_generators():
+    # Letter codes run to 2k - 1, which no byte holds past k = 128: the walk
+    # keeps them as ints, and every pair of letters is compared and multiplied.
+    k = 130
+    ab = Alphabet([f"g{i}" for i in range(k)], [Mat2(1, Fraction(i + 1, 2 + i % 3), 0, 1 + i % 2) for i in range(k)])
+    forms = list(iter_forms(ab, 2))
+    assert [form[0] for form in forms] == [
+        w.letters for w in iter_words(k, 2) if len(w) and necklace_oracle(w) == w
+    ]
+    assert max(c for form in forms for c in form[0]) == 2 * k - 1
+    for codes, a, b, c, d, den in forms:
+        assert Mat2(*(Fraction(x, den) for x in (a, b, c, d))) == evaluate(Word(codes), ab)
+
+
 # ---------------------------------------------------------------- evaluation
 
 def test_evaluate_is_a_homomorphism():
