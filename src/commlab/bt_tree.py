@@ -136,11 +136,6 @@ def canonical_residue(u, n, p):
     return TreeVertex(p, n, u).u
 
 
-def rep_matrix(v):
-    """The canonical lattice basis [[p^n, u], [0, 1]] of a vertex."""
-    return Mat2(Fraction(v.p) ** v.n, v.u, 0, 1)
-
-
 def vertex_of(m, p):
     """The vertex spanned by the columns of an invertible matrix.
 
@@ -167,13 +162,11 @@ def distance(v, w):
 
 
 def neighbors(v):
-    """The p + 1 adjacent vertices."""
-    p = v.p
-    base = rep_matrix(v)
-    out = []
-    for step in [Mat2(1, 0, 0, p)] + [Mat2(p, j, 0, 1) for j in range(p)]:
-        out.append(vertex_of(base * step, p))
-    return out
+    """The p + 1 adjacent vertices: [[p^n, u], [0, 1]] times [[1, 0], [0, p]]
+    spans (n - 1, u), and times [[p, j], [0, 1]] spans (n + 1, u + j p^n), j < p."""
+    p, n, u = v.p, v.n, v.u
+    pn = Fraction(p) ** n
+    return [TreeVertex(p, n - 1, u)] + [TreeVertex(p, n + 1, u + j * pn) for j in range(p)]
 
 
 def ball(center, radius):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from collections import deque
 
-from commlab.bt_tree import OrbitResult, TreeVertex, base_vertex, rep_matrix
+from commlab.bt_tree import OrbitResult, TreeVertex, base_vertex
 from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
@@ -277,6 +277,11 @@ def vertex_of_oracle(m, p):
         a, b, c, d = b, a, d, c
     n = vp(det / (d * d), p)
     return TreeVertex(p, n, canonical_residue_oracle(b / d, n, p))
+
+
+def rep_matrix(v):
+    """The canonical lattice basis [[p^n, u], [0, 1]] of a vertex."""
+    return Mat2(Fraction(v.p) ** v.n, v.u, 0, 1)
 
 
 def act_oracle(g, v):

@@ -21,7 +21,6 @@ from commlab.bt_tree import (
     distance,
     neighbors,
     orbit_bounded,
-    rep_matrix,
     translation_length,
     vertex_of,
 )
@@ -36,6 +35,7 @@ from helpers import (
     distance_oracle,
     orbit_oracle,
     rand_frac,
+    rep_matrix,
     vertex_of_oracle,
 )
 
@@ -262,6 +262,17 @@ def test_neighbors_structure(p):
     for w in ns:
         assert distance(v0, w) == 1
         assert v0 in neighbors(w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_neighbors_match_the_basis_oracle(p):
+    # the chart rule gives the vertices of the basis times each step, in order
+    rng = random.Random(71 + p)
+    steps = [Mat2(1, 0, 0, p)] + [Mat2(p, j, 0, 1) for j in range(p)]
+    vs = [rand_vertex(rng, p) for _ in range(60)]
+    assert any(v.n < 0 for v in vs) and any(v.u.denominator % p == 0 for v in vs)
+    for v in vs:
+        assert neighbors(v) == [vertex_of(rep_matrix(v) * step, p) for step in steps]
 
 
 @pytest.mark.parametrize("p,sizes", [(2, [1, 4, 10, 22]), (3, [1, 5, 17, 53])])

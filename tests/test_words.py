@@ -1,7 +1,9 @@
 """Free-group words: reduction, enumeration order, evaluation, necklaces."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -128,6 +130,46 @@ def test_a_step_returning_none_cuts_the_word_and_its_extensions():
         assert cut == [w.letters for w in iter_level(2, n) if Bi not in w.letters]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walker_yields_start_at_length_zero_without_a_step(k):
+    def step(value, c):
+        raise AssertionError("no letter to add")
+
+    assert list(iter_level_carrying(k, 0, "start", step)) == ["start"]
+
+
+def _prefix_passes(codes):
+    # a cut that depends on the whole prefix, not on one code; from length 2
+    # on it cuts some but not all reduced words, for each k in 1, 2, 3
+    return sum((i + 1) * c for i, c in enumerate(codes)) % 5 != 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walker_yields_the_reduced_words_whose_every_prefix_passes(k):
+    calls = []
+
+    def step(codes, c):
+        calls.append(codes)
+        codes += (c,)
+        return codes if _prefix_passes(codes) else None
+
+    for n in range(7):
+        calls.clear()
+        got = list(iter_level_carrying(k, n, (), step))
+        # product() runs in lexicographic order, the order of iter_words
+        assert got == [
+            w for w in product(range(2 * k), repeat=n)
+            if is_reduced(w) and all(_prefix_passes(w[:i]) for i in range(1, n + 1))
+        ]
+        assert n < 2 or 0 < len(got) < 2 * k * (2 * k - 1) ** (n - 1)
+        # each prefix that passes and is shorter than n is stepped once by
+        # every letter that keeps it reduced, and no other word is stepped
+        assert Counter(calls) == {
+            w: 2 * k - (m > 0) for m in range(n) for w in product(range(2 * k), repeat=m)
+            if is_reduced(w) and all(_prefix_passes(w[:i]) for i in range(1, m + 1))
+        }
+
+
 # Nonsingular letters with small entries, so integer forms have denominators.
 _FORM_MATS = st.builds(
     Mat2, *[st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))] * 4
@@ -159,23 +201,30 @@ def test_necklace_walk_keeps_exactly_the_necklace_forms(case):
 
 
 def test_necklace_walk_work_counts(monkeypatch):
-    # Counts of codes only, whatever the matrices: a lost cut shows here.
-    leaves = []
+    # Counts of codes only, whatever the matrices: a lost cut shows in the
+    # steps, a lost leaf test in the yields.
+    steps, leaves = [], []
     walk = words.iter_level_carrying
 
-    def counted(*args):
-        for value in walk(*args):
+    def counted(num_gens, length, start, step):
+        def counted_step(value, code):
+            steps.append(code)
+            return step(value, code)
+
+        for value in walk(num_gens, length, start, counted_step):
             leaves.append(value)
             yield value
 
     monkeypatch.setattr(words, "iter_level_carrying", counted)
     forms = list(iter_forms(two_gen_alphabet(), 9))
-    assert len(leaves) == 6283  # of the 39364 reduced words
-    assert len(forms) == 1791
+    assert len(steps) == 10731
+    assert len(leaves) == len(forms) == 1791  # of the 39364 reduced words
     # the real place walks the same classes: 13120 leaves over every word
+    steps.clear()
     leaves.clear()
     assert _real_place_status(long_reid_pair(), 8).status == "inconclusive"
-    assert len(leaves) == 2266
+    assert len(steps) == 3929
+    assert len(leaves) == 693
 
 
 def test_necklace_walk_takes_more_than_128_generators():
