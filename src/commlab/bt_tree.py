@@ -23,6 +23,7 @@ built only where a caller asks for one.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from fractions import Fraction
 
@@ -33,12 +34,14 @@ from .words import Word, iter_forms
 class TreeVertex(Record):
     """The vertex charted (n, u) on the tree at the prime p. The constructor
     checks p and reduces u to its canonical residue once, keeping the integer
-    chart (n, m, c) as v.chart (not a field), so equal vertices are equal
-    records."""
+    chart (n, m, c) as v.chart (not a field). Equality and hash compare
+    (p, chart), which names the vertex, so equal vertices are equal records."""
 
     p: int
     n: int
     u: Fraction
+
+    _key = operator.attrgetter("p", "chart")
 
     def __init__(self, p, n, u):
         _require_prime(p)
@@ -163,10 +166,23 @@ def distance(v, w):
 
 def neighbors(v):
     """The p + 1 adjacent vertices: [[p^n, u], [0, 1]] times [[1, 0], [0, p]]
-    spans (n - 1, u), and times [[p, j], [0, 1]] spans (n + 1, u + j p^n), j < p."""
-    p, n, u = v.p, v.n, v.u
-    pn = Fraction(p) ** n
-    return [TreeVertex(p, n - 1, u)] + [TreeVertex(p, n + 1, u + j * pn) for j in range(p)]
+    spans (n - 1, u), and times [[p, j], [0, 1]] spans (n + 1, u + j p^n), j < p.
+
+    On the chart (n, m, c) of u = c p^m: u mod p^(n-1) is c mod p^(n-1-m),
+    or 0 when m >= n - 1; u + j p^n is p^m (c + j p^(n-m)) when c != 0, and
+    j p^n, charted (n + 1, n, j), when u = 0."""
+    p = v.p
+    n, m, c = v.chart
+    if c and m < n - 1:
+        charts = [(n - 1, m, c % p ** (n - 1 - m))]
+    else:
+        charts = [(n - 1, 0, 0)]
+    if c:
+        step = p ** (n - m)
+        charts += [(n + 1, m, c + j * step) for j in range(p)]
+    else:
+        charts += [(n + 1, 0, 0)] + [(n + 1, n, j) for j in range(1, p)]
+    return [_vertex(p, chart) for chart in charts]
 
 
 def ball(center, radius):

@@ -18,12 +18,15 @@ _set = object.__setattr__
 class Record:
     """Immutable record. The fields are the class annotations, in order; a
     class attribute is its field's default. Records of one type with equal
-    fields are equal and hash alike; repr is Name(field=value, ...). Mat2,
-    Word and TreeVertex, built on hot paths, write their own __init__."""
+    fields are equal and hash alike, unless the class defines _key, the
+    function of a record that equality and hash compare; repr is
+    Name(field=value, ...). Mat2, Word and TreeVertex, built on hot paths,
+    write their own __init__."""
 
     def __init_subclass__(cls):
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._key = operator.attrgetter(*cls.__match_args__)
+        if "_key" not in cls.__dict__:
+            cls._key = operator.attrgetter(*cls.__match_args__)
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self.__match_args__

@@ -96,10 +96,12 @@ class RelatorResult(Record):
 
 def _entry_cost(key, word_len):
     # Coarse deterministic memory model for one table entry, in bytes: dict
-    # slot overhead plus bignum digits plus the stored word. Used only to
+    # slot overhead plus bignum digits plus 8 bytes per letter. Used only to
     # compare against mem_cap; identical on every run by construction. The
     # digits are those of the Fraction normal form x/e of each entry x, where
-    # e is the first nonzero entry of the key (positive).
+    # e is the first nonzero entry of the key (positive). The letter term
+    # prices no stored object now that an entry keeps a level, not a word;
+    # it stays so that every mem_cap verdict stays where it was.
     e = next(x for x in key if x)
     digits = 0
     for x in key:
@@ -152,21 +154,35 @@ def _widen(packed, width):
     return _pack_key(_unpack_key(packed, width), 2 * width)
 
 
-def _unpack_codes(packed, bits):
-    """Letter codes of a packed word: a sentinel 1, then bits bits per code,
-    first letter highest. Packed words of one length compare like words."""
-    mask = (1 << bits) - 1
-    return tuple((packed >> shift) & mask for shift in range(packed.bit_length() - 1 - bits, -1, -bits))
+def _word_at(length, index, num_codes):
+    """Letter codes of the word at index in the level of reduced words of the
+    given length over num_codes letter codes, in the order _extend_level
+    builds it: mixed radix, with num_codes choices for the first letter and
+    num_codes - 1 for each later one, in code order skipping the inverse of
+    the letter before."""
+    if not length:
+        return ()
+    fan = num_codes - 1
+    digits = []
+    for _ in range(length - 1):
+        index, digit = divmod(index, fan)
+        digits.append(digit)
+    codes = [index]
+    for digit in reversed(digits):
+        codes.append(digit if digit < codes[-1] ^ 1 else digit + 1)
+    return tuple(codes)
 
 
-def _extend_level(keys, words, code_keys, bits, width):
+def _extend_level(keys, lasts, code_keys, width):
     """The reduced words one letter longer than a level's, as parallel lists
     of packed keys (_pack_key at width, which must hold the new level) and
-    packed words, in the lexicographic order of words.iter_level_carrying:
-    each parent in list order, then each letter code c except the inverse of
-    its last letter. Each parent key is unpacked once and multiplied in
-    integers by code_keys[c], the projective key of letter c; the product is
-    made primitive with its first nonzero entry positive, then packed.
+    last letter codes (-1 for the empty word), in the lexicographic order of
+    words.iter_level_carrying: each parent in list order, then each letter
+    code c except the inverse of its last letter. So a word is fixed by its
+    index in its level (_word_at), and no word is built. Each parent key is
+    unpacked once and multiplied in integers by code_keys[c], the projective
+    key of letter c; the product is made primitive with its first nonzero
+    entry positive, then packed.
 
     A letter key L of det +-1 needs no gcd: K L adj(L) = det(L) K, so the
     content of K L divides det L when K is primitive. Packing is linear, so
@@ -174,7 +190,6 @@ def _extend_level(keys, words, code_keys, bits, width):
     c, d and four packed constants of L; its sign is the sign of the first
     nonzero entry, the only thing left to fix.
     """
-    mask = (1 << bits) - 1
     w2, w3 = 2 * width, 3 * width
     half = 1 << width - 1
     fields = (1 << width) - 1
@@ -188,11 +203,10 @@ def _extend_level(keys, words, code_keys, bits, width):
         else:
             letters.append((code, abs(det), e, f, g, h))
     gcd = math.gcd
-    new_keys, new_words = [], []
-    add_key, add_word = new_keys.append, new_words.append
-    for key, packed in zip(keys, words):
-        back = (packed & mask) ^ 1 if packed > 1 else -1  # packed == 1: the empty word
-        packed <<= bits
+    new_keys, new_lasts = [], []
+    add_key, add_last = new_keys.append, new_lasts.append
+    for key, last in zip(keys, lasts):
+        back = last ^ 1  # -2 after the empty word: no letter is skipped
         key += offset
         a, b = (key >> w3) - half, (key >> w2 & fields) - half
         c, d = (key >> width & fields) - half, (key & fields) - half
@@ -210,8 +224,31 @@ def _extend_level(keys, words, code_keys, bits, width):
                 if n != 1:
                     x, y, z, t = x // n, y // n, z // n, t // n
                 add_key((((x << width) + y << width) + z << width) + t)
-            add_word(packed | code)
-    return new_keys, new_words
+            add_last(code)
+    return new_keys, new_lasts
+
+
+def _first_indices(keys, wanted):
+    """The index of the first occurrence in keys of each key in wanted."""
+    found = {}
+    for index, key in enumerate(keys):
+        if key in wanted:
+            found.setdefault(key, index)
+    return found
+
+
+def _replay(wanted, code_keys, width):
+    """The first index of each key in wanted[s] among the level-s keys, for
+    every level s in wanted: the levels are built again from the empty word
+    by _extend_level at width, the same packed keys the table holds."""
+    found = {}
+    keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
+    for level in range(max(wanted) + 1):
+        if level:
+            keys, lasts = _extend_level(keys, lasts, code_keys, width)
+        if level in wanted:
+            found.update(_first_indices(keys, wanted[level]))
+    return found
 
 
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
@@ -228,8 +265,9 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     equal keys mean equal projective_normalize forms, so collisions are
     exactly those of the rational normal form.
 
-    The table maps a key to the first word with that image, first in
-    lexicographic order. A word x whose key is already stored, for the word
+    The table maps a key to the level where it was first met; the first
+    word with that image is the first, in lexicographic order, of that
+    level with that key. A word x whose key is already stored, for the word
     F, collides as it is inserted: F x^-1 is a relator candidate, never
     empty since F != x. A relator F x^-1 of length L, split with
     |F| <= |x| = ceil(L/2), gives F and x one image, so the later of them
@@ -239,9 +277,12 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     necklace form is returned (necklace-deduplicating the collision set). No
     collision through level k certifies no relator of length <= 2k.
 
-    Words travel packed into ints (_unpack_codes), and only colliding words
-    are decoded; on a free group none is. A level's keys and words are
-    dropped once the next level is built from them.
+    A level keeps each word's key and last letter code only: the word is
+    its index in the level, decoded (_word_at) only when its key collides,
+    and on a free group none does. F is found once the level is done: by
+    its index in this level's keys, or, for a key first met at an earlier
+    level, by building the levels below again (_replay). A level's lists
+    are dropped once the next level is built from them.
 
     mem_cap bounds the table size under a coarse deterministic byte model
     (_entry_cost), priced only when a cap is given; a breached cap yields
@@ -255,12 +296,11 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     half = (max_len + 1) // 2
     code_keys = [projective_key(m) for m in alphabet.letter_matrices]
     width = _key_width(code_keys, min(half, _FIRST_LEVELS))
-    keys, words = [_pack_key(_IDENTITY_KEY, width)], [1]
-    table = dict(zip(keys, words))
+    keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
+    table = {keys[0]: 0}
     cost = 0 if mem_cap is None else _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
-    bits = (2 * len(alphabet) - 1).bit_length()
 
     def finish(status, relator=None, scalar=None, completed=0):
         return RelatorResult(
@@ -279,15 +319,11 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             table = {_widen(key, width): first for key, first in table.items()}
             keys = [_widen(key, width) for key in keys]
             width *= 2
-        keys, words = _extend_level(keys, words, code_keys, bits, width)
-        # images = new keys + keys first met at an earlier level, whose
-        # stored word is shorter: below this level's sentinel bit
-        floor = 1 << bits * level
+        keys, lasts = _extend_level(keys, lasts, code_keys, width)
         new = 0
-        earlier = set()
         capped = False
-        candidates = []
-        for key, packed in zip(keys, words):
+        collisions = []  # (key, index) of each word that met a stored key
+        for index, key in enumerate(keys):
             first = table.get(key)
             if first is None:
                 new += 1
@@ -296,30 +332,41 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                     if cost > mem_cap:
                         capped = True
                         break
-                table[key] = packed
-                continue
-            if first < floor:
-                earlier.add(key)
-            # first and packed share an image, so first packed^-1 is scalar
-            rel = reduce_letters(_unpack_codes(first, bits) + invert_letters(_unpack_codes(packed, bits)))
-            if len(rel) <= max_len:
-                candidates.append(Word(rel))
+                table[key] = level
+            else:
+                collisions.append((key, index))
         if capped:
             return finish("inconclusive", completed=min(2 * (level - 1), max_len))
         words_per_length[level] = len(keys)
-        images_per_length[level] = new + len(earlier)
+        # images = new keys + keys first met at an earlier level
+        wanted = {}  # level first met -> its keys that collided here
+        for key, _ in collisions:
+            wanted.setdefault(table[key], set()).add(key)
+        images_per_length[level] = new + sum(len(met) for first, met in wanted.items() if first < level)
         if progress is not None:
             progress(level, len(keys), len(table))
-        if candidates:
-            best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
-            relator = necklace_canonical(best)
-            image = evaluate(relator, alphabet)
-            if not image.is_scalar():
-                raise AssertionError("collision produced a non-scalar image")
-            return finish(
-                "relator-found",
-                relator=relator,
-                scalar=image.a,
-                completed=min(2 * level, max_len),
-            )
+        if collisions:
+            firsts = _first_indices(keys, wanted.pop(level)) if level in wanted else {}
+            if wanted:
+                firsts.update(_replay(wanted, code_keys, width))
+            num_codes = len(code_keys)
+            candidates = []
+            for key, index in collisions:
+                # F and x share an image, so F x^-1 is scalar
+                word = _word_at(table[key], firsts[key], num_codes)
+                rel = reduce_letters(word + invert_letters(_word_at(level, index, num_codes)))
+                if len(rel) <= max_len:
+                    candidates.append(Word(rel))
+            if candidates:
+                best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
+                relator = necklace_canonical(best)
+                image = evaluate(relator, alphabet)
+                if not image.is_scalar():
+                    raise AssertionError("collision produced a non-scalar image")
+                return finish(
+                    "relator-found",
+                    relator=relator,
+                    scalar=image.a,
+                    completed=min(2 * level, max_len),
+                )
     return finish("none-found", completed=max_len)

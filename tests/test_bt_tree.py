@@ -275,6 +275,41 @@ def test_neighbors_match_the_basis_oracle(p):
         assert neighbors(v) == [vertex_of(rep_matrix(v) * step, p) for step in steps]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_neighbors_on_charts_match_the_fraction_rule(p):
+    # neighbors works on the chart; the Fraction rule builds (n - 1, u) and
+    # (n + 1, u + j p^n) and lets the constructor reduce u
+    rng = random.Random(3000 + p)
+    vs = [rand_vertex(rng, p) for _ in range(300)] + [TreeVertex(p, n, 0) for n in range(-4, 7)]
+    assert any(v.u.denominator % p == 0 for v in vs) and any(v.n < 0 for v in vs)
+    for v in vs:
+        pn = Fraction(p) ** v.n
+        oracle = [TreeVertex(p, v.n - 1, v.u)] + [TreeVertex(p, v.n + 1, v.u + j * pn) for j in range(p)]
+        got = neighbors(v)
+        assert got == oracle
+        assert [w.u for w in got] == [w.u for w in oracle]
+
+
+def test_vertices_from_different_charts_of_one_vertex_are_equal_and_hash_alike():
+    # (n, u) and (n, u + k p^n) chart one vertex; so do u = 0 and any u of
+    # valuation at least n
+    same = [
+        (TreeVertex(2, 1, 3), TreeVertex(2, 1, 1), TreeVertex(2, 1, -1)),
+        (TreeVertex(3, 2, 0), TreeVertex(3, 2, 9), TreeVertex(3, 2, Fraction(-18))),
+        (TreeVertex(5, -1, Fraction(1, 25)), TreeVertex(5, -1, Fraction(1, 25) + Fraction(3, 5)),
+         TreeVertex(5, -1, Fraction(-24, 25) + 7)),
+    ]
+    for group in same:
+        assert len({v.chart for v in group}) == 1
+        for v in group:
+            assert v == group[0] and hash(v) == hash(group[0])
+            assert distance(v, group[0]) == 0
+        assert len(set(group)) == 1
+    assert TreeVertex(2, 1, 1) != TreeVertex(2, 2, 1)
+    assert TreeVertex(2, 0, 0) != TreeVertex(3, 0, 0)
+    assert {TreeVertex(2, 1, 3): 1}[TreeVertex(2, 1, 1)] == 1
+
+
 @pytest.mark.parametrize("p,sizes", [(2, [1, 4, 10, 22]), (3, [1, 5, 17, 53])])
 def test_ball_sizes(p, sizes):
     # 1 + (p+1)(p^r - 1)/(p - 1) vertices within radius r

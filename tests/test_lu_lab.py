@@ -19,9 +19,9 @@ from commlab.lu_lab import (
     _extend_level,
     _key_width,
     _pack_key,
-    _unpack_codes,
     _unpack_key,
     _widen,
+    _word_at,
     knapp,
     lu_generators,
     pingpong,
@@ -31,6 +31,7 @@ from commlab.words import (
     Alphabet,
     Word,
     evaluate,
+    iter_level,
     iter_level_carrying,
     parse_word,
 )
@@ -394,32 +395,51 @@ def test_mem_cap_cases_meet_keys_of_earlier_levels():
     assert earlier == {"one-generator", "three-generators"}
 
 
-def test_table_memory_per_entry():
-    # The table and a level hold packed ints, keys as well as words: the
-    # traced peak of a max-len 14 search (4373 table entries) is near 140
-    # bytes per entry.
+def test_table_memory_per_entry(monkeypatch):
+    # The table holds a packed key and a small cached level int per entry,
+    # and a level a key and a last letter code per word: the traced peak of
+    # a max-len 14 search (4373 table entries) is near 105 bytes per entry.
+    # The --mem-cap model prices more than that, so a cap stays conservative.
     sizes = []
+    ab = lu_generators(Fraction(11, 2))
     tracemalloc.start()
     try:
-        relator_search(lu_generators(Fraction(11, 2)), 14,
-                       progress=lambda level, words, table: sizes.append(table))
+        relator_search(ab, 14, progress=lambda level, words, table: sizes.append(table))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sizes[-1] == 4373
-    assert peak <= 200 * sizes[-1]
+    assert peak <= 120 * sizes[-1]
+    priced = []
+    entry_cost = lu_lab._entry_cost
+    monkeypatch.setattr(lu_lab, "_entry_cost", lambda *args: priced.append(entry_cost(*args)) or priced[-1])
+    assert relator_search(ab, 14, mem_cap=10**9).status == "none-found"
+    assert len(priced) == sizes[-1]
+    assert sum(priced) >= peak
+
+
+def _pack_codes(codes, bits):
+    """A word as a sentinel 1, then bits bits per code, first letter highest:
+    packed words of one length compare like words."""
+    packed = 1
+    for c in codes:
+        packed = packed << bits | c
+    return packed
 
 
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_packed_words_round_trip_in_canonical_order(num_gens, bits):
+    # The walker's order is the order of the packed words, and the word at
+    # each position of a level is _word_at of that position.
     letters = range(2 * num_gens)
-    for n in range(6):
+    for n in range(7):
         packed = list(iter_level_carrying(num_gens, n, 1, lambda value, c: value << bits | c))
         assert all(x.bit_length() == 1 + bits * n for x in packed)
         assert packed == sorted(packed)
-        words = [_unpack_codes(x, bits) for x in packed]
+        words = [_word_at(n, index, 2 * num_gens) for index in range(len(packed))]
+        assert [_pack_codes(w, bits) for w in words] == packed
         expected = sorted(w for w in itertools.product(letters, repeat=n) if is_reduced(w))
-        assert words == expected
+        assert words == expected == [w.letters for w in iter_level(num_gens, n)]
 
 
 _LEVEL_ALPHABETS = {
@@ -432,8 +452,10 @@ _LEVEL_ALPHABETS = {
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
     # _extend_level must give the walker's lexicographic order: the table
-    # keeps the first word per key. Its packed keys unpack to the keys the
-    # key_mul oracle gives along the walk.
+    # keeps the level where each key was first met, and the first word per
+    # key is its first position there. Its packed keys unpack to the keys the
+    # key_mul oracle gives along the walk, its last codes are the walked
+    # words' last letters, and the word at each position is the walked word.
     ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
     code_keys = [projective_key(m) for m in ab.letter_matrices]
     width = _key_width(code_keys, 6)
@@ -442,12 +464,14 @@ def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
         key, packed = value
         return key_mul(key, code_keys[c]), packed << bits | c
 
-    keys, words = [_pack_key((1, 0, 0, 1), width)], [1]
+    keys, lasts = [_pack_key((1, 0, 0, 1), width)], [-1]
     for n in range(7):
         if n:
-            keys, words = _extend_level(keys, words, code_keys, bits, width)
+            keys, lasts = _extend_level(keys, lasts, code_keys, width)
         walked = list(iter_level_carrying(num_gens, n, ((1, 0, 0, 1), 1), step))
-        assert words == [packed for _, packed in walked]
+        words = [_word_at(n, index, 2 * num_gens) for index in range(len(keys))]
+        assert [_pack_codes(w, bits) for w in words] == [packed for _, packed in walked]
+        assert lasts == [w[-1] if w else -1 for w in words]
         assert [_unpack_key(key, width) for key in keys] == [key for key, _ in walked]
 
 
@@ -472,24 +496,19 @@ def test_packed_keys_unpack_to_the_key_mul_oracle_at_every_level(matrices):
     # and 3 (and 5, for one or two generators), as relator_search doubles
     # it past _FIRST_LEVELS.
     num_gens = len(matrices)
-    bits = (2 * num_gens - 1).bit_length()
     ab = Alphabet([f"g{i}" for i in range(num_gens)], matrices)
     code_keys = [projective_key(m) for m in ab.letter_matrices]
 
-    def step(value, c):
-        key, packed = value
-        return key_mul(key, code_keys[c]), packed << bits | c
-
     width = _key_width(code_keys, 1)
     widths = [width]
-    keys, words = [_pack_key((1, 0, 0, 1), width)], [1]
+    keys, lasts = [_pack_key((1, 0, 0, 1), width)], [-1]
     for level in range(1, 7 - num_gens):
         if _key_width(code_keys, level) > width:
             keys = [_widen(key, width) for key in keys]
             width *= 2
             widths.append(width)
-        keys, words = _extend_level(keys, words, code_keys, bits, width)
-        oracle = [key for key, _ in iter_level_carrying(num_gens, level, ((1, 0, 0, 1), 1), step)]
+        keys, lasts = _extend_level(keys, lasts, code_keys, width)
+        oracle = list(iter_level_carrying(num_gens, level, (1, 0, 0, 1), lambda key, c: key_mul(key, code_keys[c])))
         assert [_unpack_key(key, width) for key in keys] == oracle
         assert all(abs(x) < 1 << width - 1 for key in oracle for x in key)
         assert all(key > 0 for key in keys) and len(set(keys)) == len(set(oracle))
@@ -537,28 +556,85 @@ def _count_calls(monkeypatch, name):
 
 
 def test_search_work_counts_on_a_free_group(monkeypatch):
-    # One key product per word of lengths 1..6, each a child that
-    # _extend_level returns; on a free group no word meets a stored key as
-    # it is inserted, so none is decoded; the byte model is priced only
-    # under a cap.
+    # One key product per word of lengths 1..6, each a child that one of the
+    # six _extend_level calls returns; on a free group no word meets a stored
+    # key as it is inserted, so no word is decoded and no level is built
+    # again; the byte model is priced only under a cap.
     products = []
     extend = lu_lab._extend_level
 
     def counted(*args):
-        keys, words = extend(*args)
-        products.extend([None] * len(keys))
-        return keys, words
+        keys, lasts = extend(*args)
+        products.append(len(keys))
+        return keys, lasts
 
     monkeypatch.setattr(lu_lab, "_extend_level", counted)
-    decoded = _count_calls(monkeypatch, "_unpack_codes")
+    decoded = _count_calls(monkeypatch, "_word_at")
+    replayed = _count_calls(monkeypatch, "_replay")
     priced = _count_calls(monkeypatch, "_entry_cost")
     res = relator_search(lu_generators(Fraction(9, 2)), 12)
     assert res.status == "none-found"
-    assert len(products) == sum(res.words_per_length[n] for n in range(1, 7)) == 1456
+    assert sum(products) == sum(res.words_per_length[n] for n in range(1, 7)) == 1456
+    assert len(products) == 6
     assert len(decoded) == 0
+    assert len(replayed) == 0
     assert len(priced) == 0
     relator_search(lu_generators(Fraction(9, 2)), 12, mem_cap=10**7)
     assert len(priced) == 1 + 1456
+
+
+# Every relator-found frozen case above, as (alphabet, max_len).
+_FOUND_CASES = {
+    "q=1": (lambda: lu_generators(1), 6),
+    "q=2": (lambda: lu_generators(2), 6),
+    "q=3": (lambda: lu_generators(3), 6),
+    "q=1/2": (lambda: lu_generators(Fraction(1, 2)), 8),
+    "long-reid": (long_reid_pair, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOUND_CASES))
+def test_relators_found_after_width_doublings_are_unchanged(name):
+    # With one level per key width the width doubles before levels 2, 3
+    # and 5, so the first words of colliding keys are found in levels
+    # repacked or built again at a width other than the one they were met at.
+    make, max_len = _FOUND_CASES[name]
+    expected = relator_search(make(), max_len)
+    with mock.patch.object(lu_lab, "_FIRST_LEVELS", 1):
+        assert relator_search(make(), max_len) == expected
+    assert expected.status == "relator-found"
+
+
+# Where the first word F of the colliding key was met, for the first
+# collision: the empty word (a scalar generator), the collision level
+# (projective order 2, 4 and 6: a^k meets a^-k), or a level below it
+# (order 3: a a meets a^-1; the level-4 pair meets level-3 keys).
+_FIRST_WORD_CASES = {
+    "scalar": ([Mat2(2, 0, 0, 2)], 4, "empty"),
+    "order-2": ([Mat2(0, -1, 1, 0)], 4, "same"),
+    "order-3": ([Mat2(0, -1, 1, 1)], 4, "earlier"),
+    "order-4": ([Mat2(1, -1, 1, 1)], 6, "same"),
+    "order-6": ([Mat2(2, -1, 1, 1)], 8, "same"),
+    "level-4-pair": (_LEVEL_4_PAIR, 7, "earlier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIRST_WORD_CASES))
+@pytest.mark.parametrize("first_levels", [1, 16])
+def test_first_words_of_colliding_keys_match_the_naive_search(name, first_levels, monkeypatch):
+    matrices, max_len, where = _FIRST_WORD_CASES[name]
+    ab = Alphabet([f"g{i}" for i in range(len(matrices))], matrices)
+    decoded = []
+    word_at = lu_lab._word_at
+    monkeypatch.setattr(lu_lab, "_word_at", lambda *args: decoded.append(args) or word_at(*args))
+    monkeypatch.setattr(lu_lab, "_FIRST_LEVELS", first_levels)
+    fast = relator_search(ab, max_len)
+    slow = naive_relator_search(ab, max_len)
+    assert (fast.status, fast.relator, fast.scalar) == (slow.status, slow.relator, slow.scalar)
+    assert fast.status == "relator-found"
+    (first_level, _, _), (level, _, _) = decoded[:2]
+    kind = "empty" if first_level == 0 else "same" if first_level == level else "earlier"
+    assert kind == where
 
 
 def test_mem_cap_generous_still_finds():
