@@ -216,7 +216,8 @@ def lu_pingpong(q_text):
 
 
 @command("lu", "relators", Option("--max-len", int, required=True),
-         Option("--mem-cap", int, help="Table budget in bytes."))
+         Option("--mem-cap", int,
+                help="Budget in bytes for the table and the level lists, checked before each level."))
 def lu_relators(alphabet, max_len, mem_cap):
     """Shortest relator (word with scalar image), meet-in-the-middle."""
     if max_len < 2:

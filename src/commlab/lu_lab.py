@@ -94,24 +94,20 @@ class RelatorResult(Record):
     images_per_length: dict    # distinct projective images among them, by exact length
 
 
-def _entry_cost(key, word_len):
-    # Coarse deterministic memory model for one table entry, in bytes: dict
-    # slot overhead plus bignum digits plus 8 bytes per letter. Used only to
-    # compare against mem_cap; identical on every run by construction. The
-    # digits are those of the Fraction normal form x/e of each entry x, where
-    # e is the first nonzero entry of the key (positive). The letter term
-    # prices no stored object now that an entry keeps a level, not a word;
-    # it stays so that every mem_cap verdict stays where it was.
-    e = next(x for x in key if x)
-    digits = 0
-    for x in key:
-        g = math.gcd(x, e)
-        digits += ((x // g).bit_length() + (e // g).bit_length() + 15) // 8
-    return 64 + 8 * word_len + digits
-
-
 _IDENTITY_KEY = (1, 0, 0, 1)
 _FIRST_LEVELS = 16  # levels the first key width holds; past them it doubles
+
+
+def _projected_bytes(entries, words, new_words, width, repack):
+    """Bytes the search holds once a level exists, projected before it is
+    built: entries table entries, the words of the parent level, and the
+    new_words of the level, every key packed at width (the width after any
+    repack). A repack holds the table and the parent level twice, and the
+    new level counts twice, for its keys and its last codes. Each held item
+    is priced at 64 B of slots and pointers plus 24 + 4 ceil(4 width / 30) B,
+    the size of a 4 width-bit int."""
+    held = (entries + words) * (1 + repack) + 2 * new_words + 16
+    return 8192 + held * (64 + 24 + 4 * -(-4 * width // 30))
 
 
 def _key_width(code_keys, levels):
@@ -284,12 +280,16 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     level, by building the levels below again (_replay). A level's lists
     are dropped once the next level is built from them.
 
-    mem_cap bounds the table size under a coarse deterministic byte model
-    (_entry_cost), priced only when a cap is given; a breached cap yields
-    status "inconclusive" unless a relator was already certified at a
-    completed level; words_per_length and images_per_length then cover the
-    completed levels only, not the level that breached the cap. The model
-    prices the unpacked key.
+    mem_cap bounds the bytes the search holds: the table and the level
+    lists. Under a cap, one projection per level (_projected_bytes), made
+    before the level is built and before any repack, prices what is held
+    once the level exists, from the table entries, the parent and new word
+    counts and the key width. A projection past the cap stops the search,
+    status "inconclusive", with no relator of length <= 2 (level - 1)
+    missed; words_per_length and images_per_length then cover the levels
+    built. A relator met in a level the cap admitted is returned. So the
+    traced peak of a capped search stays under its cap, and every result
+    under a cap at or above the last projection is the uncapped one.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
@@ -298,7 +298,6 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     width = _key_width(code_keys, min(half, _FIRST_LEVELS))
     keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
     table = {keys[0]: 0}
-    cost = 0 if mem_cap is None else _entry_cost(_IDENTITY_KEY, 0)
     words_per_length = {0: 1}
     images_per_length = {0: 1}
 
@@ -314,29 +313,27 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             images_per_length,
         )
 
+    num_codes = len(code_keys)
     for level in range(1, half + 1):
-        if _key_width(code_keys, level) > width:  # double the width, repack
+        repack = _key_width(code_keys, level) > width
+        if mem_cap is not None:
+            new_words = len(keys) * (num_codes - 1) if level > 1 else num_codes
+            if _projected_bytes(len(table), len(keys), new_words, width << repack, repack) > mem_cap:
+                return finish("inconclusive", completed=min(2 * (level - 1), max_len))
+        if repack:  # double the width, repack
             table = {_widen(key, width): first for key, first in table.items()}
             keys = [_widen(key, width) for key in keys]
             width *= 2
         keys, lasts = _extend_level(keys, lasts, code_keys, width)
-        new = 0
-        capped = False
+        before = len(table)
         collisions = []  # (key, index) of each word that met a stored key
         for index, key in enumerate(keys):
             first = table.get(key)
             if first is None:
-                new += 1
-                if mem_cap is not None:
-                    cost += _entry_cost(_unpack_key(key, width), level)
-                    if cost > mem_cap:
-                        capped = True
-                        break
                 table[key] = level
             else:
                 collisions.append((key, index))
-        if capped:
-            return finish("inconclusive", completed=min(2 * (level - 1), max_len))
+        new = len(table) - before
         words_per_length[level] = len(keys)
         # images = new keys + keys first met at an earlier level
         wanted = {}  # level first met -> its keys that collided here
@@ -349,7 +346,6 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
             firsts = _first_indices(keys, wanted.pop(level)) if level in wanted else {}
             if wanted:
                 firsts.update(_replay(wanted, code_keys, width))
-            num_codes = len(code_keys)
             candidates = []
             for key, index in collisions:
                 # F and x share an image, so F x^-1 is scalar

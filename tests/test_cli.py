@@ -127,13 +127,13 @@ def test_relators_huge_max_len_under_a_cap_exits_3_at_once(capsys):
                                   "--mem-cap", "100000"])
     assert time.monotonic() - started < 0.5
     assert code == 3
-    counts = {str(n): 1 if n == 0 else 4 * 3 ** (n - 1) for n in range(6)}
+    counts = {str(n): 1 if n == 0 else 4 * 3 ** (n - 1) for n in range(5)}
     assert check_schema(out)["results"] == [{
-        "completed_length": 10, "images_per_length": counts, "max_len": 1000000000,
+        "completed_length": 8, "images_per_length": counts, "max_len": 1000000000,
         "relator": None, "relator_length": None, "scalar": None, "sl2_note": None,
         "status": "inconclusive", "strategy": "meet-in-the-middle", "words_per_length": counts,
     }]
-    assert err.splitlines()[-1] == "level 5: 324 words, table 485"
+    assert err.splitlines()[-1] == "level 4: 108 words, table 161"
 
 
 def test_orbit_inconclusive_exits_3(capsys, tmp_path):

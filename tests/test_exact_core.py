@@ -30,7 +30,7 @@ from commlab.exact_core import (
     projective_normalize,
     vp,
 )
-from commlab.lu_lab import KnappVerdict, _entry_cost
+from commlab.lu_lab import KnappVerdict
 from commlab.words import Word
 from helpers import (
     classify_padic_oracle,
@@ -396,15 +396,6 @@ _NONZERO_SCALARS = st.fractions(max_denominator=10**6).filter(bool)
 _KERNEL = settings(derandomize=True, max_examples=150)
 
 
-def _fraction_entry_cost(m, word_len):
-    # the byte model as defined on the Fraction normal form
-    digits = sum(
-        (f.numerator.bit_length() + f.denominator.bit_length() + 15) // 8
-        for f in projective_normalize(m).entries()
-    )
-    return 64 + 8 * word_len + digits
-
-
 @_KERNEL
 @given(_MATS, _MATS)
 def test_integer_form_clears_denominators_and_multiplies(m, n):
@@ -451,12 +442,6 @@ def test_key_mul_agrees_with_matrix_product(m, n):
             key_mul(projective_key(m), projective_key(n))
         return
     assert key_mul(projective_key(m), projective_key(n)) == projective_key(product)
-
-
-@_KERNEL
-@given(_NONZERO_MATS, st.integers(min_value=0, max_value=40))
-def test_entry_cost_matches_fraction_byte_model(m, word_len):
-    assert _entry_cost(projective_key(m), word_len) == _fraction_entry_cost(m, word_len)
 
 
 def test_projective_key_frozen():

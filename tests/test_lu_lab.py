@@ -304,69 +304,74 @@ def test_mem_cap_inconclusive():
     assert res.completed_length % 2 == 0
 
 
-# Smallest caps that let each level in, measured on the Fraction-keyed
-# search, with the whole capped report at each cap c and at c - 1, pinned
-# from the Word-valued table: (cap, status, completed_length,
+# Smallest caps that let each level in: each is the projection
+# (_projected_bytes) made before that level is built, with the whole capped
+# report at each cap c and at c - 1: (cap, status, completed_length,
 # words_per_length, images_per_length), the counts listed by length from 0.
-# Below the first cap nothing completes. The level that breached the cap is
-# in neither count.
+# Below the first cap nothing completes. The level whose projection passed
+# the cap is never built, so it is in neither count.
 MEM_CAP_THRESHOLDS = {
     "q=1/2": (
         lambda: lu_generators(Fraction(1, 2)),
         12,
-        [(391, "inconclusive", 0, [1], [1]),
-         (392, "inconclusive", 2, [1, 4], [1, 4]),
-         (1447, "inconclusive", 2, [1, 4], [1, 4]),
-         (1448, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (4903, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (4904, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (15719, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (15720, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
+        [(10791, "inconclusive", 0, [1], [1]),
+         (10792, "inconclusive", 2, [1, 4], [1, 4]),
+         (13091, "inconclusive", 2, [1, 4], [1, 4]),
+         (13092, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (19891, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (19892, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (40291, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (40292, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     "q=9/2": (
         lambda: lu_generators(Fraction(9, 2)),
         12,
-        [(391, "inconclusive", 0, [1], [1]),
-         (392, "inconclusive", 2, [1, 4], [1, 4]),
-         (1447, "inconclusive", 2, [1, 4], [1, 4]),
-         (1448, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (4915, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (4916, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (16287, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (16288, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
-         (53247, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
-         (53248, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
-         (172769, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
-         (172770, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
+        [(10895, "inconclusive", 0, [1], [1]),
+         (10896, "inconclusive", 2, [1, 4], [1, 4]),
+         (13287, "inconclusive", 2, [1, 4], [1, 4]),
+         (13288, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (20359, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (20360, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (41575, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (41576, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (105223, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (105224, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (296167, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (296168, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
     ),
     "long-reid": (
         long_reid_pair,
         8,
-        [(393, "inconclusive", 0, [1], [1]),
-         (394, "inconclusive", 2, [1, 4], [1, 4]),
-         (1477, "inconclusive", 2, [1, 4], [1, 4]),
-         (1478, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (5066, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (5067, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (16490, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (16491, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
+        [(11103, "inconclusive", 0, [1], [1]),
+         (11104, "inconclusive", 2, [1, 4], [1, 4]),
+         (13679, "inconclusive", 2, [1, 4], [1, 4]),
+         (13680, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (21295, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (21296, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (44143, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (44144, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
-    # a^3 = -I: both level-2 keys are level-1 keys, so level 2 costs nothing
+    # a^3 = -I: both level-2 keys are level-1 keys, but the projection
+    # prices the words of level 2, so it has a threshold of its own
     "one-generator": (
         lambda: Alphabet(["a"], [Mat2(0, -1, 1, 1)]),
         6,
-        [(231, "inconclusive", 0, [1], [1]),
-         (232, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
+        [(10215, "inconclusive", 0, [1], [1]),
+         (10216, "inconclusive", 2, [1, 2], [1, 2]),
+         (10491, "inconclusive", 2, [1, 2], [1, 2]),
+         (10492, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
     ),
-    # c^3 = -I again; at 3015 the cap breaks after c c, a level-1 key, is met
+    # c^3 = -I again: c c meets a level-1 key. The cap is checked before
+    # level 2 is built, never in the middle of it, so a cap that admits
+    # level 2 answers relator-found.
     "three-generators": (
         lambda: Alphabet(["a", "b", "c"],
                          [Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)]),
         6,
-        [(551, "inconclusive", 0, [1], [1]),
-         (552, "inconclusive", 2, [1, 6], [1, 6]),
-         (3015, "inconclusive", 2, [1, 6], [1, 6]),
-         (3016, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
+        [(11071, "inconclusive", 0, [1], [1]),
+         (11072, "inconclusive", 2, [1, 6], [1, 6]),
+         (16735, "inconclusive", 2, [1, 6], [1, 6]),
+         (16736, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
     ),
 }
 
@@ -395,11 +400,58 @@ def test_mem_cap_cases_meet_keys_of_earlier_levels():
     assert earlier == {"one-generator", "three-generators"}
 
 
+def _record_projections(monkeypatch):
+    """The arguments and value of every _projected_bytes call."""
+    calls = []
+    project = lu_lab._projected_bytes
+
+    def recorded(*args):
+        calls.append((args, project(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lu_lab, "_projected_bytes", recorded)
+    return calls
+
+
+def _traced_peak(ab, max_len, mem_cap):
+    tracemalloc.start()
+    try:
+        res = relator_search(ab, max_len, mem_cap=mem_cap)
+        return tracemalloc.get_traced_memory()[1], res
+    finally:
+        tracemalloc.stop()
+
+
+# Each capped case, and one generator of infinite order, whose levels
+# hold two words each, with the levels before which the key width doubles,
+# repacking the table and the parent level.
+_CAPPED_CASES = {name: (make, max_len, []) for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items()}
+_CAPPED_CASES["repacking"] = (lambda: Alphabet(["g"], [Mat2(2, 1, 1, 1)]), 200, [17, 33, 65])
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_CASES))
+def test_mem_cap_bounds_the_traced_peak(name, monkeypatch):
+    # A cap is checked before each level is built, against the bytes the
+    # search will hold once it exists, so a capped search never holds more
+    # than its cap: at every level threshold the traced peak is at most the
+    # cap.
+    make, max_len, repacks = _CAPPED_CASES[name]
+    projections = _record_projections(monkeypatch)
+    relator_search(make(), max_len, mem_cap=10**9)
+    monkeypatch.undo()
+    assert [level for level, (args, _) in enumerate(projections, 1) if args[4]] == repacks
+    ab = make()
+    for _, cap in projections:
+        peak, res = _traced_peak(ab, max_len, cap)
+        assert peak <= cap, (cap, res.completed_length)
+
+
 def test_table_memory_per_entry(monkeypatch):
     # The table holds a packed key and a small cached level int per entry,
     # and a level a key and a last letter code per word: the traced peak of
     # a max-len 14 search (4373 table entries) is near 105 bytes per entry.
-    # The --mem-cap model prices more than that, so a cap stays conservative.
+    # The last projection, made before the last level, prices more than
+    # that, so a cap stays conservative.
     sizes = []
     ab = lu_generators(Fraction(11, 2))
     tracemalloc.start()
@@ -410,12 +462,10 @@ def test_table_memory_per_entry(monkeypatch):
         tracemalloc.stop()
     assert sizes[-1] == 4373
     assert peak <= 120 * sizes[-1]
-    priced = []
-    entry_cost = lu_lab._entry_cost
-    monkeypatch.setattr(lu_lab, "_entry_cost", lambda *args: priced.append(entry_cost(*args)) or priced[-1])
+    projections = _record_projections(monkeypatch)
     assert relator_search(ab, 14, mem_cap=10**9).status == "none-found"
-    assert len(priced) == sizes[-1]
-    assert sum(priced) >= peak
+    assert len(projections) == len(sizes)
+    assert projections[-1][1] >= peak
 
 
 def _pack_codes(codes, bits):
@@ -518,19 +568,32 @@ def test_packed_keys_unpack_to_the_key_mul_oracle_at_every_level(matrices):
     assert len(widths) > 1
 
 
+# The level thresholds of MEM_CAP_THRESHOLDS with one level per key width:
+# the projection prices keys at the width after a repack, and the table
+# and parent level twice at a repack, so the caps move and the reports stay.
+_DOUBLING_THRESHOLDS = {
+    "q=1/2": [10584, 13528, 22208, 39008],
+    "q=9/2": [10584, 13760, 22792, 40292, 142816, 318320],
+    "long-reid": [10688, 13992, 24544, 44144],
+    "one-generator": [10216, 10952],
+    "three-generators": [10952, 17576],
+}
+
+
 @pytest.mark.parametrize("name", sorted(MEM_CAP_THRESHOLDS))
 def test_capped_searches_with_the_width_doubling_at_levels_2_3_5_are_frozen(name):
-    # Keys of levels 1, 2 and 4 are repacked and then extended, and the
-    # byte model prices unpacked keys of every level.
+    # Keys of levels 1, 2 and 4 are repacked and then extended, and each
+    # level is projected at the width it will be built at.
     make, max_len, rows = MEM_CAP_THRESHOLDS[name]
+    caps = [cap for threshold in _DOUBLING_THRESHOLDS[name] for cap in (threshold - 1, threshold)]
     ab = make()
     with mock.patch.object(lu_lab, "_FIRST_LEVELS", 1):
-        for cap, status, completed, words, images in rows:
+        for cap, (_, status, completed, words, images) in zip(caps, rows, strict=True):
             res = relator_search(ab, max_len, mem_cap=cap)
             assert (res.status, res.completed_length) == (status, completed), cap
             assert res.words_per_length == dict(enumerate(words)), cap
             assert res.images_per_length == dict(enumerate(images)), cap
-        assert relator_search(ab, max_len) == relator_search(ab, max_len, mem_cap=rows[-1][0])
+        assert relator_search(ab, max_len) == relator_search(ab, max_len, mem_cap=caps[-1])
 
 
 def test_search_past_the_first_width_matches_the_naive_search():
@@ -559,7 +622,8 @@ def test_search_work_counts_on_a_free_group(monkeypatch):
     # One key product per word of lengths 1..6, each a child that one of the
     # six _extend_level calls returns; on a free group no word meets a stored
     # key as it is inserted, so no word is decoded and no level is built
-    # again; the byte model is priced only under a cap.
+    # again. A cap is checked by one projection per level, made only under
+    # a cap, and no key is priced, or unpacked outside _extend_level.
     products = []
     extend = lu_lab._extend_level
 
@@ -571,16 +635,19 @@ def test_search_work_counts_on_a_free_group(monkeypatch):
     monkeypatch.setattr(lu_lab, "_extend_level", counted)
     decoded = _count_calls(monkeypatch, "_word_at")
     replayed = _count_calls(monkeypatch, "_replay")
-    priced = _count_calls(monkeypatch, "_entry_cost")
+    projected = _count_calls(monkeypatch, "_projected_bytes")
+    unpacked = _count_calls(monkeypatch, "_unpack_key")
     res = relator_search(lu_generators(Fraction(9, 2)), 12)
     assert res.status == "none-found"
     assert sum(products) == sum(res.words_per_length[n] for n in range(1, 7)) == 1456
     assert len(products) == 6
     assert len(decoded) == 0
     assert len(replayed) == 0
-    assert len(priced) == 0
-    relator_search(lu_generators(Fraction(9, 2)), 12, mem_cap=10**7)
-    assert len(priced) == 1 + 1456
+    assert len(projected) == 0
+    assert relator_search(lu_generators(Fraction(9, 2)), 12, mem_cap=10**7) == res
+    assert len(products) == 12
+    assert len(projected) == 6
+    assert len(unpacked) == 0
 
 
 # Every relator-found frozen case above, as (alphabet, max_len).
