@@ -358,19 +358,17 @@ def diag_irreducible(alphabet, max_len):
     return {"max_len": max_len}, [rep], witnesses
 
 
-@command("diag", "probe", Option("--p", int, required=True), Option("--iterations", int, default=5))
-def diag_probe(alphabet, p, iterations):
+@command("diag", "probe", Option("--p", int, required=True))
+def diag_probe(alphabet, p):
     """Four-check probe of a candidate irreducible two-generator pair."""
     p = _parse_prime(p)
     if len(alphabet) != 2:
         raise ParameterError("probe needs exactly two generators")
-    if iterations < 1:
-        raise ParameterError("--iterations must be >= 1")
     g, h = alphabet.matrices
-    rep = two_gen_probe(g, h, p, iterations=iterations)
+    rep = two_gen_probe(g, h, p)
     witnesses = [_witness(ck.data["word"], alphabet, lambda m: classify_padic(m, p))
                  for ck in rep.checks if ck.name == "loxodromic-word-at-p" and ck.passed]
-    return {"p": p, "iterations": iterations}, [rep], witnesses
+    return {"p": p}, [rep], witnesses
 
 
 def main(argv=None):

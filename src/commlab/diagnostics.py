@@ -17,7 +17,6 @@ from .exact_core import (
     _require_prime,
     _split,
     classify_padic,
-    commutator,
     form_order,
     form_translation_length,
     integer_form,
@@ -192,7 +191,7 @@ def _finite_place_status(alphabet, p, max_len):
     loxodromic = first_loxodromic(alphabet, p)
     if loxodromic is not None:
         return PlaceStatus(
-            str(p), "inconclusive", loxodromic, None,
+            str(p), "inconclusive", loxodromic, classify_padic(evaluate(loxodromic, alphabet), p),
             f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
         )
     return PlaceStatus(
@@ -201,15 +200,19 @@ def _finite_place_status(alphabet, p, max_len):
     )
 
 
-def _lu_parameter(alphabet):
+def _two_parabolic_q(alphabet):
+    """q when the two generators are parabolics of det 1 with no common fixed
+    point, else None. Scaled to trace 2, such a pair is conjugate in GL(2, Q)
+    to Delta_q with q = tr(ab) - 2, which for traces +-2 is
+    tr(ab) tr(a) tr(b) / 4 - 2, a conjugation invariant; q = 0 exactly when a
+    and b share a fixed point.
+    """
     if len(alphabet) != 2:
         return None
     a, b = alphabet.matrices
-    if a != Mat2(1, 0, 1, 1):
+    if any(m.det() != 1 or m.trace() ** 2 != 4 or m.is_scalar() for m in (a, b)):
         return None
-    if b.a == 1 and b.d == 1 and b.c == 0 and b.b != 0:
-        return b.b
-    return None
+    return (a * b).trace() * a.trace() * b.trace() / 4 - 2 or None
 
 
 class IrreducibilityReport(Record):
@@ -235,7 +238,7 @@ def irreducibility_report(alphabet, max_len=6):
     """
     support = place_support(alphabet)
     real = _real_place_status(alphabet, max_len)
-    q = _lu_parameter(alphabet)
+    q = _two_parabolic_q(alphabet)
     if q is not None:
         if abs(q) >= 4:
             note = f"free and discrete at the real place by ping-pong (|q| = {frac_str(abs(q))} >= 4)"
@@ -280,24 +283,20 @@ class ProbeCheck(Record):
 
 class ProbeReport(Record):
     checks: tuple
-    decisive_pass: bool   # checks (1), (2) and (4); check (3) is evidence only
+    decisive_pass: bool   # checks (1), (2) and (4); a failed check (3) decides nothing
     message: str          # PROBE_MESSAGE on decisive pass, else None
 
 
-def _delta_from_identity(m):
-    return max(abs(m.a - 1), abs(m.b), abs(m.c), abs(m.d - 1))
-
-
-def two_gen_probe(g, h, p, iterations=5):
+def two_gen_probe(g, h, p):
     """Four quick exact checks on a candidate irreducible pair at {real, p}.
 
     (1) g is loxodromic over R; (2) <g, h> is Zariski dense, by
-    density_report, whose words certify the verdict; (3) iterated
-    commutators c_0 = h, c_(k+1) = [c_k, g] stay nontrivial while their
-    max-entry distance from I strictly decreases, reported as evidence and
-    never as proof; (4) first_loxodromic finds a loxodromic word at p (a
-    fail means bounded at p). Entries must lie in Z[1/p] with det 1. The
-    first delta too long to print stops the probe with DigitLimitError.
+    density_report, whose words certify the verdict; (3) <g, h> is
+    indiscrete at the real place, by _real_place_status over words of length
+    <= 6 (diag irreducible's default): a pass names an elliptic word of
+    infinite order, and a fail only bounds the scan; (4) first_loxodromic
+    finds a loxodromic word at p (a fail means bounded at p). Entries must
+    lie in Z[1/p] with det 1.
     """
     _require_prime(p)
     for m in (g, h):
@@ -316,30 +315,9 @@ def two_gen_probe(g, h, p, iterations=5):
                         {"verdict": density.verdict, "dimension": density.dimension,
                          "words": density.words})
 
-    deltas = []
-    nonidentity = True
-    c = h
-    for _ in range(iterations):
-        c = commutator(c, g)
-        deltas.append(_delta_from_identity(c))
-        frac_str(deltas[-1])  # raises DigitLimitError: the digits double each step
-        if c.is_identity():
-            nonidentity = False
-            break
-    first_violation = next(  # 1-based index of the first c_k that fails to contract
-        (i + 2 for i in range(len(deltas) - 1) if deltas[i] <= deltas[i + 1]), None)
-    decreasing = first_violation is None
-    check3 = ProbeCheck(
-        "iterated-commutator-contraction",
-        nonidentity and decreasing and len(deltas) == iterations,
-        {
-            "start_delta": _delta_from_identity(h),
-            "deltas": tuple(deltas),
-            "nonidentity": nonidentity,
-            "strictly_decreasing": decreasing,
-            "first_violation": first_violation,
-        },
-    )
+    real = _real_place_status(alphabet, 6)
+    check3 = ProbeCheck("real-place-indiscrete", real.status == "indiscrete-witness",
+                        {"word": real.word, "classification": real.classification, "note": real.note})
 
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
     if (word := first_loxodromic(alphabet, p)) is not None:

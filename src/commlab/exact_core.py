@@ -217,9 +217,6 @@ class Mat2(Record):
     def is_scalar(self):
         return self.b == 0 and self.c == 0 and self.a == self.d and self.a != 0
 
-    def is_identity(self):
-        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
-
     def scale(self, s):
         s = Fraction(s)
         return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
@@ -298,11 +295,6 @@ def projective_key(m):
     when their projective_normalize forms are equal.
     """
     return _primitive(*integer_form(m)[0])
-
-
-def commutator(g, h):
-    """[g, h] = g h g^-1 h^-1."""
-    return g * h * g.inverse() * h.inverse()
 
 
 class ElementClass(Record):

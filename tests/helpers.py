@@ -14,7 +14,6 @@ from commlab.exact_core import (
     _primitive,
     _require_prime,
     classify_real,
-    commutator,
     prime_factors,
     projective_normalize,
     vp,
@@ -49,6 +48,11 @@ def rand_sl2(rng, steps=4, bound=5):
         else:
             m = m * Mat2(1, 0, x, 1)
     return m
+
+
+def commutator(g, h):
+    """[g, h] = g h g^-1 h^-1."""
+    return g * h * g.inverse() * h.inverse()
 
 
 def rand_reduced_word(rng, num_gens, length):
@@ -213,9 +217,9 @@ def finite_place_oracle(alphabet, p, max_len):
             )
     # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
     for word, m in iter_words_with_matrices(alphabet, 2):
-        if len(word) and classify_padic_oracle(m, p).kind == "loxodromic":
+        if len(word) and (cls := classify_padic_oracle(m, p)).kind == "loxodromic":
             return PlaceStatus(
-                str(p), "inconclusive", word, None,
+                str(p), "inconclusive", word, cls,
                 f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
             )
     return PlaceStatus(

@@ -29,9 +29,9 @@ from commlab.cli import (
     main,
 )
 from commlab.diagnostics import PlaceSupport, long_reid_pair
-from commlab.exact_core import INFINITY, ElementClass, Mat2
+from commlab.exact_core import INFINITY, ElementClass, Mat2, classify_real
 from commlab.report import DigitLimitError, chart_str, dumps_canonical, frac_str, to_json
-from commlab.words import Alphabet, Word, format_word
+from commlab.words import Alphabet, Word, evaluate, format_word, parse_word
 from helpers import canonical_residue_oracle, dump_generator_file
 
 REPO = Path(__file__).resolve().parent.parent
@@ -263,7 +263,7 @@ def _with_files(argv, tmp_path):
      "generators are integral; pass --primes explicitly"),
     (["diag", "irreducible", "--q", "1/2", "--max-len", "0"], "--max-len must be >= 1"),
     (["diag", "probe", "--gens", "{three}", "--p", "2"], "probe needs exactly two generators"),
-    (["diag", "probe", "--q", "1/2", "--p", "2", "--iterations", "0"], "--iterations must be >= 1"),
+    (["diag", "probe", "--q", "1/2", "--p", "2", "--iterations", "5"], "no such option '--iterations'"),
     (["diag", "probe", "--builtin", "long-reid", "--p", "2"],
      "entries outside Z[1/2]: denominator 3 is not a power of 2"),
     (["diag", "places", "--gens", "{nested}"],
@@ -487,23 +487,11 @@ def test_parse_fraction_keeps_every_printable_form(text):
     assert _parse_fraction(text, "--q") == Fraction(text)
 
 
-def test_probe_iterations_stop_at_the_digit_limit(capsys):
-    # the deltas' digits double each step; the 13th passes the limit, and
-    # iterating on to 30 would never finish
-    started = time.monotonic()
-    pair = str(REPO / "tests" / "data" / "probe_pair.json")
-    code, out, _ = run(capsys, ["diag", "probe", "--gens", pair, "--p", "2", "--iterations", "30"])
-    assert time.monotonic() - started < 2
-    assert code == 2
-    assert check_schema(out)["error"]["message"] == (
-        f"exact entries exceed the printable digit limit ({LIMIT} digits)")
-
-
 @pytest.mark.parametrize("argv, density", [
     (["diag", "density"], lambda res: res),
     (["diag", "irreducible"], lambda res: res["density"]),
-    # check 3's second delta would pass the digit limit
-    (["diag", "probe", "--p", "2", "--iterations", "1"], lambda res: res["checks"][1]["data"]),
+    # check 3 prints a word, not the matrix of one, so no entry passes the digit limit
+    (["diag", "probe", "--p", "2"], lambda res: res["checks"][1]["data"]),
 ])
 def test_density_is_decided_for_generators_near_the_digit_limit(capsys, tmp_path, argv, density):
     # g = [[n, n + 1], [n - 1, n]] has 1501-digit entries, printable, but tr[g^2, h^2] is not
@@ -707,6 +695,21 @@ def test_irreducible_decides_a_bounded_place_without_a_radius(capsys, tmp_path):
     assert "radius" not in p3["note"]
 
 
+def test_irreducible_classifies_the_loxodromic_of_an_inconclusive_prime(capsys):
+    # diag(2, 1/2) is loxodromic at 2 with translation length 2, and so is
+    # every infinite-order word: the place is inconclusive, its word classified
+    gens = str(REPO / "tests" / "data" / "diagonal_2.json")
+    code, out, _ = run(capsys, ["diag", "irreducible", "--gens", gens])
+    assert code == 0
+    doc = check_schema(out)
+    real, p2 = doc["results"][0]["places"]
+    loxodromic = {"kind": "loxodromic", "note": None, "order": None, "translation_length": 2}
+    assert (p2["place"], p2["status"], p2["word"], p2["classification"]) == (
+        "2", "inconclusive", "d", loxodromic)
+    assert doc["witnesses"] == [{"word": "d", "matrix": [["2", "0"], ["0", "1/2"]],
+                                 "classification": loxodromic}]
+
+
 def test_irreducible_exits_zero_even_when_inconclusive(capsys):
     # q = 1: discrete everywhere relevant, no witnesses; still a clean report
     code, out, _ = run(capsys, ["diag", "irreducible", "--q", "1", "--max-len", "4"])
@@ -743,7 +746,7 @@ def test_a_repeated_option_keeps_its_last_value(capsys, monkeypatch):
               "knapp ", "pingpong ", "relators "]),
     (["diag", "probe", "--p", "2"], ["Usage: commlab diag probe [OPTIONS]",
                                      "--builtin long-reid", "--p INTEGER [required]",
-                                     "--iterations INTEGER --help"]),
+                                     "--p INTEGER [required] --help"]),
 ])
 def test_help_at_each_level(capsys, argv, expect):
     code, out, _ = run(capsys, argv + ["--help"])
@@ -936,7 +939,7 @@ def _fuzz_values():
         "--p": ["2", "3", "5", "-3", "4", prime, str(10**30)],
         "--word": ["a", "a b^2 A", "b^-1 a", "c", "a^0", "b^300000000", "-a", "a^" + "7" * 5000],
         "--primes": ["2", "2,3", "3,2", "4", "2,2", prime],
-        "--max-len": small, "--radius": small[:6], "--iterations": small[:6],
+        "--max-len": small, "--radius": small[:6],
         "--mem-cap": ["1", "600", "0", "-1", huge],
         "--csv": ["hits.csv", str(REPO / "tests"), str(REPO / "missing" / "x.csv")],
     }
@@ -996,8 +999,7 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, argv):
 @st.composite
 def probe_argv(draw):
     """A prime p, and two det-1 matrices in SL(2, Z[1/p]), each a product of
-    one to four shears by x / p^k and diagonals diag(p^k, p^-k), with
-    or without --iterations."""
+    one to four shears by x / p^k and diagonals diag(p^k, p^-k)."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     x, k = st.integers(-3, 3), st.integers(0, 2)
     letter = st.one_of(
@@ -1006,8 +1008,7 @@ def probe_argv(draw):
         st.builds(lambda k: Mat2(p**k, 0, 0, Fraction(1, p**k)), k))
     pair = [functools.reduce(Mat2.__mul__, draw(st.lists(letter, min_size=1, max_size=4)))
             for _ in "gh"]
-    options = ["--iterations", str(draw(st.integers(1, 5)))] if draw(st.booleans()) else []
-    return pair, ["diag", "probe", "--p", str(p)] + options
+    return pair, ["diag", "probe", "--p", str(p)]
 
 
 @given(case=probe_argv())
@@ -1021,10 +1022,19 @@ def test_probe_fuzz(capsys, tmp_path, case):
     assert code == 0
     (res,) = check_schema(out)["results"]
     assert [c["name"] for c in res["checks"]] == [
-        "real-loxodromic-generator", "zariski-dense-pair", "iterated-commutator-contraction",
+        "real-loxodromic-generator", "zariski-dense-pair", "real-place-indiscrete",
         "loxodromic-word-at-p"]
     density = res["checks"][1]["data"]
     assert (density["verdict"] == "dense") == (density["dimension"] == 9) == res["checks"][1]["passed"]
+    real = res["checks"][2]
+    if real["passed"]:
+        # the Fraction path and its Niven table, not the integer forms' form_order
+        alphabet = Alphabet("gh", pair)
+        assert classify_real(evaluate(parse_word(real["data"]["word"], alphabet), alphabet)).kind == (
+            "elliptic-infinite-order")
+    else:
+        assert real["data"]["word"] is None
+        assert "length <= 6" in real["data"]["note"]
     assert res["decisive_pass"] == all(res["checks"][i]["passed"] for i in (0, 1, 3))
 
 

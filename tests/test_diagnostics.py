@@ -34,6 +34,7 @@ from helpers import (
     conjugation_row,
     denominator_primes,
     necklace_oracle,
+    rand_frac,
     rank,
     trace_scan_oracle,
     zariski_dense,
@@ -469,6 +470,35 @@ def test_irreducibility_report_knapp_discrete_note():
     assert rep.conditional_notes == ()
 
 
+def _gl2q(rng):
+    while True:
+        c = Mat2(*(rand_frac(rng, 9) for _ in range(4)))
+        if c.det():
+            return c
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), 1, 3, Fraction(9, 2), -5])
+def test_two_parabolic_notes_survive_conjugation(q):
+    # the rule reads traces only: conjugates, and a generator of trace -2,
+    # get the literal pair's real place, note included
+    literal = lu_generators(q)
+    expected = irreducibility_report(literal).places[0]
+    rng = random.Random(f"two-parabolic {q}")
+    for c in [Mat2(2, 0, 0, 1)] + [_gl2q(rng) for _ in range(4)]:
+        a, b = (c * m * c.inverse() for m in literal.matrices)
+        for pair in ((a, b), (a.scale(-1), b)):
+            conj = Alphabet(("a", "b"), pair)
+            assert diagnostics._two_parabolic_q(conj) == q
+            assert irreducibility_report(conj).places[0] == expected
+
+
+def test_two_parabolic_q_needs_two_parabolics_without_a_common_fixed_point():
+    u = Mat2(1, 1, 0, 1)
+    for pair in ((u, u * u), (u, Mat2(2, 0, 0, Fraction(1, 2))), (u, Mat2(2, 0, 1, 2))):
+        assert diagnostics._two_parabolic_q(Alphabet(("a", "b"), pair)) is None
+    assert diagnostics._two_parabolic_q(Alphabet(("a",), (u,))) is None
+
+
 # ---------------------------------------------------------------- the probe
 
 def test_probe_canonical_pair():
@@ -479,12 +509,9 @@ def test_probe_canonical_pair():
     assert c1.data["trace"] == 3
     assert c2.name == "zariski-dense-pair" and c2.passed
     assert (c2.data["verdict"], c2.data["dimension"], len(c2.data["words"])) == ("dense", 9, 9)
-    assert c3.name == "iterated-commutator-contraction" and not c3.passed
-    assert c3.data["deltas"][0] == Fraction(13, 32)
-    assert c3.data["deltas"][1] == Fraction(4947, 2048)
-    assert c3.data["nonidentity"]
-    assert not c3.data["strictly_decreasing"]
-    assert c3.data["first_violation"] == 2
+    assert c3.name == "real-place-indiscrete" and c3.passed
+    assert c3.data["word"] == Word((A, B, A + 1, B))  # g h g^-1 h
+    assert c3.data["classification"].kind == "elliptic-infinite-order"
     assert c4.name == "loxodromic-word-at-p" and c4.passed
     assert c4.data["word"] == Word((0, 2))  # g h
     assert c4.data["trace"] == Fraction(25, 8)
@@ -516,12 +543,6 @@ def test_probe_validates_inputs():
         two_gen_probe(Mat2(2, 0, 0, 1), h, 2)  # det 2
     with pytest.raises(ValueError):
         two_gen_probe(g, h, 6)  # not a prime
-
-
-def test_probe_iteration_budget():
-    g, h = probe_pair()
-    rep = two_gen_probe(g, h, 2, iterations=2)
-    assert len(rep.checks[2].data["deltas"]) == 2
 
 
 def test_tag_text_is_stable():

@@ -22,7 +22,6 @@ from commlab.exact_core import (
     Record,
     classify_padic,
     classify_real,
-    commutator,
     integer_form,
     is_prime,
     prime_factors,
@@ -34,6 +33,7 @@ from commlab.lu_lab import KnappVerdict
 from commlab.words import Word
 from helpers import (
     classify_padic_oracle,
+    commutator,
     denominator_primes,
     key_mul,
     rand_frac,
