@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 _set = object.__setattr__
 
@@ -97,7 +96,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=256)  # vp validates its prime on every call
 def is_prime(n):
     """Exact primality: trial division by _SMALL_PRIMES, then Miller-Rabin
     with each of them as a base. Raises ValueError from PRIME_TEST_BOUND on."""

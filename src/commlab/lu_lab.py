@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exact_core import Mat2, Record, projective_key
 from .report import frac_str
-from .words import Alphabet, Word, evaluate, invert_letters, necklace_canonical, reduce_letters
+from .words import Alphabet, Word, evaluate, invert_letters, necklace_canonical
 
 
 def lu_generators(q):
@@ -233,18 +233,14 @@ def _first_indices(keys, wanted):
     return found
 
 
-def _replay(wanted, code_keys, width):
-    """The first index of each key in wanted[s] among the level-s keys, for
-    every level s in wanted: the levels are built again from the empty word
-    by _extend_level at width, the same packed keys the table holds."""
-    found = {}
-    keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
-    for level in range(max(wanted) + 1):
-        if level:
-            keys, lasts = _extend_level(keys, lasts, code_keys, width)
-        if level in wanted:
-            found.update(_first_indices(keys, wanted[level]))
-    return found
+def _replay(level, keys, code_keys, width):
+    """The first index of each key in keys among the keys of level - 1,
+    that level alone built again from the empty word by _extend_level at
+    width: the same packed keys the table holds."""
+    level_keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
+    for _ in range(level - 1):
+        level_keys, lasts = _extend_level(level_keys, lasts, code_keys, width)
+    return _first_indices(level_keys, keys)
 
 
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
@@ -265,20 +261,27 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     word with that image is the first, in lexicographic order, of that
     level with that key. A word x whose key is already stored, for the word
     F, collides as it is inserted: F x^-1 is a relator candidate, never
-    empty since F != x. A relator F x^-1 of length L, split with
-    |F| <= |x| = ceil(L/2), gives F and x one image, so the later of them
-    collides by level |x|, and every rotation of a cyclic relator is
+    empty since F != x. A relator of length n, split as u v with
+    |u| = ceil(n/2), gives u and v^-1 one image, so the later of them
+    collides by level |u|, and every rotation of a cyclic relator is
     scanned, so the first level with a collision carries a
     certified-minimal relator; among minimal-length relators the least
     necklace form is returned (necklace-deduplicating the collision set). No
     collision through level k certifies no relator of length <= 2k.
 
+    Lemma: if no level below L collided, x of level L collides only with an
+    F of level L - 1 or L, and F x^-1 is cyclically reduced. Proof: if F
+    and x ended, or began, with one letter, stripping it would leave two
+    distinct words shorter than L with one key, the later of which
+    collided; so F x^-1 is a cyclically reduced relator of length
+    |F| + L > 2 (L - 1). The search stops at its first collision level.
+
     A level keeps each word's key and last letter code only: the word is
     its index in the level, decoded (_word_at) only when its key collides,
     and on a free group none does. F is found once the level is done: by
-    its index in this level's keys, or, for a key first met at an earlier
-    level, by building the levels below again (_replay). A level's lists
-    are dropped once the next level is built from them.
+    its index in this level's keys, or, for a key first met at level - 1,
+    in that level built once more (_replay). A level's lists are dropped
+    once the next level is built from them.
 
     mem_cap bounds the bytes the search holds: the table and the level
     lists. Under a cap, one projection per level (_projected_bytes), made
@@ -333,29 +336,25 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                 table[key] = level
             else:
                 collisions.append((key, index))
-        new = len(table) - before
         words_per_length[level] = len(keys)
-        # images = new keys + keys first met at an earlier level
-        wanted = {}  # level first met -> its keys that collided here
-        for key, _ in collisions:
-            wanted.setdefault(table[key], set()).add(key)
-        images_per_length[level] = new + sum(len(met) for first, met in wanted.items() if first < level)
+        # images = new keys + colliding keys first met at level - 1 (lemma)
+        earlier = {key for key, _ in collisions if table[key] < level}
+        images_per_length[level] = len(table) - before + len(earlier)
         if progress is not None:
             progress(level, len(keys), len(table))
         if collisions:
-            firsts = _first_indices(keys, wanted.pop(level)) if level in wanted else {}
-            if wanted:
-                firsts.update(_replay(wanted, code_keys, width))
+            firsts = _first_indices(keys, {key for key, _ in collisions} - earlier)
+            if earlier:
+                firsts.update(_replay(level, earlier, code_keys, width))
             candidates = []
             for key, index in collisions:
                 # F and x share an image, so F x^-1 is scalar
                 word = _word_at(table[key], firsts[key], num_codes)
-                rel = reduce_letters(word + invert_letters(_word_at(level, index, num_codes)))
+                rel = word + invert_letters(_word_at(level, index, num_codes))
                 if len(rel) <= max_len:
-                    candidates.append(Word(rel))
+                    candidates.append(necklace_canonical(Word(rel)))
             if candidates:
-                best = min(candidates, key=lambda w: (len(w), necklace_canonical(w).letters))
-                relator = necklace_canonical(best)
+                relator = min(candidates, key=lambda w: (len(w), w.letters))
                 image = evaluate(relator, alphabet)
                 if not image.is_scalar():
                     raise AssertionError("collision produced a non-scalar image")

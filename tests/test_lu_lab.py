@@ -238,7 +238,7 @@ def test_mitm_matches_naive_beyond_delta_q(name):
 
 
 # Small entries, plus torsion (orders 2, 3, 4 and 6 in PGL(2, Q)) and a
-# scalar, so collisions, odd relators and keys met at an earlier level occur.
+# scalar, so collisions, odd relators and keys met at the level before occur.
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
 _SMALL_MATS = st.one_of(
     st.builds(Mat2, _SMALL, _SMALL, _SMALL, _SMALL).filter(lambda m: m.det() != 0),
@@ -256,6 +256,9 @@ def test_mitm_matches_naive_on_random_generators(matrices, max_len):
     fast = relator_search(ab, max_len)
     slow = naive_relator_search(ab, max_len)
     assert (fast.status, fast.relator, fast.scalar) == (slow.status, slow.relator, slow.scalar)
+    if fast.status == "relator-found":  # the lemma: a collision at level L meets level L - 1 or L
+        level = max(fast.words_per_length)
+        assert len(fast.relator) in (2 * level - 1, 2 * level)
     shared = set(fast.words_per_length) & set(slow.words_per_length)
     for n in shared:
         assert fast.words_per_length[n] == slow.words_per_length[n]
@@ -389,7 +392,7 @@ def test_mem_cap_thresholds_frozen(name):
 
 def test_mem_cap_cases_meet_keys_of_earlier_levels():
     # A level whose images outnumber the table entries it adds holds a key
-    # first met at an earlier level: a relator of odd length.
+    # first met at the level before it: a relator of odd length.
     earlier = set()
     for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items():
         sizes = [1]
@@ -674,7 +677,7 @@ def test_relators_found_after_width_doublings_are_unchanged(name):
 
 # Where the first word F of the colliding key was met, for the first
 # collision: the empty word (a scalar generator), the collision level
-# (projective order 2, 4 and 6: a^k meets a^-k), or a level below it
+# (projective order 2, 4 and 6: a^k meets a^-k), or the level before it
 # (order 3: a a meets a^-1; the level-4 pair meets level-3 keys).
 _FIRST_WORD_CASES = {
     "scalar": ([Mat2(2, 0, 0, 2)], 4, "empty"),
@@ -702,6 +705,30 @@ def test_first_words_of_colliding_keys_match_the_naive_search(name, first_levels
     (first_level, _, _), (level, _, _) = decoded[:2]
     kind = "empty" if first_level == 0 else "same" if first_level == level else "earlier"
     assert kind == where
+    if kind == "earlier":
+        assert first_level == level - 1
+
+
+@pytest.mark.parametrize("name", ["order-3", "level-4-pair"])
+def test_replay_builds_only_the_level_before(name, monkeypatch):
+    # The first word of a key first met at level - 1 is found in that level,
+    # built once more from the empty word: level - 1 extensions, no more.
+    matrices, max_len, _ = _FIRST_WORD_CASES[name]
+    extended = _count_calls(monkeypatch, "_extend_level")
+    replay = lu_lab._replay
+    replays = []
+
+    def counted(level, *args):
+        before = len(extended)
+        found = replay(level, *args)
+        replays.append((level, len(extended) - before))
+        return found
+
+    monkeypatch.setattr(lu_lab, "_replay", counted)
+    res = relator_search(Alphabet([f"g{i}" for i in range(len(matrices))], matrices), max_len)
+    level = max(res.words_per_length)
+    assert res.status == "relator-found"
+    assert replays == [(level, level - 1)]
 
 
 def test_mem_cap_generous_still_finds():
