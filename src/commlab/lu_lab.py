@@ -100,12 +100,13 @@ _FIRST_LEVELS = 16  # levels the first key width holds; past them it doubles
 
 def _projected_bytes(entries, words, new_words, width, repack):
     """Bytes the search holds once a level exists, projected before it is
-    built: entries table entries, the words of the parent level, and the
-    new_words of the level, every key packed at width (the width after any
-    repack). A repack holds the table and the parent level twice, and the
-    new level counts twice, for its keys and its last codes. Each held item
-    is priced at 64 B of slots and pointers plus 24 + 4 ceil(4 width / 30) B,
-    the size of a 4 width-bit int."""
+    built: entries, the distinct keys met before the level (an upper bound
+    on the keys the parent level holds), the words of the parent level, and
+    the new_words of the level, every key packed at width (the width after
+    any repack). A repack counts the entries and the parent level twice, and
+    the new level counts twice, for its keys and its last codes. Each held
+    item is priced at 64 B of slots and pointers plus
+    24 + 4 ceil(4 width / 30) B, the size of a 4 width-bit int."""
     held = (entries + words) * (1 + repack) + 2 * new_words + 16
     return 8192 + held * (64 + 24 + 4 * -(-4 * width // 30))
 
@@ -170,15 +171,16 @@ def _word_at(length, index, num_codes):
 
 
 def _extend_level(keys, lasts, code_keys, width):
-    """The reduced words one letter longer than a level's, as parallel lists
-    of packed keys (_pack_key at width, which must hold the new level) and
-    last letter codes (-1 for the empty word), in the lexicographic order of
-    words.iter_level_carrying: each parent in list order, then each letter
-    code c except the inverse of its last letter. So a word is fixed by its
-    index in its level (_word_at), and no word is built. Each parent key is
-    unpacked once and multiplied in integers by code_keys[c], the projective
-    key of letter c; the product is made primitive with its first nonzero
-    entry positive, then packed.
+    """The reduced words one letter longer than a level's, from the parent
+    level's packed keys in level order (any ordered iterable) and its last
+    letter codes (-1 for the empty word): the lists of the new level's
+    packed keys (_pack_key at width, which must hold the new level) and last
+    codes, in the lexicographic order of words.iter_level_carrying: each
+    parent in level order, then each letter code c except the inverse of its
+    last letter. So a word is fixed by its index in its level (_word_at),
+    and no word is built. Each parent key is unpacked once and multiplied in
+    integers by code_keys[c], the projective key of letter c; the product is
+    made primitive with its first nonzero entry positive, then packed.
 
     A letter key L of det +-1 needs no gcd: K L adj(L) = det(L) K, so the
     content of K L divides det L when K is primitive. Packing is linear, so
@@ -224,25 +226,6 @@ def _extend_level(keys, lasts, code_keys, width):
     return new_keys, new_lasts
 
 
-def _first_indices(keys, wanted):
-    """The index of the first occurrence in keys of each key in wanted."""
-    found = {}
-    for index, key in enumerate(keys):
-        if key in wanted:
-            found.setdefault(key, index)
-    return found
-
-
-def _replay(level, keys, code_keys, width):
-    """The first index of each key in keys among the keys of level - 1,
-    that level alone built again from the empty word by _extend_level at
-    width: the same packed keys the table holds."""
-    level_keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
-    for _ in range(level - 1):
-        level_keys, lasts = _extend_level(level_keys, lasts, code_keys, width)
-    return _first_indices(level_keys, keys)
-
-
 def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     """Shortest relator (word with scalar image) by meet-in-the-middle.
 
@@ -252,22 +235,20 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     Each level is built from the one before (_extend_level), multiplying each
     kept key by each letter's key, so no Fraction matrix is built. The key
     width is taken from the levels built, never from max_len (_key_width):
-    it holds _FIRST_LEVELS levels, and doubles, repacking the table and the
-    level, when a level needs more. Equal packed keys mean equal keys, and
-    equal keys mean equal projective_normalize forms, so collisions are
-    exactly those of the rational normal form.
+    it holds _FIRST_LEVELS levels, and doubles, repacking the level before,
+    when a level needs more. Equal packed keys mean equal keys, and equal
+    keys mean equal projective_normalize forms, so collisions are exactly
+    those of the rational normal form.
 
-    The table maps a key to the level where it was first met; the first
-    word with that image is the first, in lexicographic order, of that
-    level with that key. A word x whose key is already stored, for the word
-    F, collides as it is inserted: F x^-1 is a relator candidate, never
-    empty since F != x. A relator of length n, split as u v with
-    |u| = ceil(n/2), gives u and v^-1 one image, so the later of them
-    collides by level |u|, and every rotation of a cyclic relator is
-    scanned, so the first level with a collision carries a
-    certified-minimal relator; among minimal-length relators the least
-    necklace form is returned (necklace-deduplicating the collision set). No
-    collision through level k certifies no relator of length <= 2k.
+    A word x whose key was already met, for the first word F with that key,
+    collides: F x^-1 is a relator candidate, never empty since F != x. A
+    relator of length n, split as u v with |u| = ceil(n/2), gives u and
+    v^-1 one image, so the later of them collides by level |u|, and every
+    rotation of a cyclic relator is scanned, so the first level with a
+    collision carries a certified-minimal relator; among minimal-length
+    relators the least necklace form is returned (necklace-deduplicating the
+    collision set). No collision through level k certifies no relator of
+    length <= 2k.
 
     Lemma: if no level below L collided, x of level L collides only with an
     F of level L - 1 or L, and F x^-1 is cyclically reduced. Proof: if F
@@ -276,19 +257,23 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     collided; so F x^-1 is a cyclically reduced relator of length
     |F| + L > 2 (L - 1). The search stops at its first collision level.
 
-    A level keeps each word's key and last letter code only: the word is
-    its index in the level, decoded (_word_at) only when its key collides,
-    and on a free group none does. F is found once the level is done: by
-    its index in this level's keys, or, for a key first met at level - 1,
-    in that level built once more (_replay). A level's lists are dropped
-    once the next level is built from them.
+    So the search holds only the two levels that can collide, each a dict of
+    its distinct packed keys in level order, and a count of the distinct
+    keys met so far. A level keeps each word's key and last letter code
+    only: the word is its index in the level, decoded (_word_at) only when
+    its key collides, and on a free group none does. A level collides when
+    it shares a key with the level before or repeats a key of its own; both
+    tests run in C, on the dicts. Only then does one pass over the level
+    find each F: at its position in the level before, or at the first index
+    of its key in this level. A level that does not collide replaces the
+    level before.
 
-    mem_cap bounds the bytes the search holds: the table and the level
+    mem_cap bounds the bytes the search holds: the two levels' dicts and
     lists. Under a cap, one projection per level (_projected_bytes), made
     before the level is built and before any repack, prices what is held
-    once the level exists, from the table entries, the parent and new word
-    counts and the key width. A projection past the cap stops the search,
-    status "inconclusive", with no relator of length <= 2 (level - 1)
+    once the level exists, from the distinct keys met so far, the parent and
+    new word counts and the key width. A projection past the cap stops the
+    search, status "inconclusive", with no relator of length <= 2 (level - 1)
     missed; words_per_length and images_per_length then cover the levels
     built. A relator met in a level the cap admitted is returned. So the
     traced peak of a capped search stays under its cap, and every result
@@ -299,8 +284,8 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     half = (max_len + 1) // 2
     code_keys = [projective_key(m) for m in alphabet.letter_matrices]
     width = _key_width(code_keys, min(half, _FIRST_LEVELS))
-    keys, lasts = [_pack_key(_IDENTITY_KEY, width)], [-1]
-    table = {keys[0]: 0}
+    prev, lasts = dict.fromkeys([_pack_key(_IDENTITY_KEY, width)]), [-1]
+    met = 1  # distinct keys met so far
     words_per_length = {0: 1}
     images_per_length = {0: 1}
 
@@ -320,36 +305,32 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     for level in range(1, half + 1):
         repack = _key_width(code_keys, level) > width
         if mem_cap is not None:
-            new_words = len(keys) * (num_codes - 1) if level > 1 else num_codes
-            if _projected_bytes(len(table), len(keys), new_words, width << repack, repack) > mem_cap:
+            new_words = len(prev) * (num_codes - 1) if level > 1 else num_codes
+            if _projected_bytes(met, len(prev), new_words, width << repack, repack) > mem_cap:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
         if repack:  # double the width, repack
-            table = {_widen(key, width): first for key, first in table.items()}
-            keys = [_widen(key, width) for key in keys]
+            prev = dict.fromkeys([_widen(key, width) for key in prev])
             width *= 2
-        keys, lasts = _extend_level(keys, lasts, code_keys, width)
-        before = len(table)
-        collisions = []  # (key, index) of each word that met a stored key
-        for index, key in enumerate(keys):
-            first = table.get(key)
-            if first is None:
-                table[key] = level
-            else:
-                collisions.append((key, index))
+        keys, lasts = _extend_level(prev, lasts, code_keys, width)
+        current = dict.fromkeys(keys)
+        earlier = current.keys() & prev.keys()  # keys first met at level - 1 (lemma)
+        met += len(current) - len(earlier)
         words_per_length[level] = len(keys)
-        # images = new keys + colliding keys first met at level - 1 (lemma)
-        earlier = {key for key, _ in collisions if table[key] < level}
-        images_per_length[level] = len(table) - before + len(earlier)
+        images_per_length[level] = len(current)
         if progress is not None:
-            progress(level, len(keys), len(table))
-        if collisions:
-            firsts = _first_indices(keys, {key for key, _ in collisions} - earlier)
-            if earlier:
-                firsts.update(_replay(level, earlier, code_keys, width))
+            progress(level, len(keys), met)
+        if earlier or len(current) < len(keys):
+            positions = {key: index for index, key in enumerate(prev) if key in earlier}
             candidates = []
-            for key, index in collisions:
+            for index, key in enumerate(keys):
+                if key in earlier:
+                    word = _word_at(level - 1, positions[key], num_codes)
+                elif current[key] is None:  # the first word of this level with key
+                    current[key] = index
+                    continue
+                else:
+                    word = _word_at(level, current[key], num_codes)
                 # F and x share an image, so F x^-1 is scalar
-                word = _word_at(table[key], firsts[key], num_codes)
                 rel = word + invert_letters(_word_at(level, index, num_codes))
                 if len(rel) <= max_len:
                     candidates.append(necklace_canonical(Word(rel)))
@@ -364,4 +345,5 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
                     scalar=image.a,
                     completed=min(2 * level, max_len),
                 )
+        prev = current
     return finish("none-found", completed=max_len)

@@ -267,7 +267,7 @@ def test_mitm_matches_naive_on_random_generators(matrices, max_len):
 
 # Two generators at max-len 7-8 reach level 4, a level the test above never
 # builds. In the pinned pair, whose shortest relator has length 7, level-4
-# words meet keys stored at level 3 (length-7 candidates) and at level 4
+# words meet keys of level 3 (length-7 candidates) and of level 4
 # (length-8 candidates, which max_len 7 filters out and max_len 8 keeps).
 _LEVEL_4_PAIR = [Mat2(Fraction(-2, 3), 1, 0, Fraction(-2, 3)),
                  Mat2(Fraction(-1, 3), Fraction(-3, 2), 0, Fraction(1, 2))]
@@ -391,8 +391,8 @@ def test_mem_cap_thresholds_frozen(name):
 
 
 def test_mem_cap_cases_meet_keys_of_earlier_levels():
-    # A level whose images outnumber the table entries it adds holds a key
-    # first met at the level before it: a relator of odd length.
+    # A level whose images outnumber the distinct keys it adds to the count
+    # of keys met holds a key of the level before it: a relator of odd length.
     earlier = set()
     for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items():
         sizes = [1]
@@ -427,7 +427,7 @@ def _traced_peak(ab, max_len, mem_cap):
 
 # Each capped case, and one generator of infinite order, whose levels
 # hold two words each, with the levels before which the key width doubles,
-# repacking the table and the parent level.
+# repacking the parent level.
 _CAPPED_CASES = {name: (make, max_len, []) for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items()}
 _CAPPED_CASES["repacking"] = (lambda: Alphabet(["g"], [Mat2(2, 1, 1, 1)]), 200, [17, 33, 65])
 
@@ -450,11 +450,11 @@ def test_mem_cap_bounds_the_traced_peak(name, monkeypatch):
 
 
 def test_table_memory_per_entry(monkeypatch):
-    # The table holds a packed key and a small cached level int per entry,
-    # and a level a key and a last letter code per word: the traced peak of
-    # a max-len 14 search (4373 table entries) is near 105 bytes per entry.
-    # The last projection, made before the last level, prices more than
-    # that, so a cap stays conservative.
+    # The search holds two levels, each a dict of its distinct packed keys,
+    # and the new level a key and a last letter code per word: the traced
+    # peak of a max-len 14 search (4373 distinct keys met) is near 109 bytes
+    # per key met. The last projection, made before the last level, prices
+    # more than that, so a cap stays conservative.
     sizes = []
     ab = lu_generators(Fraction(11, 2))
     tracemalloc.start()
@@ -504,9 +504,9 @@ _LEVEL_ALPHABETS = {
 
 @pytest.mark.parametrize("num_gens, bits", [(1, 1), (2, 2), (3, 3)])
 def test_levels_built_from_the_level_before_match_the_walker(num_gens, bits):
-    # _extend_level must give the walker's lexicographic order: the table
-    # keeps the level where each key was first met, and the first word per
-    # key is its first position there. Its packed keys unpack to the keys the
+    # _extend_level must give the walker's lexicographic order: the first
+    # word per key is the first position of that key in the level before or
+    # in the collision level. Its packed keys unpack to the keys the
     # key_mul oracle gives along the walk, its last codes are the walked
     # words' last letters, and the word at each position is the walked word.
     ab = Alphabet([f"g{i}" for i in range(num_gens)], _LEVEL_ALPHABETS[num_gens])
@@ -572,8 +572,8 @@ def test_packed_keys_unpack_to_the_key_mul_oracle_at_every_level(matrices):
 
 
 # The level thresholds of MEM_CAP_THRESHOLDS with one level per key width:
-# the projection prices keys at the width after a repack, and the table
-# and parent level twice at a repack, so the caps move and the reports stay.
+# the projection prices keys at the width after a repack, and the keys met
+# and the parent level twice at a repack, so the caps move and the reports stay.
 _DOUBLING_THRESHOLDS = {
     "q=1/2": [10584, 13528, 22208, 39008],
     "q=9/2": [10584, 13760, 22792, 40292, 142816, 318320],
@@ -623,10 +623,11 @@ def _count_calls(monkeypatch, name):
 
 def test_search_work_counts_on_a_free_group(monkeypatch):
     # One key product per word of lengths 1..6, each a child that one of the
-    # six _extend_level calls returns; on a free group no word meets a stored
-    # key as it is inserted, so no word is decoded and no level is built
-    # again. A cap is checked by one projection per level, made only under
-    # a cap, and no key is priced, or unpacked outside _extend_level.
+    # six _extend_level calls returns, so no level is built twice; on a free
+    # group no level shares a key with the level before or repeats one, so
+    # no word is decoded. A cap is checked by one projection per level, made
+    # only under a cap, and no key is priced, or unpacked outside
+    # _extend_level.
     products = []
     extend = lu_lab._extend_level
 
@@ -637,7 +638,6 @@ def test_search_work_counts_on_a_free_group(monkeypatch):
 
     monkeypatch.setattr(lu_lab, "_extend_level", counted)
     decoded = _count_calls(monkeypatch, "_word_at")
-    replayed = _count_calls(monkeypatch, "_replay")
     projected = _count_calls(monkeypatch, "_projected_bytes")
     unpacked = _count_calls(monkeypatch, "_unpack_key")
     res = relator_search(lu_generators(Fraction(9, 2)), 12)
@@ -645,7 +645,6 @@ def test_search_work_counts_on_a_free_group(monkeypatch):
     assert sum(products) == sum(res.words_per_length[n] for n in range(1, 7)) == 1456
     assert len(products) == 6
     assert len(decoded) == 0
-    assert len(replayed) == 0
     assert len(projected) == 0
     assert relator_search(lu_generators(Fraction(9, 2)), 12, mem_cap=10**7) == res
     assert len(products) == 12
@@ -666,8 +665,8 @@ _FOUND_CASES = {
 @pytest.mark.parametrize("name", sorted(_FOUND_CASES))
 def test_relators_found_after_width_doublings_are_unchanged(name):
     # With one level per key width the width doubles before levels 2, 3
-    # and 5, so the first words of colliding keys are found in levels
-    # repacked or built again at a width other than the one they were met at.
+    # and 5, so the first words of colliding keys are found in a level
+    # repacked at a width other than the one it was built at.
     make, max_len = _FOUND_CASES[name]
     expected = relator_search(make(), max_len)
     with mock.patch.object(lu_lab, "_FIRST_LEVELS", 1):
@@ -710,25 +709,16 @@ def test_first_words_of_colliding_keys_match_the_naive_search(name, first_levels
 
 
 @pytest.mark.parametrize("name", ["order-3", "level-4-pair"])
-def test_replay_builds_only_the_level_before(name, monkeypatch):
-    # The first word of a key first met at level - 1 is found in that level,
-    # built once more from the empty word: level - 1 extensions, no more.
+def test_each_level_is_built_once(name, monkeypatch):
+    # The first word of a key of level - 1 is found at its position in that
+    # level, which the search still holds: one build per level, the
+    # collision level included, and none from the empty word again.
     matrices, max_len, _ = _FIRST_WORD_CASES[name]
     extended = _count_calls(monkeypatch, "_extend_level")
-    replay = lu_lab._replay
-    replays = []
-
-    def counted(level, *args):
-        before = len(extended)
-        found = replay(level, *args)
-        replays.append((level, len(extended) - before))
-        return found
-
-    monkeypatch.setattr(lu_lab, "_replay", counted)
     res = relator_search(Alphabet([f"g{i}" for i in range(len(matrices))], matrices), max_len)
     level = max(res.words_per_length)
     assert res.status == "relator-found"
-    assert replays == [(level, level - 1)]
+    assert len(extended) == level
 
 
 def test_mem_cap_generous_still_finds():
@@ -756,13 +746,20 @@ def test_search_leaves_gc_state_as_found(enabled):
 
 
 def test_progress_callback_sees_each_level():
-    calls = []
-    relator_search(
-        lu_generators(Fraction(1, 2)), 6, progress=lambda *args: calls.append(args)
-    )
-    assert [c[0] for c in calls] == [1, 2, 3]
-    for _, entries, table_size in calls:
-        assert entries > 0 and table_size > 0
+    # (level, words, distinct keys met through that level): a key of the
+    # level before counts once, as three-generators shows at level 2.
+    def calls(ab, max_len):
+        seen = []
+        relator_search(ab, max_len, progress=lambda *args: seen.append(args))
+        return seen
+
+    assert calls(lu_generators(Fraction(1, 2)), 6) == [(1, 4, 5), (2, 12, 17), (3, 36, 53)]
+    assert calls(long_reid_pair(), 8) == [(1, 4, 5), (2, 12, 17), (3, 36, 53), (4, 108, 157)]
+    for name, expected in [("one-generator", [(1, 2, 3), (2, 2, 3)]),
+                           ("three-generators", [(1, 6, 7), (2, 30, 35)])]:
+        make, max_len, _ = MEM_CAP_THRESHOLDS[name]
+        assert calls(make(), max_len) == expected, name
+    assert calls(lu_generators(Fraction(9, 2)), 12)[-1] == (6, 972, 1457)
 
 
 def test_naive_statistics_free_case():
