@@ -69,8 +69,9 @@ def _parse_prime(value, label="p"):
 def load_generator_file(path):
     """Read a generator file: JSON {"generators": [{"name", "matrix"}, ...]}.
 
-    Matrix entries are rational strings (or integers). Malformed JSON is
-    reported with line and column.
+    Matrix entries are rational strings or JSON numbers; a number is read
+    from its text, never through a float. Malformed JSON is reported with
+    line and column.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,7 +79,7 @@ def load_generator_file(path):
     except OSError as e:
         raise ParameterError(f"cannot read generator file: {e}")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise ParameterError(
             f"malformed JSON in generator file: {e.msg}",
@@ -217,7 +218,7 @@ def lu_pingpong(q_text):
 
 @command("lu", "relators", Option("--max-len", int, required=True),
          Option("--mem-cap", int,
-                help="Budget in bytes for the table and the level lists, checked before each level."))
+                help="Budget in bytes for the two levels the search holds, checked before each level."))
 def lu_relators(alphabet, max_len, mem_cap):
     """Shortest relator (word with scalar image), meet-in-the-middle."""
     if max_len < 2:
@@ -225,8 +226,8 @@ def lu_relators(alphabet, max_len, mem_cap):
     if mem_cap is not None and mem_cap < 1:
         raise ParameterError("--mem-cap must be >= 1")
 
-    def progress(level, words, table):
-        print(f"level {level}: {words} words, table {table}", file=sys.stderr)
+    def progress(level, words, images):
+        print(f"level {level}: {words} words, {images} images", file=sys.stderr)
 
     res = relator_search(alphabet, max_len, mem_cap=mem_cap, progress=progress)
     results = [dict(vars(res), relator_length=res.relator and len(res.relator),

@@ -98,17 +98,18 @@ _IDENTITY_KEY = (1, 0, 0, 1)
 _FIRST_LEVELS = 16  # levels the first key width holds; past them it doubles
 
 
-def _projected_bytes(entries, words, new_words, width, repack):
+def _projected_bytes(level, words, new_words, width, repack):
     """Bytes the search holds once a level exists, projected before it is
-    built: entries, the distinct keys met before the level (an upper bound
-    on the keys the parent level holds), the words of the parent level, and
-    the new_words of the level, every key packed at width (the width after
-    any repack). A repack counts the entries and the parent level twice, and
-    the new level counts twice, for its keys and its last codes. Each held
-    item is priced at 64 B of slots and pointers plus
-    24 + 4 ceil(4 width / 30) B, the size of a 4 width-bit int."""
-    held = (entries + words) * (1 + repack) + 2 * new_words + 16
-    return 8192 + held * (64 + 24 + 4 * -(-4 * width // 30))
+    built: the words of the parent level (its dict, packed keys and last
+    codes, at both widths under a repack), the new_words of the level (their
+    packed keys, key and last-code lists and dict) and the two per-length
+    count dicts, every key packed at width (the width after any repack). A
+    held key is priced at 96 B, a list slot and a dict entry (a growing dict
+    briefly holds about 90 B per entry, its old and new tables together), plus
+    24 + 4 ceil(4 width / 30) B, the size of a 4 width-bit int; a new word
+    at 8 B more, for its last code, and a level at 192 B, for its counts."""
+    key = 96 + 24 + 4 * -(-4 * width // 30)
+    return 8192 + (words * (1 + repack) + new_words) * key + 8 * new_words + 192 * (level + 1)
 
 
 def _key_width(code_keys, levels):
@@ -258,26 +259,26 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     |F| + L > 2 (L - 1). The search stops at its first collision level.
 
     So the search holds only the two levels that can collide, each a dict of
-    its distinct packed keys in level order, and a count of the distinct
-    keys met so far. A level keeps each word's key and last letter code
-    only: the word is its index in the level, decoded (_word_at) only when
-    its key collides, and on a free group none does. A level collides when
-    it shares a key with the level before or repeats a key of its own; both
-    tests run in C, on the dicts. Only then does one pass over the level
-    find each F: at its position in the level before, or at the first index
-    of its key in this level. A level that does not collide replaces the
-    level before.
+    its distinct packed keys in level order. A level keeps each word's key
+    and last letter code only: the word is its index in the level, decoded
+    (_word_at) only when its key collides, and on a free group none does.
+    A level collides when it shares a key with the level before or repeats
+    a key of its own; both tests run in C, on the dicts. Only then does one
+    pass over the level find each F: at its position in the level before,
+    or at the first index of its key in this level. A level that does not
+    collide replaces the level before. progress(level, words, keys), if
+    given, follows each level built, with its distinct keys.
 
     mem_cap bounds the bytes the search holds: the two levels' dicts and
     lists. Under a cap, one projection per level (_projected_bytes), made
     before the level is built and before any repack, prices what is held
-    once the level exists, from the distinct keys met so far, the parent and
-    new word counts and the key width. A projection past the cap stops the
-    search, status "inconclusive", with no relator of length <= 2 (level - 1)
-    missed; words_per_length and images_per_length then cover the levels
-    built. A relator met in a level the cap admitted is returned. So the
-    traced peak of a capped search stays under its cap, and every result
-    under a cap at or above the last projection is the uncapped one.
+    once the level exists, from the level, the parent and new word counts
+    and the key width. A projection past the cap stops the search, status
+    "inconclusive", with no relator of length <= 2 (level - 1) missed;
+    words_per_length and images_per_length then cover the levels built. A
+    relator met in a level the cap admitted is returned. So the traced peak
+    of a capped search stays under its cap, and every result under a cap at
+    or above the last projection is the uncapped one.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
@@ -285,7 +286,6 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
     code_keys = [projective_key(m) for m in alphabet.letter_matrices]
     width = _key_width(code_keys, min(half, _FIRST_LEVELS))
     prev, lasts = dict.fromkeys([_pack_key(_IDENTITY_KEY, width)]), [-1]
-    met = 1  # distinct keys met so far
     words_per_length = {0: 1}
     images_per_length = {0: 1}
 
@@ -306,7 +306,7 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
         repack = _key_width(code_keys, level) > width
         if mem_cap is not None:
             new_words = len(prev) * (num_codes - 1) if level > 1 else num_codes
-            if _projected_bytes(met, len(prev), new_words, width << repack, repack) > mem_cap:
+            if _projected_bytes(level, len(prev), new_words, width << repack, repack) > mem_cap:
                 return finish("inconclusive", completed=min(2 * (level - 1), max_len))
         if repack:  # double the width, repack
             prev = dict.fromkeys([_widen(key, width) for key in prev])
@@ -314,11 +314,10 @@ def relator_search(alphabet, max_len, mem_cap=None, progress=None):
         keys, lasts = _extend_level(prev, lasts, code_keys, width)
         current = dict.fromkeys(keys)
         earlier = current.keys() & prev.keys()  # keys first met at level - 1 (lemma)
-        met += len(current) - len(earlier)
         words_per_length[level] = len(keys)
         images_per_length[level] = len(current)
         if progress is not None:
-            progress(level, len(keys), met)
+            progress(level, len(keys), len(current))
         if earlier or len(current) < len(keys):
             positions = {key: index for index, key in enumerate(prev) if key in earlier}
             candidates = []

@@ -127,13 +127,25 @@ def test_relators_huge_max_len_under_a_cap_exits_3_at_once(capsys):
                                   "--mem-cap", "100000"])
     assert time.monotonic() - started < 0.5
     assert code == 3
-    counts = {str(n): 1 if n == 0 else 4 * 3 ** (n - 1) for n in range(5)}
+    counts = {str(n): 1 if n == 0 else 4 * 3 ** (n - 1) for n in range(6)}
     assert check_schema(out)["results"] == [{
-        "completed_length": 8, "images_per_length": counts, "max_len": 1000000000,
+        "completed_length": 10, "images_per_length": counts, "max_len": 1000000000,
         "relator": None, "relator_length": None, "scalar": None, "sl2_note": None,
         "status": "inconclusive", "strategy": "meet-in-the-middle", "words_per_length": counts,
     }]
-    assert err.splitlines()[-1] == "level 4: 108 words, table 161"
+    assert err.splitlines()[-1] == "level 5: 324 words, 324 images"
+
+
+def test_relators_mem_cap_prices_the_two_levels_held(capsys):
+    # The search holds only the level before and the new one: at max-len 20
+    # its traced peak is about 11.7 MB and its last projection 16.2 MB, so a
+    # 24 MB cap lets it finish.
+    code, out, err = run(capsys, ["lu", "relators", "--q", "11/2", "--max-len", "20",
+                                  "--mem-cap", "24000000"])
+    assert code == 0
+    result = check_schema(out)["results"][0]
+    assert (result["status"], result["completed_length"]) == ("none-found", 20)
+    assert err.splitlines()[-1] == "level 10: 78732 words, 78732 images"
 
 
 def test_orbit_inconclusive_exits_3(capsys, tmp_path):
@@ -345,6 +357,26 @@ def test_an_overlong_integer_literal_in_a_generator_file_is_a_parameter_error(ca
         "code": "parameter",
         "message": f"generator file has an integer literal past the {LIMIT}-digit limit",
     }
+
+
+@pytest.mark.parametrize("entry", ["12345678901234567.5", "-2.5E-3", "1e999999999"])
+def test_a_number_entry_reads_like_its_string(capsys, tmp_path, entry):
+    # A JSON number reaches the rational parser as its own text, never
+    # through a binary float, so both spellings give one report.
+    reports = []
+    for quote in ("", '"'):
+        gens = tmp_path / "gens.json"
+        gens.write_text('{"generators": [{"name": "a", "matrix": [[1, %s], [0, 1]]}, '
+                        '{"name": "b", "matrix": [[1, 0], [3, 1]]}]}' % (quote + entry + quote),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, ["diag", "places", "--gens", str(gens)])
+        reports.append((code, normalize(out)))
+    assert reports[0] == reports[1]
+    if entry == "12345678901234567.5":
+        assert check_schema(reports[0][1])["results"][0]["primes"] == [2]
+    if entry == "1e999999999":
+        assert check_schema(reports[0][1])["error"]["message"] == (
+            f"generator #0: matrix entry has an exponent past the {LIMIT}-digit limit, got '1e999999999'")
 
 
 def test_generator_file_round_trip(tmp_path):

@@ -317,52 +317,52 @@ MEM_CAP_THRESHOLDS = {
     "q=1/2": (
         lambda: lu_generators(Fraction(1, 2)),
         12,
-        [(10791, "inconclusive", 0, [1], [1]),
-         (10792, "inconclusive", 2, [1, 4], [1, 4]),
-         (13091, "inconclusive", 2, [1, 4], [1, 4]),
-         (13092, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (19891, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (19892, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (40291, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (40292, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
+        [(9267, "inconclusive", 0, [1], [1]),
+         (9268, "inconclusive", 2, [1, 4], [1, 4]),
+         (10975, "inconclusive", 2, [1, 4], [1, 4]),
+         (10976, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (15583, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (15584, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (29023, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (29024, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     "q=9/2": (
         lambda: lu_generators(Fraction(9, 2)),
         12,
-        [(10895, "inconclusive", 0, [1], [1]),
-         (10896, "inconclusive", 2, [1, 4], [1, 4]),
-         (13287, "inconclusive", 2, [1, 4], [1, 4]),
-         (13288, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (20359, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (20360, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (41575, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (41576, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
-         (105223, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
-         (105224, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
-         (296167, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
-         (296168, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
+        [(9287, "inconclusive", 0, [1], [1]),
+         (9288, "inconclusive", 2, [1, 4], [1, 4]),
+         (11039, "inconclusive", 2, [1, 4], [1, 4]),
+         (11040, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (15775, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (15776, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (29599, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (29600, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (70687, "inconclusive", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 108]),
+         (70688, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (193567, "inconclusive", 10, [1, 4, 12, 36, 108, 324], [1, 4, 12, 36, 108, 324]),
+         (193568, "none-found", 12, [1, 4, 12, 36, 108, 324, 972], [1, 4, 12, 36, 108, 324, 972])],
     ),
     "long-reid": (
         long_reid_pair,
         8,
-        [(11103, "inconclusive", 0, [1], [1]),
-         (11104, "inconclusive", 2, [1, 4], [1, 4]),
-         (13679, "inconclusive", 2, [1, 4], [1, 4]),
-         (13680, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (21295, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
-         (21296, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (44143, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
-         (44144, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
+        [(9327, "inconclusive", 0, [1], [1]),
+         (9328, "inconclusive", 2, [1, 4], [1, 4]),
+         (11167, "inconclusive", 2, [1, 4], [1, 4]),
+         (11168, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (16159, "inconclusive", 4, [1, 4, 12], [1, 4, 12]),
+         (16160, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (30751, "inconclusive", 6, [1, 4, 12, 36], [1, 4, 12, 36]),
+         (30752, "relator-found", 8, [1, 4, 12, 36, 108], [1, 4, 12, 36, 104])],
     ),
     # a^3 = -I: both level-2 keys are level-1 keys, but the projection
     # prices the words of level 2, so it has a threshold of its own
     "one-generator": (
         lambda: Alphabet(["a"], [Mat2(0, -1, 1, 1)]),
         6,
-        [(10215, "inconclusive", 0, [1], [1]),
-         (10216, "inconclusive", 2, [1, 2], [1, 2]),
-         (10491, "inconclusive", 2, [1, 2], [1, 2]),
-         (10492, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
+        [(8963, "inconclusive", 0, [1], [1]),
+         (8964, "inconclusive", 2, [1, 2], [1, 2]),
+         (9279, "inconclusive", 2, [1, 2], [1, 2]),
+         (9280, "relator-found", 4, [1, 2, 2], [1, 2, 2])],
     ),
     # c^3 = -I again: c c meets a level-1 key. The cap is checked before
     # level 2 is built, never in the middle of it, so a cap that admits
@@ -371,10 +371,10 @@ MEM_CAP_THRESHOLDS = {
         lambda: Alphabet(["a", "b", "c"],
                          [Mat2(2, 0, 0, 1), Mat2(1, Fraction(1, 3), 0, 1), Mat2(0, -1, 1, 1)]),
         6,
-        [(11071, "inconclusive", 0, [1], [1]),
-         (11072, "inconclusive", 2, [1, 6], [1, 6]),
-         (16735, "inconclusive", 2, [1, 6], [1, 6]),
-         (16736, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
+        [(9519, "inconclusive", 0, [1], [1]),
+         (9520, "inconclusive", 2, [1, 6], [1, 6]),
+         (13615, "inconclusive", 2, [1, 6], [1, 6]),
+         (13616, "relator-found", 4, [1, 6, 30], [1, 6, 30])],
     ),
 }
 
@@ -391,15 +391,14 @@ def test_mem_cap_thresholds_frozen(name):
 
 
 def test_mem_cap_cases_meet_keys_of_earlier_levels():
-    # A level whose images outnumber the distinct keys it adds to the count
-    # of keys met holds a key of the level before it: a relator of odd length.
+    # A relator of odd length 2L - 1 is a word of level L meeting a key of
+    # the level before it (the lemma in relator_search).
     earlier = set()
     for name, (make, max_len, _) in MEM_CAP_THRESHOLDS.items():
-        sizes = [1]
-        res = relator_search(make(), max_len, progress=lambda level, words, table: sizes.append(table))
-        for level in range(1, len(sizes)):
-            if res.images_per_length[level] > sizes[level] - sizes[level - 1]:
-                earlier.add(name)
+        res = relator_search(make(), max_len)
+        if res.status == "relator-found" and len(res.relator) % 2:
+            assert len(res.relator) == 2 * max(res.words_per_length) - 1, name
+            earlier.add(name)
     assert earlier == {"one-generator", "three-generators"}
 
 
@@ -452,23 +451,24 @@ def test_mem_cap_bounds_the_traced_peak(name, monkeypatch):
 def test_table_memory_per_entry(monkeypatch):
     # The search holds two levels, each a dict of its distinct packed keys,
     # and the new level a key and a last letter code per word: the traced
-    # peak of a max-len 14 search (4373 distinct keys met) is near 109 bytes
-    # per key met. The last projection, made before the last level, prices
-    # more than that, so a cap stays conservative.
+    # peak of a max-len 14 search (972 + 2916 words held) is near 122 bytes
+    # per word held. The last projection, made before the last level, prices
+    # more than that, so a cap stays conservative, but less than 1.9 times
+    # as much, so a cap admits the searches that fit in it.
     sizes = []
     ab = lu_generators(Fraction(11, 2))
     tracemalloc.start()
     try:
-        relator_search(ab, 14, progress=lambda level, words, table: sizes.append(table))
+        relator_search(ab, 14, progress=lambda level, words, images: sizes.append(words))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes[-1] == 4373
-    assert peak <= 120 * sizes[-1]
+    assert sizes[-2:] == [972, 2916]
+    assert peak <= 130 * sum(sizes[-2:])
     projections = _record_projections(monkeypatch)
     assert relator_search(ab, 14, mem_cap=10**9).status == "none-found"
     assert len(projections) == len(sizes)
-    assert projections[-1][1] >= peak
+    assert peak <= projections[-1][1] < 1.9 * peak
 
 
 def _pack_codes(codes, bits):
@@ -572,14 +572,14 @@ def test_packed_keys_unpack_to_the_key_mul_oracle_at_every_level(matrices):
 
 
 # The level thresholds of MEM_CAP_THRESHOLDS with one level per key width:
-# the projection prices keys at the width after a repack, and the keys met
-# and the parent level twice at a repack, so the caps move and the reports stay.
+# the projection prices keys at the width after a repack, and the parent
+# level twice at a repack, so the caps move and the reports stay.
 _DOUBLING_THRESHOLDS = {
-    "q=1/2": [10584, 13528, 22208, 39008],
-    "q=9/2": [10584, 13760, 22792, 40292, 142816, 318320],
-    "long-reid": [10688, 13992, 24544, 44144],
-    "one-generator": [10216, 10952],
-    "three-generators": [10952, 17576],
+    "q=1/2": [9228, 11344, 16928, 28448],
+    "q=9/2": [9228, 11424, 17168, 29024, 89696, 203936],
+    "long-reid": [9248, 11504, 17888, 30752],
+    "one-generator": [8964, 9528],
+    "three-generators": [9492, 14216],
 }
 
 
@@ -746,20 +746,21 @@ def test_search_leaves_gc_state_as_found(enabled):
 
 
 def test_progress_callback_sees_each_level():
-    # (level, words, distinct keys met through that level): a key of the
-    # level before counts once, as three-generators shows at level 2.
+    # (level, words, distinct keys of that level): long-reid's level 4
+    # repeats keys of its own, and the level-2 keys of one-generator and
+    # three-generators that meet level 1 count as keys of level 2.
     def calls(ab, max_len):
         seen = []
         relator_search(ab, max_len, progress=lambda *args: seen.append(args))
         return seen
 
-    assert calls(lu_generators(Fraction(1, 2)), 6) == [(1, 4, 5), (2, 12, 17), (3, 36, 53)]
-    assert calls(long_reid_pair(), 8) == [(1, 4, 5), (2, 12, 17), (3, 36, 53), (4, 108, 157)]
-    for name, expected in [("one-generator", [(1, 2, 3), (2, 2, 3)]),
-                           ("three-generators", [(1, 6, 7), (2, 30, 35)])]:
+    assert calls(lu_generators(Fraction(1, 2)), 6) == [(1, 4, 4), (2, 12, 12), (3, 36, 36)]
+    assert calls(long_reid_pair(), 8) == [(1, 4, 4), (2, 12, 12), (3, 36, 36), (4, 108, 104)]
+    for name, expected in [("one-generator", [(1, 2, 2), (2, 2, 2)]),
+                           ("three-generators", [(1, 6, 6), (2, 30, 30)])]:
         make, max_len, _ = MEM_CAP_THRESHOLDS[name]
         assert calls(make(), max_len) == expected, name
-    assert calls(lu_generators(Fraction(9, 2)), 12)[-1] == (6, 972, 1457)
+    assert calls(lu_generators(Fraction(9, 2)), 12)[-1] == (6, 972, 972)
 
 
 def test_naive_statistics_free_case():
