@@ -227,7 +227,7 @@ def busemann(g, p):
 
 class OrbitResult(Record):
     status: str        # "bounded" | "unbounded" | "inconclusive"
-    orbit: tuple       # visited vertices (or charts) in discovery order, None unless bounded
+    orbit: tuple       # vertices (or charts) in breadth-first order over the generators, None unless bounded
     radius_seen: int
     witness: Word      # loxodromic word certifying escape, None otherwise
     max_radius: int
@@ -254,15 +254,16 @@ def orbit_charts(alphabet, p, max_radius, base=None):
 
     first_loxodromic decides boundedness: its word certifies every orbit
     unbounded; without one the group is bounded, and {base} is closed under
-    generators and inverses breadth-first: the orbit if the closure ends
-    inside the radius, inconclusive if it leaves.
+    the generators breadth-first: the orbit if the closure ends inside the
+    radius, inconclusive if it leaves.
 
-    Each Schreier-graph edge is acted on once: g v = w gives g^-1 w = v, so
-    the act of letter c on v stores v as w's image under letter c ^ 1, and
-    the search takes that image from the store when it reaches w. That is
-    k |orbit| acts for k generators, not 2k |orbit|. Only the act is
-    skipped: the letters, the seen test and the distance check run as
-    before, so the discovery order and radius_seen do not change.
+    The inverse letters are not needed. Each generator acts on the tree as
+    an injective map, so a finite set of vertices that every generator maps
+    into itself is mapped onto itself, and is closed under the inverses
+    too: if the closure is finite, it is the orbit. If it is infinite, so
+    is the orbit, and the search leaves max_radius either way. That is k
+    acts per orbit vertex for k generators, in breadth-first discovery
+    order over the generators in alphabet order.
     """
     if base is None:
         base = base_vertex(p)
@@ -271,18 +272,14 @@ def orbit_charts(alphabet, p, max_radius, base=None):
     witness = first_loxodromic(alphabet, p)
     if witness is not None:
         return OrbitResult("unbounded", None, max_radius, witness, max_radius)
-    letters = [_letter(g, p) for g in alphabet.letter_matrices]
-    images = [{} for _ in letters]  # images[c][w] = v once letter c ^ 1 took v to w
+    gens = [_letter(g, p) for g in alphabet.matrices]
     start = base.chart
     seen = {start}
     order = [start]
     radius_seen = 0
     for v in order:  # breadth-first: order grows behind the loop
-        for code, g in enumerate(letters):
-            w = images[code].pop(v, None)
-            if w is None:
-                w = _act(g, v, p)
-                images[code ^ 1][w] = v
+        for g in gens:
+            w = _act(g, v, p)
             if w in seen:
                 continue
             d = _distance(start, w, p)
@@ -291,7 +288,7 @@ def orbit_charts(alphabet, p, max_radius, base=None):
             radius_seen = max(radius_seen, d)
             seen.add(w)
             order.append(w)
-    del seen, images  # the largest objects go before the orbit tuple is built
+    del seen  # the largest object goes before the orbit tuple is built
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
 
 

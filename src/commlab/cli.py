@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .bt_tree import orbit_charts
 from .diagnostics import (
+    SCAN_MAX_LEN,
     density_report,
     integral_trace_scan,
     irreducibility_report,
@@ -118,11 +119,14 @@ def load_generator_file(path):
 
 
 class Option:
-    """`--flag VALUE`: an int or a str (one of choices), the command's dest argument."""
+    """`--flag VALUE`: an int (at least minimum, if given) or a str (one of
+    choices), the command's dest argument."""
 
-    def __init__(self, flag, kind=str, dest=None, required=False, default=None, choices=None, help=""):
+    def __init__(self, flag, kind=str, dest=None, required=False, default=None, choices=None,
+                 minimum=None, help=""):
         self.flag, self.kind, self.required, self.default = flag, kind, required, default
         self.dest, self.choices, self.help = dest or flag[2:].replace("-", "_"), choices, help
+        self.minimum = minimum
 
     def convert(self, text):
         try:
@@ -131,6 +135,8 @@ class Option:
             raise ParameterError(f"{self.flag} must be an integer, got {text!r}")
         if self.choices is not None and value not in self.choices:
             raise ParameterError(f"{self.flag} must be one of {', '.join(self.choices)}, got {text!r}")
+        if self.minimum is not None and value < self.minimum:
+            raise ParameterError(f"{self.flag} must be >= {self.minimum}")
         return value
 
 
@@ -174,7 +180,8 @@ def command(group, name, *options, source=True):
 
     With source=True the SOURCE_OPTIONS come first and resolve into the
     function's `alphabet` argument, echoed into params. The function returns
-    (params, results, witnesses[, exit code]) in raw values for to_json. Any
+    (params, results, witnesses) in raw values for to_json; the exit code is
+    3 when the first result's status is "inconclusive", else 0. Any
     ValueError (a bad option, a library range check, the digit limit) becomes
     a parameter error with exit 2."""
     def decorate(fn):
@@ -186,15 +193,15 @@ def command(group, name, *options, source=True):
                     alphabet, src = resolve_alphabet(
                         kwargs.pop("gens_path"), kwargs.pop("q_text"), kwargs.pop("builtin"))
                     kwargs["alphabet"] = alphabet
-                params, results, witnesses, *code = fn(**kwargs)
+                params, results, witnesses = fn(**kwargs)
                 ms = max(0, int(round((time.monotonic() - started) * 1000)))
                 report = to_json(build_report(f"{group} {name}", dict(src, **params),
                                               results, witnesses, ms), alphabet)
             except ValueError as e:
-                report = error_report("parameter", str(e), getattr(e, "detail", None))
-                code = [2]
+                sys.stdout.write(dumps_canonical(error_report("parameter", str(e), getattr(e, "detail", None))))
+                return 2
             sys.stdout.write(dumps_canonical(report))
-            return code[0] if code else 0
+            return 3 if report["results"][0].get("status") == "inconclusive" else 0
 
         COMMANDS[group][name] = (run, (SOURCE_OPTIONS if source else ()) + options, fn.__doc__)
         return fn
@@ -216,16 +223,11 @@ def lu_pingpong(q_text):
     return {"q": q}, [pingpong(q)], []
 
 
-@command("lu", "relators", Option("--max-len", int, required=True),
-         Option("--mem-cap", int,
+@command("lu", "relators", Option("--max-len", int, required=True, minimum=2),
+         Option("--mem-cap", int, minimum=1,
                 help="Budget in bytes for the two levels the search holds, checked before each level."))
 def lu_relators(alphabet, max_len, mem_cap):
     """Shortest relator (word with scalar image), meet-in-the-middle."""
-    if max_len < 2:
-        raise ParameterError("--max-len must be >= 2")
-    if mem_cap is not None and mem_cap < 1:
-        raise ParameterError("--mem-cap must be >= 1")
-
     def progress(level, words, images):
         print(f"level {level}: {words} words, {images} images", file=sys.stderr)
 
@@ -234,17 +236,14 @@ def lu_relators(alphabet, max_len, mem_cap):
                     sl2_note=SL2_NOTES.get(res.scalar))]
     witnesses = [] if res.relator is None else [
         _witness(res.relator, alphabet, lambda m: classify_real(m) if m.det() == 1 else None)]
-    return ({"max_len": max_len, "mem_cap": mem_cap}, results, witnesses,
-            3 if res.status == "inconclusive" else 0)
+    return {"max_len": max_len, "mem_cap": mem_cap}, results, witnesses
 
 
 @command("tree", "orbit", Option("--p", int, required=True),
-         Option("--radius", int, required=True))
+         Option("--radius", int, required=True, minimum=1))
 def tree_orbit(alphabet, p, radius):
     """Bounded-orbit test for the base vertex under the generated group."""
     p = _parse_prime(p)
-    if radius < 1:
-        raise ParameterError("--radius must be >= 1")
     res = orbit_charts(alphabet, p, radius)
     results = [{
         "status": res.status,
@@ -257,8 +256,7 @@ def tree_orbit(alphabet, p, radius):
     }]
     witnesses = [] if res.witness is None else [
         _witness(res.witness, alphabet, lambda m: classify_padic(m, p))]
-    return ({"p": p, "radius": radius}, results, witnesses,
-            3 if res.status == "inconclusive" else 0)
+    return {"p": p, "radius": radius}, results, witnesses
 
 
 @command("tree", "length", Option("--p", int, required=True),
@@ -266,10 +264,10 @@ def tree_orbit(alphabet, p, radius):
 def tree_length(alphabet, p, word_text):
     """Translation length of a word on the tree at p."""
     p = _parse_prime(p)
-    w = parse_word(word_text, alphabet)
-    m = evaluate(w, alphabet)  # nonsingular: the alphabet rejects singular generators
-    cls = classify_padic(m, p)
-    reduced = reduce(w)
+    reduced = reduce(parse_word(word_text, alphabet))
+    # nonsingular: the alphabet rejects singular generators
+    witness = _witness(reduced, alphabet, lambda m: classify_padic(m, p))
+    m, cls = witness["matrix"], witness["classification"]
     results = [{
         "p": p,
         "word": word_text,
@@ -278,7 +276,6 @@ def tree_length(alphabet, p, word_text):
         "translation_length": cls.translation_length or 0,
         "classification": cls,
     }]
-    witness = {"word": reduced, "matrix": m, "classification": cls}
     return {"p": p, "word": word_text}, results, [witness]
 
 
@@ -296,11 +293,9 @@ def diag_density(alphabet):
 
 @command("diag", "traces",
          Option("--primes", dest="primes_text", help="Comma-separated; defaults to the place support."),
-         Option("--max-len", int, required=True), Option("--csv", dest="csv_path"))
+         Option("--max-len", int, required=True, minimum=1), Option("--csv", dest="csv_path"))
 def diag_traces(alphabet, primes_text, max_len, csv_path):
     """Integral-trace scan over necklace classes of words."""
-    if max_len < 1:
-        raise ParameterError("--max-len must be >= 1")
     if primes_text is not None:
         try:
             primes = tuple(int(tok) for tok in primes_text.split(","))
@@ -314,22 +309,23 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
         primes = place_support(alphabet).primes
         if not primes:
             raise ParameterError("generators are integral; pass --primes explicitly")
-    fh = contextlib.nullcontext()
-    if csv_path is not None:  # opened before the scan, so a bad path fails fast
-        try:
+    # a failed open, write or close (a full disk) is a parameter error
+    try:
+        fh = contextlib.nullcontext()
+        if csv_path is not None:  # opened before the scan, so a bad path fails fast
             fh = open(csv_path, "w", encoding="utf-8", newline="")
-        except OSError as e:
-            raise ParameterError(f"cannot write CSV file: {e}")
-    with fh:
-        scan = integral_trace_scan(alphabet, primes, max_len)
-        if csv_path is not None:
-            import csv  # only this option uses it; keeps it out of every start-up
+        with fh:
+            scan = integral_trace_scan(alphabet, primes, max_len)
+            if csv_path is not None:
+                import csv  # only this option uses it; keeps it out of every start-up
 
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
-            for w, t, vals in scan.hits:
-                writer.writerow([format_word(w, alphabet), len(w), frac_str(t)]
-                                + [frac_str(vals[p]) for p in primes])
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["word", "length", "trace"] + [f"v{p}" for p in primes])
+                for w, t, vals in scan.hits:
+                    writer.writerow([format_word(w, alphabet), len(w), frac_str(t)]
+                                    + [frac_str(vals[p]) for p in primes])
+    except OSError as e:
+        raise ParameterError(f"cannot write CSV file: {e}")
     # valuations print as exact scalars ("inf" for a zero trace), not as ints
     hit_rows = [{
         "word": w,
@@ -348,11 +344,9 @@ def diag_traces(alphabet, primes_text, max_len, csv_path):
     return {"primes": primes, "max_len": max_len, "csv": csv_path}, results, []
 
 
-@command("diag", "irreducible", Option("--max-len", int, default=6))
+@command("diag", "irreducible", Option("--max-len", int, default=SCAN_MAX_LEN, minimum=1))
 def diag_irreducible(alphabet, max_len):
     """Per-place indiscreteness witnesses plus the product-level summary."""
-    if max_len < 1:
-        raise ParameterError("--max-len must be >= 1")
     rep = irreducibility_report(alphabet, max_len=max_len)
     witnesses = [_witness(st.word, alphabet, lambda m: st.classification)
                  for st in rep.places if st.word is not None]

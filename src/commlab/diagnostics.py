@@ -27,6 +27,8 @@ from .lu_lab import knapp
 from .report import frac_str
 from .words import Alphabet, Word, evaluate, iter_forms
 
+SCAN_MAX_LEN = 6  # default word length of the per-place scans: diag irreducible, probe check (3)
+
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
 
 PROBE_MESSAGE = (
@@ -224,7 +226,7 @@ class IrreducibilityReport(Record):
     conditional_notes: tuple
 
 
-def irreducibility_report(alphabet, max_len=6):
+def irreducibility_report(alphabet, max_len=SCAN_MAX_LEN):
     """Per-place indiscreteness diagnostics and the product-level summary.
 
     Each place is one walk over conjugacy classes. A finite place in the
@@ -293,7 +295,7 @@ def two_gen_probe(g, h, p):
     (1) g is loxodromic over R; (2) <g, h> is Zariski dense, by
     density_report, whose words certify the verdict; (3) <g, h> is
     indiscrete at the real place, by _real_place_status over words of length
-    <= 6 (diag irreducible's default): a pass names an elliptic word of
+    <= SCAN_MAX_LEN (diag irreducible's default): a pass names an elliptic word of
     infinite order, and a fail only bounds the scan; (4) first_loxodromic
     finds a loxodromic word at p (a fail means bounded at p). Entries must
     lie in Z[1/p] with det 1.
@@ -315,7 +317,7 @@ def two_gen_probe(g, h, p):
                         {"verdict": density.verdict, "dimension": density.dimension,
                          "words": density.words})
 
-    real = _real_place_status(alphabet, 6)
+    real = _real_place_status(alphabet, SCAN_MAX_LEN)
     check3 = ProbeCheck("real-place-indiscrete", real.status == "indiscrete-witness",
                         {"word": real.word, "classification": real.classification, "note": real.note})
 

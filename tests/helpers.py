@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from collections import deque
 
-from commlab.bt_tree import OrbitResult, TreeVertex, base_vertex
+from commlab.bt_tree import OrbitResult, TreeVertex, act, base_vertex, orbit_bounded
 from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
@@ -21,6 +21,7 @@ from commlab.exact_core import (
 from commlab.lu_lab import RelatorResult
 from commlab.report import dumps_canonical, to_json
 from commlab.words import (
+    Alphabet,
     Word,
     evaluate,
     invert_letters,
@@ -312,10 +313,7 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
         base = base_vertex(p)
     # canonical, or the base is listed again when the search reaches its canonical form
     base = TreeVertex(p, base.n, canonical_residue_oracle(base.u, base.n, p))
-    gens = []
-    for i in range(len(alphabet)):
-        gens.append(alphabet.matrices[i])
-        gens.append(alphabet.matrices[i].inverse())
+    gens = alphabet.matrices  # a finite closure under the generators is closed under inverses
     seen = {base}
     order = [base]
     frontier = deque([base])
@@ -343,6 +341,31 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
         if translation_length_oracle(m, p) > 0:
             return OrbitResult("unbounded", None, max_radius, word, max_radius)
     return OrbitResult("inconclusive", None, max_radius, None, max_radius)
+
+
+def doubled(alphabet):
+    """Each generator and its inverse as separate generators, so that the
+    closure under its generators is the search over all 2k letters."""
+    return Alphabet([n + s for n in alphabet.names for s in ("", "_inv")], alphabet.letter_matrices)
+
+
+def assert_closed_under_generators(alphabet, p, radius, base=None):
+    """The closure of {base} under the generators alone is the bounded orbit:
+    each generator maps a finite set injectively into itself, hence onto it,
+    so the set is closed under the inverses too. The search over the k
+    generators finds the vertex set, size and radius_seen of the search over
+    the 2k letters, with the same status at every radius up to radius_seen,
+    and every letter maps the set into itself."""
+    both_letters = doubled(alphabet)
+    res = orbit_bounded(alphabet, p, radius, base=base)
+    both = orbit_bounded(both_letters, p, radius, base=base)
+    assert res.status == both.status == "bounded"
+    orbit = set(res.orbit)
+    assert orbit == set(both.orbit)
+    assert (len(res.orbit), res.radius_seen) == (len(both.orbit), both.radius_seen)
+    assert {act(g, v) for g in alphabet.letter_matrices for v in orbit} == orbit
+    for r in range(1, res.radius_seen + 1):
+        assert orbit_bounded(alphabet, p, r, base=base).status == orbit_bounded(both_letters, p, r, base=base).status
 
 
 def key_mul(k, l):

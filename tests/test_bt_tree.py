@@ -31,6 +31,7 @@ from commlab.report import to_json
 from commlab.words import Alphabet, Word, evaluate, iter_words_with_matrices
 from helpers import (
     act_oracle,
+    assert_closed_under_generators,
     canonical_residue_oracle,
     distance_oracle,
     orbit_oracle,
@@ -500,9 +501,24 @@ def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, radius, sweep)
             assert short == orbit_oracle(ab, p, short_radius, base=base)
 
 
+# (p, alphabet, base, radius) of every bounded orbit above
+_CLOSURE_CASES = [
+    *(pytest.param(p, _conjugated_sl2z(p, k, seed=10 * p + k), None, 2 * k, id=f"family-{p}-{k}")
+      for p, k in _FAMILY),
+    *(pytest.param(p, ab, base, radius, id=f"{case.id}-base-{i}")
+      for case in _BASE_CASES for p, ab, bases, radius, _ in [case.values]
+      for i, base in enumerate(bases)),
+]
+
+
+@pytest.mark.parametrize("p,ab,base,radius", _CLOSURE_CASES)
+def test_a_bounded_orbit_is_closed_under_the_generators_alone(p, ab, base, radius):
+    assert_closed_under_generators(ab, p, radius, base)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-def test_orbit_acts_once_per_edge(monkeypatch, seed):
-    # g v = w gives g^-1 w = v: k acts per orbit vertex for k generators, not 2k
+def test_orbit_acts_k_times_per_vertex(monkeypatch, seed):
+    # each of the k generators acts once on each orbit vertex: k |orbit| acts
     from commlab.bt_tree import _act
 
     calls = []

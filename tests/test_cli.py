@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import subprocess
@@ -294,6 +295,11 @@ def _with_files(argv, tmp_path):
     # the denominator's cofactor prime to 2 is past PRIME_TEST_BOUND: refused without factoring
     (["diag", "probe", "--gens", "{bigden}", "--p", "2"],
      f"entries outside Z[1/2]: denominator {10**81 + 7} is not a power of 2"),
+    # a bad bound is refused while the options are parsed, before --gens is read or --p tested
+    (["tree", "orbit", "--gens", "{tmp}/missing.json", "--p", "2", "--radius", "0"], "--radius must be >= 1"),
+    (["tree", "orbit", "--q", "1/2", "--p", "4", "--radius", "0"], "--radius must be >= 1"),
+    (["lu", "relators", "--gens", "{tmp}/missing.json", "--max-len", "1"], "--max-len must be >= 2"),
+    (["diag", "traces", "--gens", "{tmp}/missing.json", "--max-len", "0"], "--max-len must be >= 1"),
 ])
 def test_parameter_error_messages(capsys, tmp_path, argv, message):
     three = tmp_path / "three.json"
@@ -688,6 +694,37 @@ def test_traces_rejects_an_unwritable_csv_before_the_scan(capsys, monkeypatch, t
     assert check_schema(out)["error"] == {
         "code": "parameter",
         "message": f"cannot write CSV file: [Errno 2] No such file or directory: '{path}'",
+    }
+
+
+class _FullFile(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_csv_write_is_a_parameter_error(capsys, monkeypatch):
+    # the open succeeds and the write fails, as on a full disk
+    monkeypatch.setattr("commlab.cli.open", lambda *args, **kwargs: _FullFile(), raising=False)
+    code, out, err = run(capsys, ["diag", "traces", "--builtin", "long-reid", "--max-len", "4",
+                                  "--csv", "hits.csv"])
+    assert (code, err) == (2, "")
+    assert check_schema(out)["error"] == {
+        "code": "parameter",
+        "message": "cannot write CSV file: [Errno 28] No space left on device",
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_csv_on_a_full_device_is_a_parameter_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "commlab.cli", "diag", "traces", "--builtin", "long-reid",
+         "--max-len", "4", "--csv", "/dev/full"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert check_schema(proc.stdout)["error"] == {
+        "code": "parameter",
+        "message": "cannot write CSV file: [Errno 28] No space left on device",
     }
 
 

@@ -26,7 +26,14 @@ from commlab.diagnostics import (
 from commlab.exact_core import Mat2
 from commlab.lu_lab import lu_generators
 from commlab.words import Alphabet, Word
-from helpers import denominator_primes, finite_place_oracle, orbit_oracle, probe_check4_oracle, real_place_oracle
+from helpers import (
+    assert_closed_under_generators,
+    denominator_primes,
+    finite_place_oracle,
+    orbit_oracle,
+    probe_check4_oracle,
+    real_place_oracle,
+)
 
 DENS = (2, 3, 4, 6, 8, 9, 27)
 MAX_LEN, RADIUS, PRIMES = 5, 2, (2, 3)
@@ -112,6 +119,12 @@ def test_finite_place_status_agrees_with_every_decided_orbit(ab):
                 assert st.status in ("indiscrete-witness", "bounded-orbit")
             elif orbit.status == "unbounded" and st.status != "indiscrete-witness":
                 assert (st.status, st.word) == ("inconclusive", orbit.witness)
+
+
+@pytest.mark.parametrize("ab,p", [pytest.param(ab, p, id=f"{i}-{p}") for i, ab in enumerate(SETS) for p in PRIMES
+                                  if first_loxodromic(ab, p) is None])
+def test_a_bounded_orbit_is_closed_under_the_generators_alone(ab, p):
+    assert_closed_under_generators(ab, p, 30)
 
 
 def test_a_bounded_place_past_the_old_radius_is_decided():
