@@ -100,6 +100,8 @@ def load_generator_file(path):
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "name" not in g or "matrix" not in g:
             raise ParameterError(f'generator #{i} needs "name" and "matrix"')
+        if not isinstance(g["name"], str):
+            raise ParameterError(f'generator #{i}: "name" must be a string')
         rows = g["matrix"]
         if (
             not isinstance(rows, list)
@@ -110,7 +112,7 @@ def load_generator_file(path):
         entries = [_parse_fraction(str(e), f"generator #{i}: matrix entry") for r in rows for e in r]
         for e in entries:
             frac_str(e)  # an entry no report could print fails here, before the command's work
-        names.append(str(g["name"]))
+        names.append(g["name"])
         matrices.append(Mat2(*entries))
     try:
         return Alphabet(tuple(names), tuple(matrices))

@@ -1,6 +1,6 @@
 """Irreducibility and discreteness diagnostics for S-arithmetic subgroups of
 SL(2, Q): place support, Zariski density, integral-trace scans, per-place
-indiscreteness witnesses, and a two-generator probe.
+verdicts, and a two-generator probe.
 """
 
 from __future__ import annotations
@@ -24,12 +24,18 @@ from .exact_core import (
     vp,
 )
 from .lu_lab import knapp
-from .report import frac_str
 from .words import Alphabet, Word, evaluate, iter_forms
 
 SCAN_MAX_LEN = 6  # default word length of the per-place scans: diag irreducible, probe check (3)
 
 GS_TAG = "conditional on the Greenberg-Shalom hypothesis"
+
+GS_NOTES = (
+    GS_TAG + ": if the diagonal image is discrete in the product over its place "
+    "support, these witnesses fit the profile of an irreducible lattice there",
+    "discreteness of the image in the product over the finite places alone "
+    "is not decided by these searches",
+)
 
 PROBE_MESSAGE = (
     "candidate irreducible pair: finite index in an arithmetic lattice "
@@ -151,55 +157,62 @@ def integral_trace_scan(alphabet, primes, max_len):
     return TraceScanResult(tuple(primes), max_len, tuple(hits), classes_per_length, hits_per_length)
 
 
-class PlaceStatus(Record):
+class PlaceVerdict(Record):
+    """One place's verdict and the rule that decided it: "ping-pong" or
+    "knapp" on two parabolics at the real place (q, and n where Knapp finds
+    the pair discrete), "serre-lemma" at a compact prime, or "scan" over the
+    classes of length <= max_len, indiscrete with a witness word and unknown
+    without one. An unknown prime carries its loxodromic word. max_len is
+    None when no scan ran."""
     place: str            # "real" or the prime as a string
-    status: str           # "indiscrete-witness" | "bounded-orbit" | "inconclusive",
-                          # which at a prime always carries a loxodromic word
-    word: Word            # witness word, None otherwise
-    classification: ElementClass
-    note: str = None
+    verdict: str          # "discrete" | "indiscrete" | "compact" | "unknown"
+    rule: str
+    word: Word = None
+    classification: ElementClass = None
+    q: Fraction = None
+    n: int = None
+    max_len: int = None
 
 
-def _real_place_status(alphabet, max_len):
+def _real_place(alphabet, max_len):
+    """The real place. Two parabolics are decided on q: free and discrete by
+    ping-pong for |q| >= 4, discrete by Knapp for |q| in {1, 2, 3}, else
+    indiscrete, with the scan's word if one is short enough. The rule reads
+    the given generators only, so another presentation of the group may fall
+    to the scan, which looks for an elliptic word of infinite order."""
+    q = _two_parabolic_q(alphabet)
+    if q is not None and abs(q) >= 4:
+        return PlaceVerdict("real", "discrete", "ping-pong", q=q)
+    if q is not None and (n := knapp(q).n) is not None:
+        return PlaceVerdict("real", "discrete", "knapp", q=q, n=n)
+    word = cls = None
     for codes, a, b, c, d, den in iter_forms(alphabet, max_len):
         det = a * d - b * c
         if det > 0 and (a + d) ** 2 < 4 * det and form_order(a, b, c, d) is None:
-            cls = ElementClass("elliptic-infinite-order", note=None if det == den * den else "class from tr^2/det")
-            return PlaceStatus("real", "indiscrete-witness", Word(codes), cls,
-                               "elliptic of infinite order: orbits accumulate")
-    return PlaceStatus(
-        "real", "inconclusive", None, None,
-        f"no elliptic element of infinite order among words of length <= {max_len}",
-    )
+            word, cls = Word(codes), ElementClass("elliptic-infinite-order",
+                                                  note=None if det == den * den else "class from tr^2/det")
+            break
+    verdict = "unknown" if q is None and word is None else "indiscrete"
+    return PlaceVerdict("real", verdict, "scan" if q is None else "knapp", word, cls, q=q, max_len=max_len)
 
 
-def _finite_place_status(alphabet, p, max_len):
-    """Indiscreteness at p from one class walk of length <= max_len, on
-    integer forms.
-
-    A word of infinite order that is not loxodromic fixes a point of the tree
-    (Serre, Trees, I.6), so its powers accumulate in a compact stabilizer:
-    the first such word is the witness. Failing that, first_loxodromic
-    decides by Serre's lemma: a loxodromic word leaves the place
-    inconclusive, and without one the group is bounded.
-    """
+def _finite_place(alphabet, p, max_len):
+    """The prime p: compact when first_loxodromic finds no loxodromic word
+    (Serre's lemma). Otherwise a word of infinite order that is not
+    loxodromic fixes a point of the tree (Serre, Trees, I.6), so its powers
+    accumulate in a compact stabilizer: the scan's first such word makes the
+    place indiscrete, and without one it is unknown."""
+    loxodromic = first_loxodromic(alphabet, p)
+    if loxodromic is None:
+        return PlaceVerdict(str(p), "compact", "serre-lemma")
     for codes, a, b, c, d, _ in iter_forms(alphabet, max_len):
         if form_order(a, b, c, d) is None and not form_translation_length(a, b, c, d, p):
-            word = Word(codes)
-            return PlaceStatus(
-                str(p), "indiscrete-witness", word, classify_padic(evaluate(word, alphabet), p),
-                "infinite order and not loxodromic: its powers accumulate in a compact stabilizer",
-            )
-    loxodromic = first_loxodromic(alphabet, p)
-    if loxodromic is not None:
-        return PlaceStatus(
-            str(p), "inconclusive", loxodromic, classify_padic(evaluate(loxodromic, alphabet), p),
-            f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
-        )
-    return PlaceStatus(
-        str(p), "bounded-orbit", None, None,
-        f"bounded: no word of length <= 2 is loxodromic; no infinite-order word of length <= {max_len}",
-    )
+            verdict, word = "indiscrete", Word(codes)
+            break
+    else:
+        verdict, word = "unknown", loxodromic
+    cls = classify_padic(evaluate(word, alphabet), p)
+    return PlaceVerdict(str(p), verdict, "scan", word, cls, max_len=max_len)
 
 
 def _two_parabolic_q(alphabet):
@@ -219,61 +232,46 @@ def _two_parabolic_q(alphabet):
 
 class IrreducibilityReport(Record):
     support: PlaceSupport
-    places: tuple             # PlaceStatus entries, real first then primes ascending
+    places: tuple             # PlaceVerdict entries, real first then primes ascending
     product_discrete: bool
     product_justification: str
     density: DensityResult
     conditional_notes: tuple
 
 
-def irreducibility_report(alphabet, max_len=SCAN_MAX_LEN):
-    """Per-place indiscreteness diagnostics and the product-level summary.
+def greenberg_shalom_notes(places, density):
+    """GS_NOTES when the places fit the profile of an irreducible lattice in
+    a product, else (): the real place (places[0]) is not discrete, some
+    prime is indiscrete, every prime is indiscrete or compact, and the group
+    is dense. Only the verdicts and the density are read."""
+    finite = {st.verdict for st in places[1:]}
+    fits = "indiscrete" in finite and finite <= {"indiscrete", "compact"}
+    return GS_NOTES if fits and places[0].verdict != "discrete" and density.verdict == "dense" else ()
 
-    Each place is one walk over conjugacy classes. A finite place in the
-    support gets a witness of infinite order that is not loxodromic, or a
-    verdict by Serre's lemma, so it is inconclusive only with a loxodromic
-    word; the real place is scanned for elliptic elements of infinite
-    order. The diagonal image in the product over the full support is
-    always discrete (S-integer matrices of bounded denominator form a
-    discrete set), which is what makes per-place indiscreteness evidence
-    of irreducibility rather than of chaos.
+
+def irreducibility_report(alphabet, max_len=SCAN_MAX_LEN):
+    """Per-place verdicts and the product-level summary.
+
+    Each place asks its theorem first and scans only what the theorem leaves
+    open, up to max_len (_real_place, _finite_place). The diagonal image in
+    the product over the full support is always discrete (S-integer
+    matrices of bounded denominator form a discrete set), which is what
+    makes per-place indiscreteness evidence of irreducibility rather than
+    of chaos.
     """
     support = place_support(alphabet)
-    real = _real_place_status(alphabet, max_len)
-    q = _two_parabolic_q(alphabet)
-    if q is not None:
-        if abs(q) >= 4:
-            note = f"free and discrete at the real place by ping-pong (|q| = {frac_str(abs(q))} >= 4)"
-        elif (kv := knapp(q)).verdict == "discrete":
-            note = f"discrete at the real place (Knapp parameter n = {kv.n})"
-        else:
-            note = "inside the Knapp indiscreteness window"
-        real = real.replace(note=real.note + "; " + note)
-    places = [real]
-    for p in support.primes:
-        places.append(_finite_place_status(alphabet, p, max_len))
+    places = (_real_place(alphabet, max_len),
+              *(_finite_place(alphabet, p, max_len) for p in support.primes))
     density = density_report(alphabet)
-    notes = []
-    finite = places[1:]
-    if finite and all(st.status == "indiscrete-witness" for st in finite) and density.verdict == "dense":
-        notes.append(
-            GS_TAG + ": if the diagonal image is discrete in the product over "
-            "its place support, these witnesses fit the profile of an "
-            "irreducible lattice there"
-        )
-        notes.append(
-            "discreteness of the image in the product over the finite places "
-            "alone is not decided by these searches"
-        )
     return IrreducibilityReport(
         support,
-        tuple(places),
+        places,
         True,
         "S-integer diagonal embedding: finitely many generators with "
         "denominators supported on S give a discrete diagonal image in the "
         "product over S and the real place",
         density,
-        tuple(notes),
+        greenberg_shalom_notes(places, density),
     )
 
 
@@ -285,7 +283,7 @@ class ProbeCheck(Record):
 
 class ProbeReport(Record):
     checks: tuple
-    decisive_pass: bool   # checks (1), (2) and (4); a failed check (3) decides nothing
+    decisive_pass: bool   # checks (1), (2) and (4); check (3) is reported, not required
     message: str          # PROBE_MESSAGE on decisive pass, else None
 
 
@@ -294,9 +292,8 @@ def two_gen_probe(g, h, p):
 
     (1) g is loxodromic over R; (2) <g, h> is Zariski dense, by
     density_report, whose words certify the verdict; (3) <g, h> is
-    indiscrete at the real place, by _real_place_status over words of length
-    <= SCAN_MAX_LEN (diag irreducible's default): a pass names an elliptic word of
-    infinite order, and a fail only bounds the scan; (4) first_loxodromic
+    indiscrete at the real place: its data is the real place's verdict in
+    diag irreducible at SCAN_MAX_LEN, and a fail is discrete or unknown; (4) first_loxodromic
     finds a loxodromic word at p (a fail means bounded at p). Entries must
     lie in Z[1/p] with det 1.
     """
@@ -317,9 +314,8 @@ def two_gen_probe(g, h, p):
                         {"verdict": density.verdict, "dimension": density.dimension,
                          "words": density.words})
 
-    real = _real_place_status(alphabet, SCAN_MAX_LEN)
-    check3 = ProbeCheck("real-place-indiscrete", real.status == "indiscrete-witness",
-                        {"word": real.word, "classification": real.classification, "note": real.note})
+    real = _real_place(alphabet, SCAN_MAX_LEN)
+    check3 = ProbeCheck("real-place-indiscrete", real.verdict == "indiscrete", dict(vars(real)))
 
     check4 = ProbeCheck("loxodromic-word-at-p", False, {"p": p})
     if (word := first_loxodromic(alphabet, p)) is not None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from collections import deque
 
 from commlab.bt_tree import OrbitResult, TreeVertex, act, base_vertex, orbit_bounded
-from commlab.diagnostics import PlaceStatus, ProbeCheck, TraceScanResult
+from commlab.diagnostics import PlaceVerdict, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
     Mat2,
@@ -182,7 +182,26 @@ def translation_length_oracle(m, p):
 _TORSION_R = tuple(_PGL2_TORSION_ORDER)
 
 
+def _two_parabolic_q_oracle(alphabet):
+    # two det-1 parabolics, scaled to trace 2: conjugate to Delta_q with
+    # q = tr(ab) - 2, which is 0 exactly when they share a fixed point
+    if len(alphabet) != 2:
+        return None
+    a, b = (m.scale(m.trace() / 2) if m.det() == 1 and m.trace() ** 2 == 4 else None
+            for m in alphabet.matrices)
+    if a is None or b is None or a.is_scalar() or b.is_scalar():
+        return None
+    return (a * b).trace() - 2 or None
+
+
 def real_place_oracle(alphabet, max_len):
+    q = _two_parabolic_q_oracle(alphabet)
+    if q is not None and abs(q) >= 4:
+        return PlaceVerdict("real", "discrete", "ping-pong", q=q)
+    n = {1: 3, 2: 4, 3: 6}.get(abs(q)) if q is not None else None  # Knapp: |q| = 4 cos^2(pi/n)
+    if n is not None:
+        return PlaceVerdict("real", "discrete", "knapp", q=q, n=n)
+    rule = "scan" if q is None else "knapp"
     for word, m in iter_words_with_matrices(alphabet, max_len):
         if len(word) == 0:
             continue
@@ -195,15 +214,17 @@ def real_place_oracle(alphabet, max_len):
                 cls = classify_real(m)
             else:
                 cls = ElementClass("elliptic-infinite-order", note="class from tr^2/det")
-            return PlaceStatus("real", "indiscrete-witness", word, cls,
-                               "elliptic of infinite order: orbits accumulate")
-    return PlaceStatus(
-        "real", "inconclusive", None, None,
-        f"no elliptic element of infinite order among words of length <= {max_len}",
-    )
+            return PlaceVerdict("real", "indiscrete", rule, word, cls, q=q, max_len=max_len)
+    return PlaceVerdict("real", "unknown" if q is None else "indiscrete", rule, q=q, max_len=max_len)
 
 
 def finite_place_oracle(alphabet, p, max_len):
+    # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
+    for loxodromic, m in iter_words_with_matrices(alphabet, 2):
+        if len(loxodromic) and (lox_cls := classify_padic_oracle(m, p)).kind == "loxodromic":
+            break
+    else:
+        return PlaceVerdict(str(p), "compact", "serre-lemma")
     # witness: the first word of infinite order that is not loxodromic, over
     # every word, not one per class; it fixes a point of the tree, so its
     # powers stay in a compact stabilizer
@@ -212,21 +233,8 @@ def finite_place_oracle(alphabet, p, max_len):
             continue
         cls = classify_padic_oracle(m, p)
         if cls.kind in ("parabolic", "elliptic-infinite-order"):
-            return PlaceStatus(
-                str(p), "indiscrete-witness", word, cls,
-                "infinite order and not loxodromic: its powers accumulate in a compact stabilizer",
-            )
-    # Serre's lemma: the group is bounded iff no word of length <= 2 is loxodromic
-    for word, m in iter_words_with_matrices(alphabet, 2):
-        if len(word) and (cls := classify_padic_oracle(m, p)).kind == "loxodromic":
-            return PlaceStatus(
-                str(p), "inconclusive", word, cls,
-                f"loxodromic witness, so the group is unbounded; every infinite-order word of length <= {max_len} is loxodromic",
-            )
-    return PlaceStatus(
-        str(p), "bounded-orbit", None, None,
-        f"bounded: no word of length <= 2 is loxodromic; no infinite-order word of length <= {max_len}",
-    )
+            return PlaceVerdict(str(p), "indiscrete", "scan", word, cls, max_len=max_len)
+    return PlaceVerdict(str(p), "unknown", "scan", loxodromic, lox_cls, max_len=max_len)
 
 
 def probe_check4_oracle(alphabet, p, max_word_len):

@@ -385,6 +385,20 @@ def test_a_number_entry_reads_like_its_string(capsys, tmp_path, entry):
             f"generator #0: matrix entry has an exponent past the {LIMIT}-digit limit, got '1e999999999'")
 
 
+@pytest.mark.parametrize("name", [None, True, 5, ["a"]], ids=["null", "true", "5", "list"])
+def test_a_generator_name_must_be_a_json_string(capsys, tmp_path, name):
+    # str() would turn null into a generator named None, and true into True
+    gens = tmp_path / "names.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["1", "1/2"], ["0", "1"]]},
+        {"name": name, "matrix": [["1", "0"], ["2", "1"]]}]}), encoding="utf-8")
+    for argv in (["diag", "places"], ["tree", "length", "--p", "2", "--word", "None True"]):
+        code, out, _ = run(capsys, argv + ["--gens", str(gens)])
+        assert code == 2
+        assert check_schema(out)["error"] == {
+            "code": "parameter", "message": 'generator #1: "name" must be a string'}
+
+
 def test_generator_file_round_trip(tmp_path):
     ab = long_reid_pair()
     path = tmp_path / "lr.json"
@@ -747,8 +761,8 @@ def test_probe_without_decisive_pass(capsys):
 
 def test_irreducible_decides_a_bounded_place_without_a_radius(capsys, tmp_path):
     # no word of length <= 2 is loxodromic at 3, so the group is bounded
-    # there (Serre) and a, of infinite order, witnesses indiscreteness; a
-    # radius-3 orbit search left this place inconclusive
+    # there (Serre) and the place is compact; a radius-3 orbit search left
+    # this place inconclusive. The pair is a conjugate of SL(2, Z) = Delta_1.
     gens = tmp_path / "conjugated_orbit.json"
     gens.write_text(json.dumps({"generators": [
         {"name": "a", "matrix": [["1", "1/6561"], ["0", "1"]]},
@@ -759,34 +773,90 @@ def test_irreducible_decides_a_bounded_place_without_a_radius(capsys, tmp_path):
     doc = check_schema(out)
     assert doc["params"]["max_len"] == 6 and "radius" not in doc["params"]
     real, p3 = doc["results"][0]["places"]
-    assert (p3["place"], p3["status"], p3["word"]) == ("3", "indiscrete-witness", "a")
-    assert p3["classification"]["kind"] == "parabolic"
-    assert "radius" not in p3["note"]
+    assert (p3["place"], p3["verdict"], p3["rule"], p3["word"], p3["classification"], p3["max_len"]) == (
+        "3", "compact", "serre-lemma", None, None, None)
+    assert (real["verdict"], real["rule"], real["q"], real["n"]) == ("discrete", "knapp", "1", 3)
+    assert doc["results"][0]["conditional_notes"] == [] and doc["witnesses"] == []
 
 
 def test_irreducible_classifies_the_loxodromic_of_an_inconclusive_prime(capsys):
     # diag(2, 1/2) is loxodromic at 2 with translation length 2, and so is
-    # every infinite-order word: the place is inconclusive, its word classified
+    # every infinite-order word: the place is unknown, its word classified
     gens = str(REPO / "tests" / "data" / "diagonal_2.json")
     code, out, _ = run(capsys, ["diag", "irreducible", "--gens", gens])
     assert code == 0
     doc = check_schema(out)
     real, p2 = doc["results"][0]["places"]
     loxodromic = {"kind": "loxodromic", "note": None, "order": None, "translation_length": 2}
-    assert (p2["place"], p2["status"], p2["word"], p2["classification"]) == (
-        "2", "inconclusive", "d", loxodromic)
+    assert (p2["place"], p2["verdict"], p2["rule"], p2["word"], p2["classification"], p2["max_len"]) == (
+        "2", "unknown", "scan", "d", loxodromic, 6)
     assert doc["witnesses"] == [{"word": "d", "matrix": [["2", "0"], ["0", "1/2"]],
                                  "classification": loxodromic}]
 
 
 def test_irreducible_exits_zero_even_when_inconclusive(capsys):
-    # q = 1: discrete everywhere relevant, no witnesses; still a clean report
+    # q = 1: SL(2, Z), discrete by Knapp with no scan and no witnesses
     code, out, _ = run(capsys, ["diag", "irreducible", "--q", "1", "--max-len", "4"])
     assert code == 0
     doc = check_schema(out)
     places = doc["results"][0]["places"]
     assert [p["place"] for p in places] == ["real"]
-    assert places[0]["status"] == "inconclusive"
+    assert (places[0]["verdict"], places[0]["rule"], places[0]["n"], places[0]["max_len"]) == (
+        "discrete", "knapp", 3, None)
+
+
+def _sl2z_conjugate(tmp_path):
+    # SL(2, Z) = Delta_1 conjugated by [[2, 1], [0, 1]]: denominators 2
+    gens = tmp_path / "sl2z_conjugate.json"
+    gens.write_text(json.dumps({"generators": [
+        {"name": "a", "matrix": [["3/2", "-1/2"], ["1/2", "1/2"]]},
+        {"name": "b", "matrix": [["1", "2"], ["0", "1"]]},
+    ]}), encoding="utf-8")
+    return str(gens)
+
+
+@pytest.mark.parametrize("argv,expected,note", [
+    (["--q", "9/2"], [("real", "discrete", "ping-pong", None, "9/2", None, None),
+                      ("2", "indiscrete", "scan", "a", None, None, 6)], False),
+    (["--gens", "{sl2z}"], [("real", "discrete", "knapp", None, "1", 3, None),
+                            ("2", "compact", "serre-lemma", None, None, None, None)], False),
+    (["--q", "7/2", "--max-len", "1"], [("real", "indiscrete", "knapp", None, "7/2", None, 1),
+                                        ("2", "indiscrete", "scan", "a", None, None, 1)], True),
+    (["--builtin", "long-reid"], [("real", "unknown", "scan", None, None, None, 6),
+                                  ("2", "indiscrete", "scan", "a", None, None, 6),
+                                  ("3", "indiscrete", "scan", "b", None, None, 6)], True),
+])
+def test_irreducible_place_verdicts(capsys, tmp_path, argv, expected, note):
+    # a theorem decides first: ping-pong and Knapp at the real place, Serre's
+    # lemma at p; the Greenberg-Shalom note reads only those verdicts and the density
+    argv = [_sl2z_conjugate(tmp_path) if a == "{sl2z}" else a for a in argv]
+    code, out, _ = run(capsys, ["diag", "irreducible", *argv])
+    assert code == 0
+    res = check_schema(out)["results"][0]
+    keys = ("place", "verdict", "rule", "word", "q", "n", "max_len")
+    assert [tuple(st[k] for k in keys) for st in res["places"]] == expected
+    assert bool(res["conditional_notes"]) == note
+    assert res["density"]["verdict"] == "dense"
+
+
+def test_the_schema_rejects_a_malformed_place_verdict(capsys):
+    if jsonschema is None:
+        pytest.skip("jsonschema is not installed")
+    code, out, _ = run(capsys, ["diag", "irreducible", "--q", "1/2"])
+    assert code == 0
+    doc = check_schema(out)
+    for change in ({"verdict": "indiscrete-witness"}, {"note": "prose"}, {"max_len": "6"}, {"rule": None}):
+        bad = json.loads(out)
+        bad["results"][0]["places"][1].update(change)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, SCHEMA)
+    code, out, _ = run(capsys, ["diag", "probe", "--gens", str(REPO / "tests" / "data" / "probe_pair.json"),
+                                "--p", "2"])
+    bad = check_schema(out)
+    del bad["results"][0]["checks"][2]["data"]["verdict"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, SCHEMA)
+    assert doc["results"][0]["places"][0]["verdict"] == "indiscrete"
 
 
 # ---------------------------------------------------------------- argv parser
@@ -1096,14 +1166,15 @@ def test_probe_fuzz(capsys, tmp_path, case):
     density = res["checks"][1]["data"]
     assert (density["verdict"] == "dense") == (density["dimension"] == 9) == res["checks"][1]["passed"]
     real = res["checks"][2]
-    if real["passed"]:
+    assert real["passed"] == (real["data"]["verdict"] == "indiscrete")
+    if real["data"]["word"] is not None:
         # the Fraction path and its Niven table, not the integer forms' form_order
         alphabet = Alphabet("gh", pair)
         assert classify_real(evaluate(parse_word(real["data"]["word"], alphabet), alphabet)).kind == (
             "elliptic-infinite-order")
-    else:
-        assert real["data"]["word"] is None
-        assert "length <= 6" in real["data"]["note"]
+    if real["data"]["rule"] == "scan":
+        assert real["passed"] == (real["data"]["word"] is not None)
+        assert real["data"]["max_len"] == 6
     assert res["decisive_pass"] == all(res["checks"][i]["passed"] for i in (0, 1, 3))
 
 

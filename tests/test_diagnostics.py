@@ -1,6 +1,7 @@
 """Diagnostics: support, density, trace scans, per-place status, the probe."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from commlab import diagnostics
 from commlab.diagnostics import (
+    GS_NOTES,
     GS_TAG,
     PROBE_MESSAGE,
+    PlaceVerdict,
     density_report,
+    greenberg_shalom_notes,
     integral_trace_scan,
     irreducibility_report,
     long_reid_pair,
@@ -429,14 +433,15 @@ def test_irreducibility_report_lu_half():
     rep = irreducibility_report(lu_generators(Fraction(1, 2)))
     assert rep.support.primes == (2,)
     real, p2 = rep.places
-    assert real.place == "real" and real.status == "indiscrete-witness"
-    assert "Knapp indiscreteness window" in real.note
-    assert p2.place == "2" and p2.status == "indiscrete-witness"
+    assert (real.place, real.verdict, real.rule, real.q, real.n) == (
+        "real", "indiscrete", "knapp", Fraction(1, 2), None)
+    assert real.word == Word((A, B + 1)) and real.max_len == 6  # a b^-1, elliptic of infinite order
+    assert (p2.place, p2.verdict, p2.rule) == ("2", "indiscrete", "scan")
     assert p2.word == Word((A,))  # a itself is integral of infinite order
     assert p2.classification.kind == "parabolic"
     assert rep.product_discrete
     assert rep.density.verdict == "dense"
-    assert len(rep.conditional_notes) == 2
+    assert rep.conditional_notes == GS_NOTES
     assert rep.conditional_notes[0].startswith(GS_TAG)
 
 
@@ -444,30 +449,46 @@ def test_irreducibility_report_long_reid():
     rep = irreducibility_report(long_reid_pair())
     assert rep.support.primes == (2, 3)
     real, p2, p3 = rep.places
-    assert p2.status == "indiscrete-witness"
+    assert (real.verdict, real.rule, real.word, real.max_len) == ("unknown", "scan", None, 6)
+    assert p2.verdict == "indiscrete"
     assert p2.word == Word((A,))  # diag(3, 1/3) is a 2-adic unit matrix
-    assert p3.status == "indiscrete-witness"
+    assert p3.verdict == "indiscrete"
     assert p3.word == Word((B,))  # the other generator is 3-integral
     assert rep.density.verdict == "dense"
-    if all(st.status == "indiscrete-witness" for st in (p2, p3)):
-        assert rep.conditional_notes
-        assert rep.conditional_notes[0].startswith(GS_TAG)
+    assert rep.conditional_notes == GS_NOTES
+    assert rep.conditional_notes[0].startswith(GS_TAG)
 
 
 def test_irreducibility_report_free_case_offers_no_notes():
     rep = irreducibility_report(lu_generators(4))
     assert rep.support.primes == ()
     (real,) = rep.places
-    assert "ping-pong" in real.note
+    assert (real.verdict, real.rule, real.q, real.n, real.max_len) == ("discrete", "ping-pong", 4, None, None)
     assert rep.conditional_notes == ()
 
 
 def test_irreducibility_report_knapp_discrete_note():
     rep = irreducibility_report(lu_generators(1))
     (real,) = rep.places
-    assert real.status == "inconclusive"
-    assert "Knapp parameter n = 3" in real.note
+    assert (real.verdict, real.rule, real.q, real.n, real.max_len) == ("discrete", "knapp", 1, 3, None)
     assert rep.conditional_notes == ()
+
+
+VERDICTS = ("discrete", "indiscrete", "compact", "unknown")
+
+
+def test_the_note_is_printed_exactly_when_its_conditions_hold():
+    # a function of the verdicts and the density alone: rule, word and
+    # max_len are never read
+    for k in range(3):
+        for real, *finite in itertools.product(VERDICTS, *[VERDICTS] * k):
+            places = [PlaceVerdict("real", real, "scan")] + [
+                PlaceVerdict(str(p), v, "scan") for p, v in zip((2, 3), finite)]
+            for dense in (True, False):
+                density = diagnostics.DensityResult("dense" if dense else "not-dense", 9 if dense else 3, ())
+                fits = (real != "discrete" and "indiscrete" in finite
+                        and all(v in ("indiscrete", "compact") for v in finite) and dense)
+                assert greenberg_shalom_notes(places, density) == (GS_NOTES if fits else ())
 
 
 def _gl2q(rng):
@@ -480,7 +501,7 @@ def _gl2q(rng):
 @pytest.mark.parametrize("q", [Fraction(1, 2), 1, 3, Fraction(9, 2), -5])
 def test_two_parabolic_notes_survive_conjugation(q):
     # the rule reads traces only: conjugates, and a generator of trace -2,
-    # get the literal pair's real place, note included
+    # get the literal pair's real place, rule and q included
     literal = lu_generators(q)
     expected = irreducibility_report(literal).places[0]
     rng = random.Random(f"two-parabolic {q}")
@@ -512,6 +533,7 @@ def test_probe_canonical_pair():
     assert c3.name == "real-place-indiscrete" and c3.passed
     assert c3.data["word"] == Word((A, B, A + 1, B))  # g h g^-1 h
     assert c3.data["classification"].kind == "elliptic-infinite-order"
+    assert (c3.data["verdict"], c3.data["rule"], c3.data["max_len"]) == ("indiscrete", "scan", 6)
     assert c4.name == "loxodromic-word-at-p" and c4.passed
     assert c4.data["word"] == Word((0, 2))  # g h
     assert c4.data["trace"] == Fraction(25, 8)
@@ -533,6 +555,15 @@ def test_probe_degenerate_pairs():
     rep = two_gen_probe(u, v, 2)  # no real-loxodromic generator
     assert not rep.checks[0].passed
     assert not rep.decisive_pass
+
+
+def test_probe_check_3_is_the_real_place_verdict():
+    # a two-parabolic pair's check 3 reads Knapp or ping-pong, as diag irreducible does
+    for q, passed in ((Fraction(1, 2), True), (Fraction(9, 2), False), (Fraction(3), False)):
+        pair = lu_generators(q)
+        c3 = two_gen_probe(*pair.matrices, 2).checks[2]
+        assert c3.passed == passed
+        assert c3.data == dict(vars(irreducibility_report(pair).places[0]))
 
 
 def test_probe_validates_inputs():

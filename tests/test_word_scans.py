@@ -1,6 +1,6 @@
 """The integer-form word scans against the Mat2 walks they replaced.
 
-Each library scan (the real and finite place status, the probe's check 4,
+Each library scan (the real and finite place verdicts, the probe's check 4,
 the orbit's witness search) is compared with its reference copy in helpers on
 seeded generator sets: 1 to 3 generators of det 1, of any det and of negative
 det, with denominators 2, 3, 4, 6, 8, 9 and 27, plus long-reid, Delta_q and a
@@ -10,15 +10,14 @@ conjugate of it.
 """
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
 
 from commlab.bt_tree import first_loxodromic, orbit_bounded
 from commlab.diagnostics import (
-    _finite_place_status,
-    _real_place_status,
+    _finite_place,
+    _real_place,
     integral_trace_scan,
     long_reid_pair,
     two_gen_probe,
@@ -99,26 +98,29 @@ def test_the_sets_cover_every_kind():
 
 @pytest.mark.parametrize("ab", SETS)
 def test_real_place_status_matches_mat2_walk(ab):
-    assert _real_place_status(ab, MAX_LEN) == real_place_oracle(ab, MAX_LEN)
+    assert _real_place(ab, MAX_LEN) == real_place_oracle(ab, MAX_LEN)
 
 
 @pytest.mark.parametrize("ab", SETS)
 def test_finite_place_status_matches_mat2_walk(ab):
     for p in PRIMES:
-        assert _finite_place_status(ab, p, MAX_LEN) == finite_place_oracle(ab, p, MAX_LEN)
+        assert _finite_place(ab, p, MAX_LEN) == finite_place_oracle(ab, p, MAX_LEN)
 
 
 @pytest.mark.parametrize("ab", SETS)
 def test_finite_place_status_agrees_with_every_decided_orbit(ab):
-    # where the orbit search decided, a status other than a witness matches it
+    # where the orbit search decided, the verdict matches it: compact exactly
+    # when bounded, and an unknown place carries the orbit's loxodromic word
     for p in PRIMES:
-        st = _finite_place_status(ab, p, MAX_LEN)
+        st = _finite_place(ab, p, MAX_LEN)
         for radius in (2, 6):
             orbit = orbit_bounded(ab, p, radius)
             if orbit.status == "bounded":
-                assert st.status in ("indiscrete-witness", "bounded-orbit")
-            elif orbit.status == "unbounded" and st.status != "indiscrete-witness":
-                assert (st.status, st.word) == ("inconclusive", orbit.witness)
+                assert (st.verdict, st.word) == ("compact", None)
+            elif orbit.status == "unbounded":
+                assert st.verdict in ("indiscrete", "unknown")
+                if st.verdict == "unknown":
+                    assert st.word == orbit.witness
 
 
 @pytest.mark.parametrize("ab,p", [pytest.param(ab, p, id=f"{i}-{p}") for i, ab in enumerate(SETS) for p in PRIMES
@@ -132,9 +134,8 @@ def test_a_bounded_place_past_the_old_radius_is_decided():
     # with the base vertex's orbit wider than radius 3
     f = Alphabet("ab", (Mat2(1, Fraction(1, 6561), 0, 1), Mat2(10, Fraction(-1, 81), 6561, -8)))
     assert orbit_bounded(f, 3, 3).status == "inconclusive"
-    st = _finite_place_status(f, 3, 6)
-    assert (st.status, st.word) == ("indiscrete-witness", Word((0,)))
-    assert st.classification.kind == "parabolic"
+    st = _finite_place(f, 3, 6)
+    assert (st.verdict, st.rule, st.word, st.max_len) == ("compact", "serre-lemma", None, None)
     assert st == finite_place_oracle(f, 3, 6)
 
 
@@ -157,9 +158,9 @@ def test_every_word_scan_is_invariant_under_conjugation(seed):
     # give the same report, words included
     ab = SETS[seed]
     conj = _conjugate(ab, _seeded_conjugator(seed))
-    assert _real_place_status(conj, MAX_LEN) == _real_place_status(ab, MAX_LEN)
+    assert _real_place(conj, MAX_LEN) == _real_place(ab, MAX_LEN)
     for p in PRIMES:
-        assert _finite_place_status(conj, p, MAX_LEN) == _finite_place_status(ab, p, MAX_LEN)
+        assert _finite_place(conj, p, MAX_LEN) == _finite_place(ab, p, MAX_LEN)
     assert integral_trace_scan(conj, PRIMES, MAX_LEN) == integral_trace_scan(ab, PRIMES, MAX_LEN)
 
 
@@ -169,8 +170,8 @@ def test_a_witness_does_not_depend_on_the_base_vertex():
     d = lu_generators(Fraction(1, 2))
     conj = _conjugate(d, Mat2(2, 0, 0, 1))
     assert conj.matrices[0] == Mat2(1, 0, Fraction(1, 2), 1)
-    assert _finite_place_status(conj, 2, 6) == _finite_place_status(d, 2, 6)
-    assert _finite_place_status(d, 2, 6).word == Word((0,))
+    assert _finite_place(conj, 2, 6) == _finite_place(d, 2, 6)
+    assert _finite_place(d, 2, 6).word == Word((0,))
 
 
 @pytest.mark.parametrize("max_len", (5, 8))
@@ -180,8 +181,8 @@ def test_a_parabolic_off_the_base_vertex_is_a_witness(max_len):
     # 3-integral with unit det
     ab = SETS[38]
     assert ab.matrices[0].c == Fraction(1, 729)
-    st = _finite_place_status(ab, 3, max_len)
-    assert (st.status, st.word, st.classification.kind) == ("indiscrete-witness", Word((0,)), "parabolic")
+    st = _finite_place(ab, 3, max_len)
+    assert (st.verdict, st.word, st.classification.kind) == ("indiscrete", Word((0,)), "parabolic")
 
 
 @pytest.mark.parametrize("ab", SETS)
@@ -210,12 +211,12 @@ def test_probe_check_4_matches_mat2_walk(ab):
 
 def test_each_branch_is_reached():
     # the comparisons above would pass vacuously if every set took one branch
-    real = {_real_place_status(ab, MAX_LEN).status for ab in SETS}
-    finite = {re.sub(r"\d+", "N", st.note)
-              for ab in SETS for st in (_finite_place_status(ab, p, MAX_LEN) for p in PRIMES)}
+    real = {(st.verdict, st.rule) for st in (_real_place(ab, MAX_LEN) for ab in SETS)}
+    finite = {_finite_place(ab, p, MAX_LEN).verdict for ab in SETS for p in PRIMES}
     orbits = {orbit_bounded(ab, p, RADIUS).status for ab in SETS for p in PRIMES}
     applies = sum(_probe_applies(ab, p) for ab in SETS for p in PRIMES)
-    assert real == {"indiscrete-witness", "inconclusive"}
-    assert len(finite) == 3  # the witness, the bounded orbit, the loxodromic
+    assert real == {("discrete", "ping-pong"), ("discrete", "knapp"), ("indiscrete", "knapp"),
+                    ("indiscrete", "scan"), ("unknown", "scan")}
+    assert finite == {"indiscrete", "compact", "unknown"}
     assert {"bounded", "unbounded", "inconclusive"} == orbits
     assert applies >= 10
