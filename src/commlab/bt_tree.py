@@ -17,7 +17,7 @@ The arithmetic runs on the integer chart (n, m, c) of u = c * p^m, with
 denominator is a homothety), valuations are taken of integers, and the
 residue c is a modular inverse, so act, vertex_of, distance and the orbit
 search do no Fraction arithmetic. A TreeVertex carries its chart (v.chart);
-orbit_charts returns bare charts, and a TreeVertex, with its Fraction u, is
+orbit_bounded returns bare charts, and a TreeVertex, with its Fraction u, is
 built only where a caller asks for one.
 """
 
@@ -227,9 +227,9 @@ def busemann(g, p):
 
 class OrbitResult(Record):
     status: str        # "bounded" | "unbounded" | "inconclusive"
-    orbit: tuple       # vertices (or charts) in breadth-first order over the generators, None unless bounded
+    orbit: tuple       # (n, m, c) charts in breadth-first order over the generators, None unless bounded
     radius_seen: int
-    witness: Word      # loxodromic word certifying escape, None otherwise
+    witness_word: Word  # loxodromic word certifying escape, None otherwise
     max_radius: int
 
 
@@ -248,7 +248,7 @@ def first_loxodromic(alphabet, p):
     return None
 
 
-def orbit_charts(alphabet, p, max_radius, base=None):
+def orbit_bounded(alphabet, p, max_radius, base=None):
     """Decide whether the orbit of the base vertex stays within max_radius;
     a bounded orbit comes back as its (n, m, c) charts in discovery order.
 
@@ -290,12 +290,6 @@ def orbit_charts(alphabet, p, max_radius, base=None):
             order.append(w)
     del seen  # the largest object goes before the orbit tuple is built
     return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
-
-
-def orbit_bounded(alphabet, p, max_radius, base=None):
-    """orbit_charts with the orbit as TreeVertex rows."""
-    res = orbit_charts(alphabet, p, max_radius, base)
-    return res if res.orbit is None else res.replace(orbit=tuple(_vertex(p, w) for w in res.orbit))
 
 
 class PigeonholeResult(Record):

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bt_tree import orbit_charts
+from .bt_tree import orbit_bounded
 from .diagnostics import (
     SCAN_MAX_LEN,
     density_report,
@@ -246,18 +246,11 @@ def lu_relators(alphabet, max_len, mem_cap):
 def tree_orbit(alphabet, p, radius):
     """Bounded-orbit test for the base vertex under the generated group."""
     p = _parse_prime(p)
-    res = orbit_charts(alphabet, p, radius)
-    results = [{
-        "status": res.status,
-        "p": p,
-        "max_radius": radius,
-        "radius_seen": res.radius_seen,
-        "orbit_size": res.orbit and len(res.orbit),
-        "orbit": res.orbit and [chart_str(p, w) for w in res.orbit],
-        "witness_word": res.witness,
-    }]
-    witnesses = [] if res.witness is None else [
-        _witness(res.witness, alphabet, lambda m: classify_padic(m, p))]
+    res = orbit_bounded(alphabet, p, radius)
+    results = [dict(vars(res), p=p, orbit_size=res.orbit and len(res.orbit),
+                    orbit=res.orbit and [chart_str(p, w) for w in res.orbit])]
+    witnesses = [] if res.witness_word is None else [
+        _witness(res.witness_word, alphabet, lambda m: classify_padic(m, p))]
     return {"p": p, "radius": radius}, results, witnesses
 
 

@@ -310,9 +310,7 @@ def two_gen_probe(g, h, p):
 
     alphabet = Alphabet(("g", "h"), (g, h))
     density = density_report(alphabet)
-    check2 = ProbeCheck("zariski-dense-pair", density.verdict == "dense",
-                        {"verdict": density.verdict, "dimension": density.dimension,
-                         "words": density.words})
+    check2 = ProbeCheck("zariski-dense-pair", density.verdict == "dense", dict(vars(density)))
 
     real = _real_place(alphabet, SCAN_MAX_LEN)
     check3 = ProbeCheck("real-place-indiscrete", real.verdict == "indiscrete", dict(vars(real)))

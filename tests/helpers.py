@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from collections import deque
 
-from commlab.bt_tree import OrbitResult, TreeVertex, act, base_vertex, orbit_bounded
+from commlab.bt_tree import OrbitResult, TreeVertex, _vertex, act, base_vertex, orbit_bounded
 from commlab.diagnostics import PlaceVerdict, ProbeCheck, TraceScanResult
 from commlab.exact_core import (
     ElementClass,
@@ -314,8 +314,8 @@ def distance_oracle(v, w):
 
 
 def orbit_oracle(alphabet, p, max_radius, base=None):
-    """Breadth-first orbit; on escape, the full scan of words of length
-    <= 2*max_radius for a loxodromic witness."""
+    """Breadth-first orbit, as the charts of its vertices; on escape, the
+    full scan of words of length <= 2*max_radius for a loxodromic witness."""
     _require_prime(p)
     if base is None:
         base = base_vertex(p)
@@ -342,7 +342,7 @@ def orbit_oracle(alphabet, p, max_radius, base=None):
             order.append(w)
             frontier.append(w)
     if not escaped:
-        return OrbitResult("bounded", tuple(order), radius_seen, None, max_radius)
+        return OrbitResult("bounded", tuple(v.chart for v in order), radius_seen, None, max_radius)
     for word, m in iter_words_with_matrices(alphabet, 2 * max_radius):
         if len(word) == 0:
             continue
@@ -368,8 +368,8 @@ def assert_closed_under_generators(alphabet, p, radius, base=None):
     res = orbit_bounded(alphabet, p, radius, base=base)
     both = orbit_bounded(both_letters, p, radius, base=base)
     assert res.status == both.status == "bounded"
-    orbit = set(res.orbit)
-    assert orbit == set(both.orbit)
+    assert set(res.orbit) == set(both.orbit)
+    orbit = {_vertex(p, w) for w in res.orbit}
     assert (len(res.orbit), res.radius_seen) == (len(both.orbit), both.radius_seen)
     assert {act(g, v) for g in alphabet.letter_matrices for v in orbit} == orbit
     for r in range(1, res.radius_seen + 1):

@@ -27,7 +27,7 @@ from commlab.bt_tree import (
 from commlab.cli import main
 from commlab.exact_core import Mat2, vp
 from commlab.lu_lab import lu_generators
-from commlab.report import to_json
+from commlab.report import chart_str
 from commlab.words import Alphabet, Word, evaluate, iter_words_with_matrices
 from helpers import (
     act_oracle,
@@ -393,7 +393,7 @@ def test_orbit_bounded_single_integral_generator():
     ab = Alphabet(("a",), (Mat2(1, 0, 1, 1),))
     res = orbit_bounded(ab, 2, 3)
     assert res.status == "bounded"
-    assert res.orbit == (base_vertex(2),)
+    assert res.orbit == (base_vertex(2).chart,)
     assert res.radius_seen == 0
 
 
@@ -401,7 +401,7 @@ def test_orbit_bounded_half_parabolic():
     ab = Alphabet(("b",), (Mat2(1, Fraction(1, 2), 0, 1),))
     res = orbit_bounded(ab, 2, 3)
     assert res.status == "bounded"
-    assert res.orbit == (base_vertex(2), TreeVertex(2, 0, Fraction(1, 2)))
+    assert res.orbit == (base_vertex(2).chart, TreeVertex(2, 0, Fraction(1, 2)).chart)
     assert res.radius_seen == 2
 
 
@@ -409,8 +409,8 @@ def test_orbit_bounded_escape_with_witness():
     ab = lu_generators(Fraction(1, 2))
     res = orbit_bounded(ab, 2, 3)
     assert res.status == "unbounded"
-    assert res.witness == Word((0, 2))  # a b, the first loxodromic
-    assert translation_length(evaluate(res.witness, ab), 2) > 0
+    assert res.witness_word == Word((0, 2))  # a b, the first loxodromic
+    assert translation_length(evaluate(res.witness_word, ab), 2) > 0
     assert res.orbit is None
 
 
@@ -419,7 +419,7 @@ def test_orbit_bounded_inconclusive_budget():
     ab = Alphabet(("b",), (Mat2(1, Fraction(1, 2), 0, 1),))
     res = orbit_bounded(ab, 2, 1)
     assert res.status == "inconclusive"
-    assert res.witness is None
+    assert res.witness_word is None
 
 
 def _conjugated_sl2z(p, k, seed):
@@ -493,7 +493,7 @@ def test_orbit_from_another_base_matches_the_oracle(p, ab, bases, radius, sweep)
         res = orbit_bounded(ab, p, radius, base=base)
         assert res.status == "bounded"
         assert res.orbit[0] == (base_vertex(p) if base is None else
-                                TreeVertex(p, base.n, canonical_residue_oracle(base.u, base.n, p)))
+                                TreeVertex(p, base.n, canonical_residue_oracle(base.u, base.n, p))).chart
         assert res == orbit_oracle(ab, p, radius, base=base)
         for short_radius in range(1, res.radius_seen) if sweep else ():
             short = orbit_bounded(ab, p, short_radius, base=base)
@@ -559,11 +559,11 @@ def test_tree_orbit_cli_on_a_conjugated_sl2z(capsys, tmp_path, p, k):
 
 @pytest.mark.parametrize("p,seed", [(p, seed) for p in (2, 3) for seed in (5, 6, 7)])
 def test_tree_orbit_cli_rows_match_the_oracle(capsys, tmp_path, p, seed):
-    # the rows are written from charts; the oracle's are Fraction vertices
+    # the oracle's charts are read off Fraction vertices
     ab = _conjugated_sl2z(p, 3, seed)
     res = _tree_orbit_cli(capsys, tmp_path, ab, p, 6)
     want = orbit_oracle(ab, p, 6)
-    assert res["orbit"] == to_json(want.orbit, None)
+    assert res["orbit"] == [chart_str(p, w) for w in want.orbit]
     assert (res["radius_seen"], res["orbit_size"]) == (want.radius_seen, len(want.orbit))
 
 

@@ -471,7 +471,7 @@ def test_pingpong_past_the_digit_limit_is_a_parameter_error(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv, stage", [
     (["diag", "irreducible", "--q", "1e4300"], "irreducibility_report"),
-    (["tree", "orbit", "--q", "1e-4300", "--p", "2", "--radius", "3"], "orbit_charts"),
+    (["tree", "orbit", "--q", "1e-4300", "--p", "2", "--radius", "3"], "orbit_bounded"),
     (["lu", "relators", "--q", "1e4300", "--max-len", "6"], "relator_search"),
     (["diag", "traces", "--q", "1e4300", "--max-len", "3"], "place_support"),
 ])
@@ -491,7 +491,7 @@ def test_an_unprintable_q_is_refused_before_the_work(capsys, monkeypatch, argv, 
 
 @pytest.mark.parametrize("argv, stage", [
     (["lu", "relators", "--max-len", "6"], "relator_search"),
-    (["tree", "orbit", "--p", "2", "--radius", "3"], "orbit_charts"),
+    (["tree", "orbit", "--p", "2", "--radius", "3"], "orbit_bounded"),
     (["tree", "length", "--p", "2", "--word", "b"], "evaluate"),
     (["diag", "places"], "place_support"),
     (["diag", "density"], "density_report"),

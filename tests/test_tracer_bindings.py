@@ -45,3 +45,15 @@ def test_tracer_install_wraps_and_uninstall_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_the_tracer_sees_the_orbit_search_that_tree_orbit_runs():
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code, _ = tracer.run_in_process(["tree", "orbit", "--q", "1", "--p", "2", "--radius", "3"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.calls("bt_tree.orbit_bounded") == 1

@@ -120,7 +120,7 @@ def test_finite_place_status_agrees_with_every_decided_orbit(ab):
             elif orbit.status == "unbounded":
                 assert st.verdict in ("indiscrete", "unknown")
                 if st.verdict == "unknown":
-                    assert st.word == orbit.witness
+                    assert st.word == orbit.witness_word
 
 
 @pytest.mark.parametrize("ab,p", [pytest.param(ab, p, id=f"{i}-{p}") for i, ab in enumerate(SETS) for p in PRIMES
